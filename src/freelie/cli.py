@@ -1,20 +1,18 @@
 """Command-line surface: compute characters, dimensions and tableau counts,
-run the identity-verification suites, and manage the on-disk character table
-cache.
+and run the identity-verification suites.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage error, 3 domain
 error, 4 resource budget exceeded.
 
 All output is deterministic for fixed flags: partitions, terms and report
 rows are always emitted in the canonical orders, and timing information is
-only included on request (``--timing``) so that repeated runs, warm or cold
-cache, are byte-identical.
+only included on request (``--timing``) so that repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import CheckReport, QTPoly, ResourceLimitError
+from .exactalg import CheckReport, QTPoly, ResourceLimitError, collect, render_terms
 from .partition import format_partition, parse_partition, partitions_of
 from .specialization import DEFAULT_Q_CAP
 from .symfunc import SymFunc
@@ -34,10 +32,6 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
-
-CACHE_ENV_VAR = "SUPERLIE_CACHE_DIR"
-CACHE_FILE_NAME = "character_table.json"
-CACHE_FORMAT_VERSION = 1
 
 
 class UsageError(Exception):
@@ -67,105 +61,19 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# character table cache
-
-
-def cache_dir() -> str:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "freelie")
-
-
-def _cache_path() -> str:
-    return os.path.join(cache_dir(), CACHE_FILE_NAME)
-
-
-def _rows_digest(rows) -> str:
-    blob = json.dumps(rows, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def load_cache() -> bool:
-    """Seed the in-memory character table from disk; invalid files are
-    ignored with a warning (values are then recomputed on demand)."""
-    path = _cache_path()
-    if not os.path.exists(path):
-        return False
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format_version") != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {payload.get('format_version')}")
-        rows = payload["rows"]
-        if _rows_digest(rows) != payload.get("digest"):
-            raise ValueError("digest mismatch")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"warning: ignoring corrupt character cache ({exc}); it will be rebuilt",
-              file=sys.stderr)
-        return False
-    symfunc.load_character_rows(rows)
-    return True
-
-
-def warm_cache(max_n: int) -> str:
-    """Compute the character table through degree max_n and persist it
-    atomically (write to a temp file, then rename)."""
-    rows = symfunc.character_rows(max_n)
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "max_n": max_n,
-        "digest": _rows_digest(rows),
-        "rows": rows,
-    }
-    os.makedirs(cache_dir(), exist_ok=True)
-    path = _cache_path()
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-    os.replace(tmp, path)
-    return path
-
-
-def clear_cache() -> bool:
-    path = _cache_path()
-    if os.path.exists(path):
-        os.remove(path)
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # rendering helpers
 
 
 def _render_sym(f: SymFunc) -> str:
-    if f.is_zero:
-        return "0"
-    parts = []
-    for lam, coeff in f.items():
-        name = f"{f.basis}_{format_partition(lam)}" if lam else "1"
-        if coeff == QTPoly.one():
-            parts.append(name)
-        elif coeff.is_constant:
-            value = coeff.constant_value()
-            parts.append(f"{value}*{name}" if lam else str(value))
-        else:
-            parts.append(f"({coeff})*{name}" if lam else f"({coeff})")
-    return " + ".join(parts).replace("+ -", "- ")
+    return render_terms(
+        (f"{f.basis}_{format_partition(lam)}" if lam else "", c) for lam, c in f.items()
+    )
 
 
 def _render_bi_terms(terms) -> str:
-    parts = []
-    for (lam, mu), coeff in terms:
-        name = f"[{format_partition(lam)}|{format_partition(mu)}]"
-        if coeff == QTPoly.one():
-            parts.append(name)
-        elif coeff.is_constant:
-            parts.append(f"{coeff.constant_value()}*{name}")
-        else:
-            parts.append(f"({coeff})*{name}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return render_terms(
+        (f"[{format_partition(lam)}|{format_partition(mu)}]", c) for (lam, mu), c in terms
+    )
 
 
 def _sym_payload(f: SymFunc) -> dict:
@@ -192,37 +100,39 @@ def _bi_payload(f) -> dict:
 # profile used by the acceptance criteria.
 
 
+def _bidegrees(max_total: int, min_total: int = 1) -> list[tuple[int, int]]:
+    """(n, m) with min_total <= n + m <= max_total, by total, then by m."""
+    return [(t - m, m) for t in range(min_total, max_total + 1) for m in range(t + 1)]
+
+
+def _equality(check: str, parameters: dict, lhs, rhs, render=str) -> CheckReport:
+    """Compare two routes with ==; both are rendered only if they differ."""
+    ok = lhs == rhs
+    return CheckReport(
+        check, parameters, ok, lhs=None if ok else render(lhs), rhs=None if ok else render(rhs)
+    )
+
+
 def suite_brandt_diagonal(max_total: int = 8) -> list[CheckReport]:
     """Diagonal restriction of the two-alphabet character formula equals the
     one-alphabet formula, and the Schur expansion is a genuine character
     (nonnegative integer multiplicities)."""
     reports = []
-    for total in range(1, max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            lhs = symfunc.diagonal(superlie.super_bi_brandt_char(n, m))
-            rhs = superlie.super_brandt_char(n, m)
-            ok = lhs == rhs
-            reports.append(
-                CheckReport(
-                    "brandt-diagonal",
-                    {"n": n, "m": m},
-                    ok,
-                    lhs=None if ok else _render_sym(lhs),
-                    rhs=None if ok else _render_sym(rhs),
-                )
+    for n, m in _bidegrees(max_total):
+        lhs = symfunc.diagonal(superlie.super_bi_brandt_char(n, m))
+        rhs = superlie.super_brandt_char(n, m)
+        reports.append(_equality("brandt-diagonal", {"n": n, "m": m}, lhs, rhs, _render_sym))
+        expansion = symfunc.schur_expand(rhs)
+        reports.append(
+            CheckReport(
+                "schur-positivity",
+                {"n": n, "m": m},
+                expansion.is_nonneg_integral,
+                lhs=None
+                if expansion.is_nonneg_integral
+                else _render_sym(SymFunc("s", expansion.coefficients)),
             )
-            expansion = symfunc.schur_expand(rhs)
-            reports.append(
-                CheckReport(
-                    "schur-positivity",
-                    {"n": n, "m": m},
-                    expansion.is_nonneg_integral,
-                    lhs=None
-                    if expansion.is_nonneg_integral
-                    else _render_sym(SymFunc("s", expansion.coefficients)),
-                )
-            )
+        )
     return reports
 
 
@@ -230,20 +140,15 @@ def suite_petrogradsky(max_n: int = 8, max_m: int = 8) -> list[CheckReport]:
     """Log-series expansion of the full graded character agrees with the
     closed per-bidegree formula."""
     series = superlie.petrogradsky_series(max_n, max_m)
-    reports = []
-    for (n, m), component in sorted(series.items()):
-        expected = superlie.super_bi_brandt_char(n, m)
-        ok = component == expected
-        reports.append(
-            CheckReport(
-                "petrogradsky-series",
-                {"n": n, "m": m},
-                ok,
-                lhs=None if ok else str(component),
-                rhs=None if ok else str(expected),
-            )
+    return [
+        _equality(
+            "petrogradsky-series",
+            {"n": n, "m": m},
+            component,
+            superlie.super_bi_brandt_char(n, m),
         )
-    return reports
+        for (n, m), component in sorted(series.items())
+    ]
 
 
 def suite_witt_oracle(
@@ -255,47 +160,39 @@ def suite_witt_oracle(
     """Dimension formula vs character specialization at x = 1, and vs the
     brute-force rank of actual bracketed tensors."""
     reports = []
-    for total in range(1, max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            char = superlie.super_brandt_char(n, m)
-            for N in range(0, max_dim + 1):
-                expected = superlie.super_witt_dim(n, m, N)
-                via_char = symfunc.expand_truncated(char, N).eval_all_ones()
-                reports.append(
-                    CheckReport(
-                        "witt-vs-specialization",
-                        {"n": n, "m": m, "N": N},
-                        Fraction(expected) == via_char,
-                        lhs=str(via_char),
-                        rhs=str(expected),
-                    )
+    for n, m in _bidegrees(max_total):
+        char = superlie.super_brandt_char(n, m)
+        for N in range(0, max_dim + 1):
+            expected = superlie.super_witt_dim(n, m, N)
+            via_char = symfunc.expand_truncated(char, N).eval_all_ones()
+            reports.append(
+                CheckReport(
+                    "witt-vs-specialization",
+                    {"n": n, "m": m, "N": N},
+                    Fraction(expected) == via_char,
+                    lhs=str(via_char),
+                    rhs=str(expected),
                 )
-    for total in range(1, brute_max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            for N in range(1, brute_max_dim + 1):
-                expected = superlie.super_witt_dim(n, m, N)
-                rank = superlie.brute_force_lie_dim(n, m, N, N)
-                reports.append(
-                    CheckReport(
-                        "witt-vs-bracket-rank",
-                        {"n": n, "m": m, "N": N},
-                        rank == expected,
-                        lhs=str(rank),
-                        rhs=str(expected),
-                    )
+            )
+    for n, m in _bidegrees(brute_max_total):
+        for N in range(1, brute_max_dim + 1):
+            expected = superlie.super_witt_dim(n, m, N)
+            rank = superlie.brute_force_lie_dim(n, m, N, N)
+            reports.append(
+                CheckReport(
+                    "witt-vs-bracket-rank",
+                    {"n": n, "m": m, "N": N},
+                    rank == expected,
+                    lhs=str(rank),
+                    rhs=str(expected),
                 )
+            )
     return reports
 
 
 def suite_thrall(max_total: int = 5) -> list[CheckReport]:
     """Higher module characters sum to the tensor-space character."""
-    reports = []
-    for total in range(1, max_total + 1):
-        for m in range(0, total + 1):
-            reports.append(superlie.thrall_sum_check(total - m, m))
-    return reports
+    return [superlie.thrall_sum_check(n, m) for n, m in _bidegrees(max_total)]
 
 
 def suite_klyachko(
@@ -331,40 +228,31 @@ def suite_klyachko(
                     rhs=_render_sym(direct),
                 )
             )
-    for total in range(1, chi_cyc_max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            fast = cyclic.chi_cyc(n, m)
-            slow = cyclic.chi_cyc_oracle(n, m)
-            reports.append(
-                CheckReport(
-                    "subset-rotation-character",
-                    {"n": n, "m": m},
-                    fast.values == slow.values,
-                )
+    for n, m in _bidegrees(chi_cyc_max_total):
+        fast = cyclic.chi_cyc(n, m)
+        slow = cyclic.chi_cyc_oracle(n, m)
+        reports.append(
+            CheckReport(
+                "subset-rotation-character",
+                {"n": n, "m": m},
+                fast.values == slow.values,
             )
+        )
     return reports
 
 
 def suite_super_klyachko(max_total: int = 8) -> list[CheckReport]:
     """Twisted-induction description equals the power-sum formula."""
-    reports = []
-    for total in range(1, max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            lhs = cyclic.super_klyachko_char(n, m)
-            rhs = superlie.super_brandt_char(n, m)
-            ok = lhs == rhs
-            reports.append(
-                CheckReport(
-                    "super-klyachko",
-                    {"n": n, "m": m},
-                    ok,
-                    lhs=None if ok else _render_sym(lhs),
-                    rhs=None if ok else _render_sym(rhs),
-                )
-            )
-    return reports
+    return [
+        _equality(
+            "super-klyachko",
+            {"n": n, "m": m},
+            cyclic.super_klyachko_char(n, m),
+            superlie.super_brandt_char(n, m),
+            _render_sym,
+        )
+        for n, m in _bidegrees(max_total)
+    ]
 
 
 def suite_hook(max_n: int = 8) -> list[CheckReport]:
@@ -376,17 +264,11 @@ def suite_hook(max_n: int = 8) -> list[CheckReport]:
             product = specialization.hook_product(lam)
             gen = tableau.maj_neg_generating_poly(lam)
             reports.append(
-                CheckReport(
-                    "hook-formula",
-                    {"partition": format_partition(lam)},
-                    gen == product,
-                    lhs=None if gen == product else str(gen),
-                    rhs=None if gen == product else str(product),
-                )
+                _equality("hook-formula", {"partition": format_partition(lam)}, gen, product)
             )
-            classical = QTPoly.zero()
-            for t in tableau.syt_enumerate(lam):
-                classical = classical + QTPoly.monomial(tableau.maj(t), 0)
+            classical = QTPoly(
+                collect(((tableau.maj(t), 0), 1) for t in tableau.syt_enumerate(lam))
+            )
             t0_slice = QTPoly.from_qpoly(product.eval_t(0))
             reports.append(
                 CheckReport(
@@ -468,10 +350,7 @@ def suite_kw(
 ) -> list[CheckReport]:
     """Multiplicity formula for all bidegrees, plus agreement of the two
     implementations of residue extraction on random polynomials."""
-    reports = []
-    for total in range(1, max_total + 1):
-        for m in range(0, total + 1):
-            reports.append(specialization.kw_check(total - m, m))
+    reports = [specialization.kw_check(n, m) for n, m in _bidegrees(max_total)]
 
     rng = random.Random(seed)
     failures = 0
@@ -531,30 +410,27 @@ def suite_symmetry(
                     ok,
                 )
             )
-    for total in range(2, sym2_max_total + 1):
-        for m in range(0, total + 1):
-            n = total - m
-            if (n, m) == (0, 0):
-                continue
-            shift = specialization.half_if_even(m)
-            pairs = [
-                (r, s)
-                for r in range(1, total + 1)
-                for s in range(r + 1, total + 1)
-                if _math.gcd(r + shift, total) == _math.gcd(s + shift, total)
-            ]
-            ok = all(
-                specialization.sym2_check(lam, n, m, r, s)
-                for lam in partitions_of(total)
-                for (r, s) in pairs
+    for n, m in _bidegrees(sym2_max_total, 2):
+        total = n + m
+        shift = specialization.half_if_even(m)
+        pairs = [
+            (r, s)
+            for r in range(1, total + 1)
+            for s in range(r + 1, total + 1)
+            if _math.gcd(r + shift, total) == _math.gcd(s + shift, total)
+        ]
+        ok = all(
+            specialization.sym2_check(lam, n, m, r, s)
+            for lam in partitions_of(total)
+            for (r, s) in pairs
+        )
+        reports.append(
+            CheckReport(
+                "residue-symmetry-signed",
+                {"n": n, "m": m},
+                ok,
             )
-            reports.append(
-                CheckReport(
-                    "residue-symmetry-signed",
-                    {"n": n, "m": m},
-                    ok,
-                )
-            )
+        )
     for total in range(2, sym3_max_total + 1):
         for m in range(1, total, 2):
             n = total - m
@@ -618,20 +494,33 @@ PROFILES: dict[str, dict[str, dict]] = {
 }
 
 
+def _parameters(suite) -> tuple[str, ...]:
+    code = suite.__code__
+    return code.co_varnames[: code.co_argcount]
+
+
 def run_suite(name: str, profile: str = "full", overrides: dict | None = None):
-    """Run one suite (or "all") and return the list of CheckReports."""
+    """Run one suite (or "all") and return the list of CheckReports.
+
+    An override that none of the selected suites takes, and a run whose
+    bounds select no check at all, are usage errors: neither may pass.
+    """
     if profile not in PROFILES:
         raise UsageError(f"unknown profile {profile!r}")
     names = list(SUITES) if name == "all" else [name]
     if any(n not in SUITES for n in names):
         raise UsageError(f"unknown suite {name!r}")
+    overrides = overrides or {}
+    unused = set(overrides).difference(*(_parameters(SUITES[n]) for n in names))
+    if unused:
+        raise UsageError(f"{', '.join(sorted(unused))} does not apply to suite {name!r}")
     reports: list[CheckReport] = []
     for n in names:
         kwargs = dict(PROFILES[profile][n])
-        if overrides:
-            valid = SUITES[n].__code__.co_varnames[: SUITES[n].__code__.co_argcount]
-            kwargs.update({k: v for k, v in overrides.items() if k in valid})
+        kwargs.update((k, v) for k, v in overrides.items() if k in _parameters(SUITES[n]))
         reports.extend(SUITES[n](**kwargs))
+    if not reports:
+        raise UsageError(f"these bounds select no checks in suite {name!r}")
     return reports
 
 
@@ -716,18 +605,22 @@ def cmd_count(args) -> RunReport:
     return RunReport("count", parameters, "pass", payload)
 
 
+# verify flag (argparse dest) -> the suite parameter it overrides
+VERIFY_OVERRIDES = {
+    "max_n": "max_n",
+    "max_total": "max_total",
+    "max_m": "max_m",
+    "qcap": "q_cap",
+    "max_degree": "max_d",
+}
+
+
 def cmd_verify(args) -> RunReport:
-    overrides = {}
-    if args.max_n is not None:
-        overrides["max_n"] = args.max_n
-    if args.max_total is not None:
-        overrides["max_total"] = args.max_total
-    if args.max_m is not None:
-        overrides["max_m"] = args.max_m
-    if args.qcap is not None:
-        overrides["q_cap"] = args.qcap
-    if args.max_degree is not None:
-        overrides["max_d"] = args.max_degree
+    overrides = {
+        parameter: getattr(args, flag)
+        for flag, parameter in VERIFY_OVERRIDES.items()
+        if getattr(args, flag) is not None
+    }
     reports = run_suite(args.suite, args.profile, overrides)
     ok = all(r.ok for r in reports)
     payload = {
@@ -740,18 +633,6 @@ def cmd_verify(args) -> RunReport:
         {"suite": args.suite, "profile": args.profile, **overrides},
         "pass" if ok else "fail",
         payload,
-    )
-
-
-def cmd_cache(args) -> RunReport:
-    if args.action == "warm":
-        path = warm_cache(args.n)
-        return RunReport(
-            "cache", {"action": "warm", "n": args.n}, "pass", {"path": path}
-        )
-    removed = clear_cache()
-    return RunReport(
-        "cache", {"action": "clear"}, "pass", {"removed": removed}
     )
 
 
@@ -795,17 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run identity suites")
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--profile", choices=("quick", "full"), default="full")
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_verify.add_argument("--max-total", dest="max_total", type=int, default=None)
-    p_verify.add_argument("--max-m", dest="max_m", type=int, default=None)
-    p_verify.add_argument("--qcap", type=int, default=None)
-    p_verify.add_argument("--max-degree", dest="max_degree", type=int, default=None)
+    for flag in VERIFY_OVERRIDES:
+        p_verify.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
-
-    p_cache = sub.add_parser("cache", parents=[common], help="character table cache")
-    p_cache.add_argument("action", choices=("warm", "clear"))
-    p_cache.add_argument("--n", type=int, default=8)
-    p_cache.set_defaults(func=cmd_cache)
 
     return parser
 
@@ -833,7 +706,6 @@ def _print_report(report: RunReport, fmt: str) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    load_cache()
     start = time.monotonic()
     try:
         report = args.func(args)

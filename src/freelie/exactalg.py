@@ -3,6 +3,10 @@
 Everything is exact: coefficients are ``fractions.Fraction`` throughout and no
 floating point appears anywhere in the package.  This module provides
 
+* :class:`TermMap`, the one sparse key -> coefficient container, with the
+  accumulate-and-drop-zero loop :func:`collect` and the term renderer
+  :func:`render_terms`; every polynomial, series and symmetric function in
+  the package is a thin subclass of it,
 * sparse two-variable polynomials in q and t (:class:`QTPoly`),
 * dense univariate q-polynomials as trimmed coefficient tuples (constant term
   first), with exact division,
@@ -19,10 +23,11 @@ they are safe to share between concurrent execution contexts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Mapping
 
 Rat = Fraction
 
@@ -58,12 +63,9 @@ class CheckReport:
             "parameters": self.parameters,
             "status": self.status,
         }
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.first_discrepancy is not None:
-            out["first_discrepancy"] = self.first_discrepancy
+        for key in ("lhs", "rhs", "first_discrepancy"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
 
@@ -217,31 +219,211 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# sparse q,t-polynomials
+# sparse term maps
 
 
-class QTPoly:
-    """Sparse polynomial in q and t with exact rational coefficients.
+def collect(pairs: Iterable[tuple[Hashable, object]], start: Mapping | None = None) -> dict:
+    """Sum the coefficients of (key, coefficient) pairs by key, on top of the
+    terms of ``start``, and drop every key whose sum is zero."""
+    out = dict(start) if start else {}
+    get = out.get
+    for k, c in pairs:
+        s = get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
 
-    Terms live in a map from exponent pairs (a, b) >= (0, 0), meaning
-    q^a * t^b, to nonzero Fractions.  Zero coefficients are never stored, so
-    structural equality of the term maps is semantic polynomial equality.
-    Instances are immutable by convention: the term map is never mutated
-    after construction.
+
+def render_terms(pairs: Iterable[tuple[str, object]]) -> str:
+    """Render (monomial name, coefficient) pairs as a signed sum; "0" if empty.
+
+    An empty name is the unit monomial.  A coefficient of 1 is left implicit,
+    and so is a rational -1.  A q,t-polynomial coefficient is written as its
+    value when it is constant and in parentheses otherwise.
+    """
+    parts = []
+    for name, c in pairs:
+        poly = isinstance(c, QTPoly)
+        if poly:
+            text = str(c.constant_value()) if c.is_constant else f"({c})"
+        else:
+            text = str(c)
+        if not name:
+            parts.append(text)
+        elif c == 1:
+            parts.append(name)
+        elif c == -1 and not poly:
+            parts.append("-" + name)
+        else:
+            parts.append(f"{text}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _monomial_name(names: Iterable[str], exponents: Iterable[int]) -> str:
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e
+    )
+
+
+class TermMap:
+    """Immutable sparse map from keys to nonzero coefficients, the one
+    container behind every exact polynomial, series and symmetric function.
+
+    Zero coefficients are never stored, so equality of the term dicts is
+    equality of the values.  ``_layout`` names the attributes that two values
+    must share to be added, multiplied or equal (a variable layout, a
+    truncation cap, a basis); any other slot of a subclass is carried along.
+    Public constructors validate outside input through :meth:`_fill`; results
+    of ring operations are canonical already and are built by :meth:`_with`
+    without re-validation.
     """
 
     __slots__ = ("_terms",)
+    _layout: tuple[str, ...] = ()
+    _zero: object = Fraction(0)
+    _sort_key = None  # order of items() by key; None is the natural order
+
+    def _fill(self, terms: Mapping | None, key, coeff=Fraction) -> None:
+        """Set the terms from outside input: ``key`` validates and normalizes
+        a key (None drops the term), ``coeff`` converts a coefficient."""
+        canon = {}
+        for k, c in (terms or {}).items():
+            k = key(k)
+            if k is not None:
+                c = coeff(c)
+                if c:
+                    canon[k] = c
+        self._terms = canon
+
+    def _with(self, terms: dict, **changes) -> TermMap:
+        """A value laid out like self, except for ``changes``, holding
+        ``terms``, which must already be canonical."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, changes[name] if name in changes else getattr(self, name))
+        out._terms = terms
+        return out
+
+    def _check(self, other: TermMap) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        for name in self._layout:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
+
+    def _coerce(self, other):
+        """Turn a scalar operand into a value; subclasses that allow it override."""
+        return other
+
+    def _key(self, *key):
+        """The stored key for the arguments of :meth:`coefficient`."""
+        return key
+
+    # -- inspection
+
+    def items(self) -> list:
+        """Terms in the canonical order of the container."""
+        if self._sort_key is None:
+            return sorted(self._terms.items())
+        order = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: order(kv[0]))
+
+    def coefficient(self, *key):
+        return self._terms.get(self._key(*key), self._zero)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._layout
+        ) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        layout = tuple(getattr(self, name) for name in self._layout)
+        return hash((layout, frozenset(self._terms.items())))
+
+    # -- linear structure and products
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        self._check(other)
+        return self._with(collect(other._terms.items(), self._terms))
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def scale(self, factor):
+        """Multiply every coefficient by ``factor``."""
+        if not factor:
+            return self._with({})
+        return self._with({k: c * factor for k, c in self._terms.items()})
+
+    def _product(self, other, combine, keep=None, **changes):
+        """Bilinear product: the terms at keys k1 and k2 multiply into key
+        combine(k1, k2); keys failing ``keep`` are dropped before multiplying."""
+        self._check(other)
+        right = other._terms.items()
+        return self._with(
+            collect(
+                (k, c1 * c2)
+                for k1, c1 in self._terms.items()
+                for k2, c2 in right
+                for k in [combine(k1, k2)]
+                if keep is None or keep(k)
+            ),
+            **changes,
+        )
+
+
+# ---------------------------------------------------------------------------
+# sparse q,t-polynomials
+
+
+def add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _dense(coeffs: Mapping[int, Fraction]) -> QPoly:
+    """The trimmed dense q-polynomial of a sparse exponent -> coefficient map."""
+    out = [Fraction(0)] * (max(coeffs, default=-1) + 1)
+    for a, c in coeffs.items():
+        out[a] = c
+    return qpoly(out)
+
+
+def _qt_key(key) -> tuple[int, int]:
+    a, b = key
+    if a < 0 or b < 0:
+        raise ValueError(f"negative exponent pair ({a}, {b})")
+    return (int(a), int(b))
+
+
+class QTPoly(TermMap):
+    """Sparse polynomial in q and t with exact rational coefficients.
+
+    Terms map exponent pairs (a, b) >= (0, 0), meaning q^a * t^b, to nonzero
+    Fractions.  Items come by total degree, then q, then t exponent.
+    """
+
+    __slots__ = ()
+    _sort_key = staticmethod(lambda k: (k[0] + k[1], k))
 
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] | None = None):
-        canon: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent pair ({a}, {b})")
-                c = Fraction(c)
-                if c != 0:
-                    canon[(int(a), int(b))] = c
-        self._terms = canon
+        self._fill(terms, _qt_key)
+
+    def _coerce(self, other: QTPoly | RatLike) -> QTPoly:
+        return other if isinstance(other, QTPoly) else QTPoly.const(other)
 
     # -- constructors
 
@@ -271,17 +453,6 @@ class QTPoly:
 
     # -- inspection
 
-    def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        """Terms in the canonical order: by total degree, then q, then t exponent."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @property
     def is_constant(self) -> bool:
         return not self._terms or set(self._terms) == {(0, 0)}
@@ -300,40 +471,15 @@ class QTPoly:
 
     # -- ring operations
 
-    def __add__(self, other: QTPoly | RatLike) -> QTPoly:
-        other = _coerce_qt(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return QTPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QTPoly:
-        return QTPoly({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: QTPoly | RatLike) -> QTPoly:
-        return self + (-_coerce_qt(other))
+    __radd__ = TermMap.__add__
 
     def __rsub__(self, other: QTPoly | RatLike) -> QTPoly:
-        return _coerce_qt(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other: QTPoly | RatLike) -> QTPoly:
-        other = _coerce_qt(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return QTPoly(out)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._product(other, add_pairs)
 
     __rmul__ = __mul__
 
@@ -352,12 +498,9 @@ class QTPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QTPoly.const(other)
-        if not isinstance(other, QTPoly):
-            return NotImplemented
-        return self._terms == other._terms
+        return TermMap.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    __hash__ = TermMap.__hash__
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -368,26 +511,18 @@ class QTPoly:
         """q -> q^d, t -> t^d (the coefficient action of degree-d plethysm)."""
         if d < 1:
             raise ValueError(f"substitute_powers requires d >= 1, got {d}")
-        return QTPoly({(a * d, b * d): c for (a, b), c in self._terms.items()})
+        return self._with({(a * d, b * d): c for (a, b), c in self._terms.items()})
 
     def filter_q_residue(self, r: int, s: int) -> QTPoly:
         """Keep only the monomials whose q-exponent is congruent to s mod r."""
         if r < 1:
             raise ValueError(f"modulus must be >= 1, got {r}")
         s %= r
-        return QTPoly({k: c for k, c in self._terms.items() if k[0] % r == s})
+        return self._with({k: c for k, c in self._terms.items() if k[0] % r == s})
 
     def eval_q_one(self) -> QTPoly:
         """Set q = 1, leaving a polynomial in t only."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (_, b), c in self._terms.items():
-            k = (0, b)
-            s = out.get(k, Fraction(0)) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return QTPoly(out)
+        return self._with(collect(((0, b), c) for (_, b), c in self._terms.items()))
 
     def eval_t(self, value: RatLike) -> QPoly:
         """Substitute a rational for t, leaving a dense q-polynomial."""
@@ -395,25 +530,14 @@ class QTPoly:
         acc: dict[int, Fraction] = {}
         for (a, b), c in self._terms.items():
             acc[a] = acc.get(a, Fraction(0)) + c * value**b
-        if not acc:
-            return ()
-        out = [Fraction(0)] * (max(acc) + 1)
-        for a, c in acc.items():
-            out[a] = c
-        return qpoly(out)
+        return _dense(acc)
 
     def t_slices(self) -> dict[int, QPoly]:
         """Group terms by t-exponent; each slice is a dense q-polynomial."""
         acc: dict[int, dict[int, Fraction]] = {}
         for (a, b), c in self._terms.items():
             acc.setdefault(b, {})[a] = c
-        out: dict[int, QPoly] = {}
-        for b, qs in acc.items():
-            dense = [Fraction(0)] * (max(qs) + 1)
-            for a, c in qs.items():
-                dense[a] = c
-            out[b] = qpoly(dense)
-        return out
+        return {b: _dense(qs) for b, qs in acc.items()}
 
     @classmethod
     def from_t_slices(cls, slices: Mapping[int, QPoly]) -> QTPoly:
@@ -426,7 +550,7 @@ class QTPoly:
 
     @classmethod
     def from_qpoly(cls, dense: QPoly) -> QTPoly:
-        return cls({(a, 0): c for a, c in enumerate(dense) if c != 0})
+        return cls.from_t_slices({0: dense})
 
     def divide_exact_q(self, den: QPoly) -> QTPoly:
         """Divide by a t-free polynomial, slice by t-degree; must be exact."""
@@ -438,29 +562,7 @@ class QTPoly:
     # -- rendering
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (a, b), c in self.items():
-            factors = []
-            if a == 1:
-                factors.append("q")
-            elif a > 1:
-                factors.append(f"q^{a}")
-            if b == 1:
-                factors.append("t")
-            elif b > 1:
-                factors.append(f"t^{b}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return render_terms((_monomial_name("qt", k), c) for k, c in self.items())
 
     def __repr__(self) -> str:
         return f"QTPoly({self})"
@@ -472,12 +574,6 @@ class QTPoly:
     @classmethod
     def from_json(cls, data: Iterable) -> QTPoly:
         return cls({(int(a), int(b)): Fraction(c) for a, b, c in data})
-
-
-def _coerce_qt(value: QTPoly | RatLike) -> QTPoly:
-    if isinstance(value, QTPoly):
-        return value
-    return QTPoly.const(value)
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +673,7 @@ class CycloElem:
         return self.rep[0] if self.rep else Fraction(0)
 
     def __str__(self) -> str:
-        if not self.rep:
-            return "0"
-        parts = []
-        for a, c in enumerate(self.rep):
-            if c == 0:
-                continue
-            if a == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("w" if a == 1 else f"w^{a}")
-            else:
-                parts.append(f"{c}*w" if a == 1 else f"{c}*w^{a}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms((_monomial_name("w", [a]), c) for a, c in enumerate(self.rep) if c)
 
 
 def cyclo_reduce(p: QPoly | Iterable[RatLike], d: int) -> CycloElem:
@@ -605,16 +689,22 @@ def cyclo_reduce(p: QPoly | Iterable[RatLike], d: int) -> CycloElem:
 # truncated multivariate polynomials over two alphabets
 
 
-class MultiPoly:
+def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, a, b))
+
+
+class MultiPoly(TermMap):
     """Sparse polynomial in x_1..x_N and y_1..y_M with rational coefficients.
 
     Exponent vectors have length N + M (x-block first).  An optional total
     degree cap drops higher terms silently on every operation; all series
     comparisons in this package are made per fixed degree, so a cap loses no
-    information for them.  cap=None keeps everything.
+    information for them.  cap=None keeps everything.  Values with different
+    caps combine under the smaller one and compare equal when their terms do.
     """
 
-    __slots__ = ("nx", "ny", "cap", "_terms")
+    __slots__ = ("nx", "ny", "cap")
+    _layout = ("nx", "ny")
 
     def __init__(
         self,
@@ -628,22 +718,20 @@ class MultiPoly:
         self.nx = nx
         self.ny = ny
         self.cap = cap
-        canon: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exp, c in terms.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nx + ny:
-                    raise ValueError(
-                        f"exponent vector length {len(exp)} != {nx + ny}"
-                    )
-                if any(e < 0 for e in exp):
-                    raise ValueError(f"negative exponent in {exp}")
-                if cap is not None and sum(exp) > cap:
-                    continue
-                c = Fraction(c)
-                if c != 0:
-                    canon[exp] = c
-        self._terms = canon
+        self._fill(terms, self._exponent_key)
+
+    def _exponent_key(self, exp) -> tuple[int, ...] | None:
+        exp = tuple(int(e) for e in exp)
+        if len(exp) != self.nx + self.ny:
+            raise ValueError(f"exponent vector length {len(exp)} != {self.nx + self.ny}")
+        if any(e < 0 for e in exp):
+            raise ValueError(f"negative exponent in {exp}")
+        if self.cap is not None and sum(exp) > self.cap:
+            return None
+        return exp
+
+    def _key(self, exp):
+        return tuple(exp)
 
     @classmethod
     def zero(cls, nx: int, ny: int = 0, cap: int | None = None) -> MultiPoly:
@@ -659,64 +747,22 @@ class MultiPoly:
     ) -> MultiPoly:
         return cls(nx, ny, {exp: c}, cap)
 
-    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._terms.items())
-
-    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
 
-    def _check(self, other: MultiPoly) -> None:
-        if self.nx != other.nx or self.ny != other.ny:
-            raise ValueError("variable layout mismatch")
-
     def __add__(self, other: MultiPoly) -> MultiPoly:
-        self._check(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return MultiPoly(self.nx, self.ny, terms, _merge_caps(self.cap, other.cap))
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly(
-            self.nx, self.ny, {k: -c for k, c in self._terms.items()}, self.cap
-        )
-
-    def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
+        total = TermMap.__add__(self, other)
+        if self.cap == other.cap:
+            return total
+        cap = _merge_caps(self.cap, other.cap)
+        return total._with({e: c for e, c in total._terms.items() if sum(e) <= cap}, cap=cap)
 
     def __mul__(self, other: MultiPoly | RatLike) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(
-                self.nx,
-                self.ny,
-                {k: c * other for k, c in self._terms.items()},
-                self.cap,
-            )
-        self._check(other)
+            return self.scale(other)
         cap = _merge_caps(self.cap, other.cap)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if cap is not None and sum(exp) > cap:
-                    continue
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return MultiPoly(self.nx, self.ny, out, cap)
+        keep = None if cap is None else (lambda exp: sum(exp) <= cap)
+        return self._product(other, _add_vectors, keep, cap=cap)
 
     __rmul__ = __mul__
 
@@ -728,43 +774,13 @@ class MultiPoly:
             result = result * self
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (
-            self.nx == other.nx and self.ny == other.ny and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nx, self.ny, frozenset(self._terms.items())))
-
     def eval_all_ones(self) -> Fraction:
         """Value with every variable set to 1 (the sum of all coefficients)."""
         return sum(self._terms.values(), Fraction(0))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        names = [f"x{i + 1}" for i in range(self.nx)] + [
-            f"y{i + 1}" for i in range(self.ny)
-        ]
-        parts = []
-        for exp, c in self.items():
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        names = [f"x{i + 1}" for i in range(self.nx)] + [f"y{i + 1}" for i in range(self.ny)]
+        return render_terms((_monomial_name(names, e), c) for e, c in self.items())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"

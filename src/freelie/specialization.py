@@ -23,6 +23,9 @@ from .exactalg import (
     MultiPoly,
     QPoly,
     QTPoly,
+    TermMap,
+    add_pairs,
+    collect,
     cyclo_reduce,
     q_factorial,
     q_int,
@@ -66,7 +69,7 @@ DEFAULT_Q_CAP = 12
 # truncated q,t-series
 
 
-class SpecSeries:
+class SpecSeries(TermMap):
     """Series in q and t truncated at a fixed maximal q-exponent.
 
     Terms map (q-exponent, t-exponent) to rationals; anything with q-exponent
@@ -74,23 +77,20 @@ class SpecSeries:
     termwise, which is meaningful only at a shared cap; mixing caps raises.
     """
 
-    __slots__ = ("q_cap", "_terms")
+    __slots__ = ("q_cap",)
+    _layout = ("q_cap",)
 
     def __init__(self, q_cap: int, terms: Mapping[tuple[int, int], Fraction] | None = None):
         if q_cap < 0:
             raise ValueError(f"q_cap must be >= 0, got {q_cap}")
         self.q_cap = q_cap
-        canon: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent pair ({a}, {b})")
-                if a > q_cap:
-                    continue
-                c = Fraction(c)
-                if c != 0:
-                    canon[(a, b)] = c
-        self._terms = canon
+        self._fill(terms, self._capped_key)
+
+    def _capped_key(self, key) -> tuple[int, int] | None:
+        a, b = key
+        if a < 0 or b < 0:
+            raise ValueError(f"negative exponent pair ({a}, {b})")
+        return (a, b) if a <= self.q_cap else None
 
     @classmethod
     def from_qtpoly(cls, p: QTPoly, q_cap: int) -> SpecSeries:
@@ -111,56 +111,14 @@ class SpecSeries:
             out = out * cls.geometric(k, q_cap)
         return out
 
-    def items(self):
-        return sorted(self._terms.items())
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
-
-    def _check(self, other: SpecSeries) -> None:
-        if self.q_cap != other.q_cap:
-            raise ValueError(f"q_cap mismatch: {self.q_cap} vs {other.q_cap}")
-
-    def __add__(self, other: SpecSeries) -> SpecSeries:
-        self._check(other)
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return SpecSeries(self.q_cap, terms)
-
     def __mul__(self, other: SpecSeries | QTPoly | int | Fraction) -> SpecSeries:
         if isinstance(other, QTPoly):
             other = SpecSeries.from_qtpoly(other, self.q_cap)
         elif isinstance(other, (int, Fraction)):
-            return SpecSeries(self.q_cap, {k: c * other for k, c in self._terms.items()})
-        self._check(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                a = a1 + a2
-                if a > self.q_cap:
-                    continue
-                k = (a, b1 + b2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return SpecSeries(self.q_cap, out)
+            return self.scale(other)
+        return self._product(other, add_pairs, lambda k: k[0] <= self.q_cap)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpecSeries):
-            return NotImplemented
-        return self.q_cap == other.q_cap and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.q_cap, frozenset(self._terms.items())))
 
     def first_difference(self, other: SpecSeries):
         """Smallest (q, t) exponent pair where the two series disagree, or None."""
@@ -172,7 +130,7 @@ class SpecSeries:
         return None
 
     def __str__(self) -> str:
-        return str(QTPoly(dict(self._terms))) + f" + O(q^{self.q_cap + 1})"
+        return str(QTPoly(self._terms)) + f" + O(q^{self.q_cap + 1})"
 
     def __repr__(self) -> str:
         return f"SpecSeries({self})"
@@ -188,13 +146,12 @@ def _qsym_enumerate(n: int, d, letters, nx: int, ny: int) -> MultiPoly:
     position i force i not in D, equal adjacent barred letters force i in D.
     ``letters`` is the ordered list of (value, barred) pairs."""
     d = frozenset(d)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    words: list[tuple[int, ...]] = []
     exp = [0] * (nx + ny)
 
     def rec(pos: int, min_idx: int) -> None:
         if pos == n:
-            key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + 1
+            words.append(tuple(exp))
             return
         for idx in range(min_idx, len(letters)):
             value, barred = letters[idx]
@@ -208,7 +165,7 @@ def _qsym_enumerate(n: int, d, letters, nx: int, ny: int) -> MultiPoly:
             exp[slot] -= 1
 
     rec(0, 0)
-    return MultiPoly(nx, ny, terms)
+    return MultiPoly(nx, ny, collect((w, 1) for w in words))
 
 
 def fundamental_qsym_truncated(n: int, d, N: int) -> MultiPoly:
@@ -294,12 +251,11 @@ def qsym_principal_spec(n: int, d, q_cap: int) -> SpecSeries:
     if n < 1:
         raise ValueError("need n >= 1")
     d = frozenset(d)
-    terms: dict[tuple[int, int], Fraction] = {}
+    weights: list[tuple[int, int]] = []
 
     def rec(pos: int, prev, used: int, bars: int) -> None:
         if pos == n:
-            key = (used, bars)
-            terms[key] = terms.get(key, Fraction(0)) + 1
+            weights.append((used, bars))
             return
         remaining = n - pos
         v = prev[0] if prev is not None else 1
@@ -315,18 +271,19 @@ def qsym_principal_spec(n: int, d, q_cap: int) -> SpecSeries:
             v += 1
 
     rec(0, None, 0, 0)
-    return SpecSeries(q_cap, terms)
+    return SpecSeries(q_cap, collect((w, 1) for w in weights))
 
 
 def _subset_comaj_poly(n: int, d) -> QTPoly:
     """sum over S subsets of [n] of q^comaj(D, S) t^|S|."""
     d = frozenset(d)
-    counts: dict[tuple[int, int], int] = {}
-    for size in range(n + 1):
-        for chosen in combinations(range(1, n + 1), size):
-            key = (relative_comaj(d, set(chosen), n), size)
-            counts[key] = counts.get(key, 0) + 1
-    return QTPoly(counts)
+    return QTPoly(
+        collect(
+            ((relative_comaj(d, set(chosen), n), size), 1)
+            for size in range(n + 1)
+            for chosen in combinations(range(1, n + 1), size)
+        )
+    )
 
 
 def qps_check(n: int, d, q_cap: int = DEFAULT_Q_CAP) -> CheckReport:
@@ -369,33 +326,33 @@ def hook_formula_check(lam: Partition, budget: int = DEFAULT_PAIR_BUDGET) -> boo
     return maj_neg_generating_poly(lam, budget) == hook_product(lam)
 
 
+def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
+    """The specialized tableau expansion: sum over standard tableaux T of the
+    principal specialization of the quasisymmetric function of Des(T)."""
+    acc = SpecSeries(q_cap, {})
+    for t in syt_enumerate(lam):
+        acc = acc + qsym_principal_spec(sum(lam), descent_set(t), q_cap)
+    return acc
+
+
 def s_ps_check(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> bool:
     """Two facts about the principal specialization of the two-alphabet Schur
     function: the comaj and maj sign-generating polynomials agree, and the
     specialized tableau expansion equals that polynomial over (q;q)_n."""
     lam = check_partition(lam)
-    n = sum(lam)
     maj_poly = maj_neg_generating_poly(lam)
     if maj_poly != comaj_neg_generating_poly(lam):
         return False
-    lhs = SpecSeries(q_cap, {})
-    for t in syt_enumerate(lam):
-        lhs = lhs + qsym_principal_spec(n, descent_set(t), q_cap)
-    rhs = SpecSeries.inv_pochhammer(n, q_cap) * maj_poly
-    return lhs == rhs
+    rhs = SpecSeries.inv_pochhammer(sum(lam), q_cap) * maj_poly
+    return _schur_principal_spec(lam, q_cap) == rhs
 
 
 def qt_hook_consistency_check(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> bool:
     """(q;q)_n times the specialized tableau expansion equals the hook
     product, as truncated series."""
     lam = check_partition(lam)
-    n = sum(lam)
-    acc = SpecSeries(q_cap, {})
-    for t in syt_enumerate(lam):
-        acc = acc + qsym_principal_spec(n, descent_set(t), q_cap)
-    lhs = acc * q_pochhammer(n)
-    rhs = SpecSeries.from_qtpoly(hook_product(lam), q_cap)
-    return lhs == rhs
+    lhs = _schur_principal_spec(lam, q_cap) * q_pochhammer(sum(lam))
+    return lhs == SpecSeries.from_qtpoly(hook_product(lam), q_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +399,13 @@ def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
         raise ValueError(f"r must be >= 1, got {r}")
 
     def average(c: QTPoly) -> QTPoly:
-        out: dict[tuple[int, int], Fraction] = {}
+        pairs = []
         for (a, b), v in c.items():
             total = CycloElem.from_rational(r, 0)
             for k in range(1, r + 1):
                 total = total + CycloElem.root_power(r, k * (a - s))
-            value = total.rational_value() * v / r
-            if value != 0:
-                key = (0, b)
-                acc = out.get(key, Fraction(0)) + value
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return QTPoly(out)
+            pairs.append(((0, b), total.rational_value() * v / r))
+        return QTPoly(collect(pairs))
 
     return f.map_coefficients(average)
 

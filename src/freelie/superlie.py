@@ -25,6 +25,7 @@ from .exactalg import (
     ResourceLimitError,
     SparseEchelon,
     binom,
+    collect,
     divisors,
     mobius,
 )
@@ -81,7 +82,14 @@ class SupportMatrix:
 
     @classmethod
     def from_json(cls, data) -> SupportMatrix:
-        return cls({(int(i), int(j)): int(a) for i, j, a in data})
+        entries: dict[tuple[int, int], int] = {}
+        for i, j, a in data:
+            if any(type(x) is not int for x in (i, j, a)):
+                raise ValueError(f"entries must be integers: {[i, j, a]}")
+            if (i, j) in entries:
+                raise ValueError(f"cell {(i, j)} given twice")
+            entries[(i, j)] = a
+        return cls(entries)
 
     def __repr__(self) -> str:
         return f"SupportMatrix({self.to_json()})"
@@ -210,7 +218,10 @@ def gamma_char(j: int, a: int, f: BiSymFunc) -> BiSymFunc:
 
 def super_lie_module_char(matrix: SupportMatrix) -> BiSymFunc:
     """Product over the support of Gamma_j^{a_{i,j}} applied to the (i, j)
-    bidegree character."""
+    bidegree character.  The empty matrix, of bidegree (0, 0), is rejected
+    like the bidegree (0, 0) itself."""
+    if not matrix.entries:
+        raise ValueError("support matrix is empty: bidegree (0, 0)")
     out = BiSymFunc.one()
     for (i, j), a in matrix.items():
         out = bi_multiply(out, gamma_char(j, a, super_bi_brandt_char(i, j)))
@@ -267,14 +278,13 @@ def thrall_sum_check(n: int, m: int) -> CheckReport:
         ok=ok,
     )
     if not ok:
-        report.lhs = {
-            f"({','.join(map(str, a))})|({','.join(map(str, b))})": str(c)
-            for (a, b), c in bi_schur_expand(lhs).items()
-        }
-        report.rhs = {
-            f"({','.join(map(str, a))})|({','.join(map(str, b))})": str(c)
-            for (a, b), c in bi_schur_expand(rhs).items()
-        }
+        report.lhs, report.rhs = (
+            {
+                f"({','.join(map(str, a))})|({','.join(map(str, b))})": str(c)
+                for (a, b), c in bi_schur_expand(side).items()
+            }
+            for side in (lhs, rhs)
+        )
         report.first_discrepancy = "sum of module characters != tensor character"
     return report
 
@@ -318,17 +328,12 @@ def _expand_bracketing(tree, word, parities) -> tuple[dict, int]:
     left, lp = _expand_bracketing(tree[0], word, parities)
     right, rp = _expand_bracketing(tree[1], word, parities)
     sign = -((-1) ** (lp * rp))
-    out: dict[tuple, Fraction] = {}
-    for wl, cl in left.items():
-        for wr, cr in right.items():
-            key = wl + wr
-            out[key] = out.get(key, Fraction(0)) + cl * cr
-            key = wr + wl
-            s = out.get(key, Fraction(0)) + sign * cl * cr
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+    out = collect(
+        pair
+        for wl, cl in left.items()
+        for wr, cr in right.items()
+        for pair in ((wl + wr, cl * cr), (wr + wl, sign * cl * cr))
+    )
     return out, (lp + rp) % 2
 
 

@@ -1,17 +1,19 @@
 """Symmetric functions in one and two alphabets, over exact q,t-coefficients.
 
 The internal canonical basis is the power sums: every formula this package
-verifies is native to p, so s, h, e and m are conversion layers on top.  A
-:class:`SymFunc` is a basis tag plus a finite map from index partitions to
-:class:`~freelie.exactalg.QTPoly` coefficients; a :class:`BiSymFunc` indexes
-p_lambda(x) * p_mu(y) monomials by pairs of partitions and is always read in
-the power-sum sense.
+verifies is native to p, so s, h, e and m are conversion layers on top.  Both
+containers are :class:`SymTerms`, a term map from index keys to
+:class:`~freelie.exactalg.QTPoly` coefficients: a :class:`SymFunc` is a basis
+tag plus partition keys; a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
+monomials by pairs of partitions and is always read in the power-sum sense.
+Products, p_d plethysm and the h/e plethysm sums are written once, on
+:class:`SymTerms`, for both.
 
 Schur <-> power-sum conversion goes through the symmetric group character
 table, computed by Murnaghan-Nakayama border-strip recursion and memoized in
-a module-level cache (the only shared mutable state here: a single-writer,
-multi-reader table of integers with deterministic values; the cli module can
-persist it to disk).
+a module-level table (the only shared mutable state here: a single-writer,
+multi-reader table of integers with deterministic values).  It lives only as
+long as the process; recomputing it is cheaper than reading it from disk.
 
 The symbol p_d(-y) is never stored: it is normalized at construction via
 p_d(-y) = (-1)^d p_d(y), so the two-alphabet term map stays a true basis.
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .exactalg import MultiPoly, QTPoly, RatLike
+from .exactalg import MultiPoly, QTPoly, RatLike, TermMap, collect, render_terms
 from .partition import (
     Partition,
     check_partition,
@@ -40,28 +42,66 @@ def _partition_sort_key(lam: Partition):
     return (sum(lam), tuple(-p for p in lam))
 
 
-class SymFunc:
+def _union_parts(a: Partition, b: Partition) -> Partition:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _as_qt(coeff: QTPoly | RatLike) -> QTPoly:
+    return coeff if isinstance(coeff, QTPoly) else QTPoly.const(coeff)
+
+
+class SymTerms(TermMap):
+    """Sparse symmetric function: a term map from index keys (products of
+    power sums) to nonzero QTPoly coefficients.
+
+    Subclasses fix the key: ``_union`` multiplies two keys, ``_scaled`` is
+    the key of p_d plethysm, ``_unit`` is the key of 1 and ``_name`` renders
+    a key.
+    """
+
+    __slots__ = ()
+    _zero = QTPoly.zero()
+
+    @property
+    def terms(self) -> dict:
+        """The term map itself; read-only by convention."""
+        return self._terms
+
+    def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> SymTerms:
+        return self._with({k: v for k, c in self._terms.items() if (v := fn(c))})
+
+    def _unite(self, other: SymTerms) -> SymTerms:
+        """Product in the power-sum sense: keys multiply by ``_union``."""
+        return self._product(other, self._union)
+
+    def _pleth_p(self, d: int) -> SymTerms:
+        """p_d plethysm: every part times d, coefficients q -> q^d, t -> t^d."""
+        return self._with(
+            {self._scaled(k, d): c.substitute_powers(d) for k, c in self._terms.items()}
+        )
+
+    def __str__(self) -> str:
+        return render_terms((self._name(k), c) for k, c in self.items())
+
+
+class SymFunc(SymTerms):
     """Basis-tagged sparse symmetric function with QTPoly coefficients.
 
     Terms need not share a degree; each index partition carries its own.
     Zero coefficients are never stored.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis",)
+    _layout = ("basis",)
+    _sort_key = staticmethod(_partition_sort_key)
+    _union = staticmethod(_union_parts)
+    _unit: Partition = ()
 
     def __init__(self, basis: str, terms: Mapping[Partition, QTPoly | RatLike] | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
         self.basis = basis
-        canon: dict[Partition, QTPoly] = {}
-        if terms:
-            for lam, coeff in terms.items():
-                lam = check_partition(lam)
-                if not isinstance(coeff, QTPoly):
-                    coeff = QTPoly.const(coeff)
-                if not coeff.is_zero:
-                    canon[lam] = coeff
-        self.terms = canon
+        self._fill(terms, check_partition, _as_qt)
 
     @classmethod
     def zero(cls, basis: str = "p") -> SymFunc:
@@ -75,72 +115,70 @@ class SymFunc:
     def term(cls, basis: str, lam, coeff: QTPoly | RatLike = 1) -> SymFunc:
         return cls(basis, {check_partition(lam): coeff})
 
-    def items(self) -> list[tuple[Partition, QTPoly]]:
-        return sorted(self.terms.items(), key=lambda kv: _partition_sort_key(kv[0]))
+    def _key(self, lam) -> Partition:
+        return check_partition(lam)
 
-    def coefficient(self, lam) -> QTPoly:
-        return self.terms.get(check_partition(lam), QTPoly.zero())
+    @staticmethod
+    def _scaled(lam: Partition, d: int) -> Partition:
+        return tuple(d * part for part in lam)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _name(self, lam: Partition) -> str:
+        return f"{self.basis}_{{{','.join(str(p) for p in lam)}}}" if lam else ""
 
     def degrees(self) -> list[int]:
-        return sorted({sum(lam) for lam in self.terms})
-
-    def _check(self, other: SymFunc) -> None:
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-
-    def __add__(self, other: SymFunc) -> SymFunc:
-        self._check(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = terms.get(lam, QTPoly.zero()) + c
-            if s.is_zero:
-                terms.pop(lam, None)
-            else:
-                terms[lam] = s
-        return SymFunc(self.basis, terms)
-
-    def __neg__(self) -> SymFunc:
-        return SymFunc(self.basis, {lam: -c for lam, c in self.terms.items()})
-
-    def __sub__(self, other: SymFunc) -> SymFunc:
-        return self + (-other)
-
-    def scale(self, factor: QTPoly | RatLike) -> SymFunc:
-        if not isinstance(factor, QTPoly):
-            factor = QTPoly.const(factor)
-        return SymFunc(self.basis, {lam: c * factor for lam, c in self.terms.items()})
-
-    def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> SymFunc:
-        return SymFunc(self.basis, {lam: fn(c) for lam, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self.terms.items())))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for lam, c in self.items():
-            name = f"{self.basis}_{{{','.join(str(p) for p in lam)}}}" if lam else "1"
-            if c == QTPoly.one():
-                parts.append(name)
-            elif c.is_constant:
-                parts.append(f"{c.constant_value()}*{name}" if lam else str(c.constant_value()))
-            else:
-                parts.append(f"({c})*{name}" if lam else f"({c})")
-        return " + ".join(parts).replace("+ -", "- ")
+        return sorted({sum(lam) for lam in self._terms})
 
     def __repr__(self) -> str:
         return f"SymFunc[{self.basis}]({self})"
+
+
+def _check_pair(key) -> tuple[Partition, Partition]:
+    lam, mu = key
+    return (check_partition(lam), check_partition(mu))
+
+
+class BiSymFunc(SymTerms):
+    """Sparse two-alphabet function: finite map (lambda, mu) -> coefficient,
+    indexing p_lambda(x) * p_mu(y)."""
+
+    __slots__ = ()
+    _sort_key = staticmethod(lambda key: (_partition_sort_key(key[0]), _partition_sort_key(key[1])))
+    _union = staticmethod(lambda a, b: (_union_parts(a[0], b[0]), _union_parts(a[1], b[1])))
+    _unit = ((), ())
+
+    def __init__(self, terms: Mapping[tuple[Partition, Partition], QTPoly | RatLike] | None = None):
+        self._fill(terms, _check_pair, _as_qt)
+
+    @classmethod
+    def zero(cls) -> BiSymFunc:
+        return cls()
+
+    @classmethod
+    def one(cls) -> BiSymFunc:
+        return cls({((), ()): QTPoly.one()})
+
+    @classmethod
+    def term(cls, lam, mu, coeff: QTPoly | RatLike = 1) -> BiSymFunc:
+        return cls({(lam, mu): coeff})
+
+    def _key(self, lam, mu) -> tuple[Partition, Partition]:
+        return _check_pair((lam, mu))
+
+    @staticmethod
+    def _scaled(key: tuple[Partition, Partition], d: int) -> tuple[Partition, Partition]:
+        return (SymFunc._scaled(key[0], d), SymFunc._scaled(key[1], d))
+
+    def _name(self, key: tuple[Partition, Partition]) -> str:
+        lam, mu = key
+        factors = []
+        if lam:
+            factors.append(f"p_{{{','.join(map(str, lam))}}}(x)")
+        if mu:
+            factors.append(f"p_{{{','.join(map(str, mu))}}}(y)")
+        return "*".join(factors) if factors else "1"
+
+    def __repr__(self) -> str:
+        return f"BiSymFunc({self})"
 
 
 @dataclass(frozen=True)
@@ -206,23 +244,6 @@ def _mn(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def character_rows(max_n: int) -> list[list]:
-    """All (lam, mu, chi^lam(mu)) rows for degrees 1..max_n, in the canonical
-    partition order (used by the on-disk cache)."""
-    rows = []
-    for n in range(1, max_n + 1):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                rows.append([list(lam), list(mu), mn_character(lam, mu)])
-    return rows
-
-
-def load_character_rows(rows) -> None:
-    """Seed the memo table from persisted (lam, mu, value) rows."""
-    for lam, mu, value in rows:
-        _character_cache[(tuple(lam), tuple(mu))] = int(value)
-
-
 def clear_character_cache() -> None:
     _character_cache.clear()
 
@@ -232,18 +253,12 @@ def clear_character_cache() -> None:
 
 
 @lru_cache(maxsize=None)
-def _h_single_to_p(k: int) -> SymFunc:
-    # h_k = sum over mu of p_mu / z_mu
-    return SymFunc("p", {mu: Fraction(1, z_lambda(mu)) for mu in partitions_of(k)})
-
-
-@lru_cache(maxsize=None)
-def _e_single_to_p(k: int) -> SymFunc:
-    # e_k = sum over mu of (-1)^(k - len(mu)) p_mu / z_mu
+def _h_or_e_single_to_p(k: int, basis: str) -> SymFunc:
+    # h_k = sum over mu of p_mu / z_mu; e_k adds the sign (-1)^(k - len(mu))
     return SymFunc(
         "p",
         {
-            mu: Fraction((-1) ** (k - len(mu)), z_lambda(mu))
+            mu: Fraction((-1) ** (k - len(mu)) if basis == "e" else 1, z_lambda(mu))
             for mu in partitions_of(k)
         },
     )
@@ -294,10 +309,9 @@ def to_p(f: SymFunc) -> SymFunc:
                 },
             )
         elif f.basis in ("h", "e"):
-            single = _h_single_to_p if f.basis == "h" else _e_single_to_p
             piece = SymFunc.one("p")
             for part in lam:
-                piece = multiply(piece, single(part))
+                piece = multiply(piece, _h_or_e_single_to_p(part, f.basis))
         else:  # m
             piece = _m_single_to_p(lam)
         out = out + piece.scale(coeff)
@@ -314,40 +328,24 @@ def p_to_s(f: SymFunc) -> SymFunc:
     """Exact change of basis via the character table; inverse of s_to_p."""
     if f.basis != "p":
         raise ValueError(f"p_to_s expects the p basis, got {f.basis}")
-    out: dict[Partition, QTPoly] = {}
-    for n in {sum(mu) for mu in f.terms}:
-        slice_terms = {mu: c for mu, c in f.terms.items() if sum(mu) == n}
-        for lam in partitions_of(n):
-            coeff = QTPoly.zero()
-            for mu, c in slice_terms.items():
-                coeff = coeff + c * mn_character(lam, mu)
-            if not coeff.is_zero:
-                out[lam] = coeff
-    return SymFunc("s", out)
+    return f._with(
+        collect(
+            (lam, c * mn_character(lam, mu))
+            for mu, c in f.terms.items()
+            for lam in partitions_of(sum(mu))
+        ),
+        basis="s",
+    )
 
 
 # ---------------------------------------------------------------------------
 # ring structure, Frobenius characteristic, plethysm
 
 
-def _union_parts(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
-
-
 def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
     """Product in the p basis: p_lambda p_mu = p_{lambda union mu}, bilinearly.
     Other bases are converted first."""
-    fp, gp = to_p(f), to_p(g)
-    out: dict[Partition, QTPoly] = {}
-    for lam, c1 in fp.terms.items():
-        for mu, c2 in gp.terms.items():
-            key = _union_parts(lam, mu)
-            s = out.get(key, QTPoly.zero()) + c1 * c2
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return SymFunc("p", out)
+    return to_p(f)._unite(to_p(g))
 
 
 def frobenius_characteristic(chi: ClassFunctionSn) -> SymFunc:
@@ -364,43 +362,32 @@ def plethysm_p(d: int, f: SymFunc) -> SymFunc:
         raise ValueError(f"plethysm_p requires d >= 1, got {d}")
     if f.basis != "p":
         raise ValueError(f"plethysm_p expects the p basis, got {f.basis}")
-    return SymFunc(
-        "p",
-        {
-            tuple(sorted((d * part for part in lam), reverse=True)): c.substitute_powers(d)
-            for lam, c in f.terms.items()
-        },
-    )
+    return f._pleth_p(d)
 
 
-def _pleth_by_partition(mu: Partition, f: SymFunc) -> SymFunc:
-    piece = SymFunc.one("p")
-    for part in mu:
-        piece = multiply(piece, plethysm_p(part, f))
-    return piece
+def _pleth_sum(a: int, f: SymTerms, signed: bool) -> SymTerms:
+    """h_a[f] = sum over mu |- a of z_mu^{-1} prod_j p_{mu_j}[f]; with
+    ``signed`` each term also gets (-1)^(a - length(mu)), giving e_a[f]."""
+    if a < 0:
+        raise ValueError(f"plethysm degree must be >= 0, got {a}")
+    out = f._with({})
+    for mu in partitions_of(a):
+        piece = f._with({f._unit: QTPoly.one()})
+        for part in mu:
+            piece = piece._unite(f._pleth_p(part))
+        sign = (-1) ** (a - len(mu)) if signed else 1
+        out = out + piece.scale(Fraction(sign, z_lambda(mu)))
+    return out
 
 
 def h_pleth(a: int, f: SymFunc) -> SymFunc:
     """h_a[f] = sum over mu |- a of z_mu^{-1} prod_j p_{mu_j}[f]."""
-    if a < 0:
-        raise ValueError(f"h_pleth requires a >= 0, got {a}")
-    fp = to_p(f)
-    out = SymFunc.zero("p")
-    for mu in partitions_of(a):
-        out = out + _pleth_by_partition(mu, fp).scale(Fraction(1, z_lambda(mu)))
-    return out
+    return _pleth_sum(a, to_p(f), signed=False)
 
 
 def e_pleth(a: int, f: SymFunc) -> SymFunc:
     """e_a[f], like h_a[f] but with the sign (-1)^(a - length(mu))."""
-    if a < 0:
-        raise ValueError(f"e_pleth requires a >= 0, got {a}")
-    fp = to_p(f)
-    out = SymFunc.zero("p")
-    for mu in partitions_of(a):
-        sign = (-1) ** (a - len(mu))
-        out = out + _pleth_by_partition(mu, fp).scale(Fraction(sign, z_lambda(mu)))
-    return out
+    return _pleth_sum(a, to_p(f), signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +404,20 @@ def _power_sum_poly(k: int, nx: int, ny: int, alphabet: str, cap: int | None) ->
     return MultiPoly(nx, ny, terms, cap)
 
 
+def _expand_terms(terms, N: int, M: int, cap: int | None) -> MultiPoly:
+    """Sum of coefficient * prod p_k over (coefficient, ((alphabet, parts), ...))
+    items, each p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k.
+    Coefficients must be rational constants (no free q or t)."""
+    out = MultiPoly.zero(N, M, cap)
+    for coeff, factors in terms:
+        piece = MultiPoly.const(N, M, coeff.constant_value(), cap)
+        for alphabet, parts in factors:
+            for part in parts:
+                piece = piece * _power_sum_poly(part, N, M, alphabet, cap)
+        out = out + piece
+    return out
+
+
 def expand_truncated(
     f: SymFunc, N: int, M: int = 0, alphabet: str = "x", cap: int | None = None
 ) -> MultiPoly:
@@ -426,14 +427,8 @@ def expand_truncated(
     two-alphabet expansions; by default M = 0.  Coefficients must be rational
     constants (no free q or t).
     """
-    fp = to_p(f)
-    out = MultiPoly.zero(N, M, cap)
-    for lam, coeff in fp.terms.items():
-        piece = MultiPoly.const(N, M, coeff.constant_value(), cap)
-        for part in lam:
-            piece = piece * _power_sum_poly(part, N, M, alphabet, cap)
-        out = out + piece
-    return out
+    terms = to_p(f).terms.items()
+    return _expand_terms(((c, ((alphabet, lam),)) for lam, c in terms), N, M, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -471,114 +466,8 @@ def schur_expand(f: SymFunc) -> SchurExpansion:
 # two-alphabet functions
 
 
-class BiSymFunc:
-    """Sparse two-alphabet function: finite map (lambda, mu) -> coefficient,
-    indexing p_lambda(x) * p_mu(y)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Partition, Partition], QTPoly | RatLike] | None = None):
-        canon: dict[tuple[Partition, Partition], QTPoly] = {}
-        if terms:
-            for (lam, mu), coeff in terms.items():
-                key = (check_partition(lam), check_partition(mu))
-                if not isinstance(coeff, QTPoly):
-                    coeff = QTPoly.const(coeff)
-                if not coeff.is_zero:
-                    canon[key] = coeff
-        self.terms = canon
-
-    @classmethod
-    def zero(cls) -> BiSymFunc:
-        return cls()
-
-    @classmethod
-    def one(cls) -> BiSymFunc:
-        return cls({((), ()): QTPoly.one()})
-
-    @classmethod
-    def term(cls, lam, mu, coeff: QTPoly | RatLike = 1) -> BiSymFunc:
-        return cls({(check_partition(lam), check_partition(mu)): coeff})
-
-    def items(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (_partition_sort_key(kv[0][0]), _partition_sort_key(kv[0][1])),
-        )
-
-    def coefficient(self, lam, mu) -> QTPoly:
-        return self.terms.get((check_partition(lam), check_partition(mu)), QTPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: BiSymFunc) -> BiSymFunc:
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, QTPoly.zero()) + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return BiSymFunc(terms)
-
-    def __neg__(self) -> BiSymFunc:
-        return BiSymFunc({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: BiSymFunc) -> BiSymFunc:
-        return self + (-other)
-
-    def scale(self, factor: QTPoly | RatLike) -> BiSymFunc:
-        if not isinstance(factor, QTPoly):
-            factor = QTPoly.const(factor)
-        return BiSymFunc({k: c * factor for k, c in self.terms.items()})
-
-    def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> BiSymFunc:
-        return BiSymFunc({k: fn(c) for k, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSymFunc):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (lam, mu), c in self.items():
-            factors = []
-            if lam:
-                factors.append(f"p_{{{','.join(map(str, lam))}}}(x)")
-            if mu:
-                factors.append(f"p_{{{','.join(map(str, mu))}}}(y)")
-            name = "*".join(factors) if factors else "1"
-            if c == QTPoly.one():
-                parts.append(name)
-            elif c.is_constant:
-                parts.append(f"{c.constant_value()}*{name}")
-            else:
-                parts.append(f"({c})*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"BiSymFunc({self})"
-
-
 def bi_multiply(f: BiSymFunc, g: BiSymFunc) -> BiSymFunc:
-    out: dict[tuple[Partition, Partition], QTPoly] = {}
-    for (l1, m1), c1 in f.terms.items():
-        for (l2, m2), c2 in g.terms.items():
-            key = (_union_parts(l1, l2), _union_parts(m1, m2))
-            s = out.get(key, QTPoly.zero()) + c1 * c2
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return BiSymFunc(out)
+    return f._unite(g)
 
 
 def bi_plethysm_p(d: int, f: BiSymFunc) -> BiSymFunc:
@@ -586,90 +475,42 @@ def bi_plethysm_p(d: int, f: BiSymFunc) -> BiSymFunc:
     q -> q^d, t -> t^d."""
     if d < 1:
         raise ValueError(f"bi_plethysm_p requires d >= 1, got {d}")
-    return BiSymFunc(
-        {
-            (
-                tuple(sorted((d * p for p in lam), reverse=True)),
-                tuple(sorted((d * p for p in mu), reverse=True)),
-            ): c.substitute_powers(d)
-            for (lam, mu), c in f.terms.items()
-        }
-    )
-
-
-def _bi_pleth_by_partition(mu: Partition, f: BiSymFunc) -> BiSymFunc:
-    piece = BiSymFunc.one()
-    for part in mu:
-        piece = bi_multiply(piece, bi_plethysm_p(part, f))
-    return piece
+    return f._pleth_p(d)
 
 
 def bi_h_pleth(a: int, f: BiSymFunc) -> BiSymFunc:
-    if a < 0:
-        raise ValueError(f"bi_h_pleth requires a >= 0, got {a}")
-    out = BiSymFunc.zero()
-    for mu in partitions_of(a):
-        out = out + _bi_pleth_by_partition(mu, f).scale(Fraction(1, z_lambda(mu)))
-    return out
+    return _pleth_sum(a, f, signed=False)
 
 
 def bi_e_pleth(a: int, f: BiSymFunc) -> BiSymFunc:
-    if a < 0:
-        raise ValueError(f"bi_e_pleth requires a >= 0, got {a}")
-    out = BiSymFunc.zero()
-    for mu in partitions_of(a):
-        sign = (-1) ** (a - len(mu))
-        out = out + _bi_pleth_by_partition(mu, f).scale(Fraction(sign, z_lambda(mu)))
-    return out
+    return _pleth_sum(a, f, signed=True)
 
 
 def diagonal(f: BiSymFunc) -> SymFunc:
     """Set the second alphabet equal to the first:
     p_lambda(x) p_mu(y) -> p_{lambda union mu}(x)."""
-    out: dict[Partition, QTPoly] = {}
-    for (lam, mu), c in f.terms.items():
-        key = _union_parts(lam, mu)
-        s = out.get(key, QTPoly.zero()) + c
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return SymFunc("p", out)
+    return SymFunc.zero("p")._with(
+        collect((_union_parts(lam, mu), c) for (lam, mu), c in f.terms.items())
+    )
 
 
 def bi_expand_truncated(f: BiSymFunc, N: int, M: int, cap: int | None = None) -> MultiPoly:
     """Substitute p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k."""
-    out = MultiPoly.zero(N, M, cap)
-    for (lam, mu), coeff in f.terms.items():
-        piece = MultiPoly.const(N, M, coeff.constant_value(), cap)
-        for part in lam:
-            piece = piece * _power_sum_poly(part, N, M, "x", cap)
-        for part in mu:
-            piece = piece * _power_sum_poly(part, N, M, "y", cap)
-        out = out + piece
-    return out
+    terms = f.terms.items()
+    return _expand_terms(((c, (("x", lam), ("y", mu))) for (lam, mu), c in terms), N, M, cap)
 
 
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
     """Expansion in products s_alpha(x) s_beta(y), via the character table on
     each alphabet independently."""
-    out: dict[tuple[Partition, Partition], QTPoly] = {}
-    for (lam, mu), c in f.terms.items():
-        for alpha in partitions_of(sum(lam)):
-            chi_a = mn_character(alpha, lam)
-            if chi_a == 0:
-                continue
-            for beta in partitions_of(sum(mu)):
-                chi_b = mn_character(beta, mu)
-                if chi_b == 0:
-                    continue
-                key = (alpha, beta)
-                s = out.get(key, QTPoly.zero()) + c * (chi_a * chi_b)
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return out
+    return collect(
+        ((alpha, beta), c * (chi_a * chi_b))
+        for (lam, mu), c in f.terms.items()
+        for alpha in partitions_of(sum(lam))
+        if (chi_a := mn_character(alpha, lam))
+        for beta in partitions_of(sum(mu))
+        if (chi_b := mn_character(beta, mu))
+    )
 
 
 # ---------------------------------------------------------------------------

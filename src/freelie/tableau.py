@@ -261,8 +261,10 @@ def count_super_tableaux(
     lam = check_partition(lam)
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if m < 0:
+        raise ValueError(f"number of barred entries must be >= 0, got {m}")
     n = sum(lam)
-    if m < 0 or m > n:
+    if m > n:
         return 0
     _check_budget(syt_count(lam) * math.comb(n, m), budget)
     residue %= modulus

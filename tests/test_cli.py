@@ -1,5 +1,7 @@
+import hashlib
+import io
 import json
-import os
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -7,8 +9,7 @@ from freelie import cli, symfunc
 
 
 @pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
+def isolated_cache():
     symfunc.clear_character_cache()
     yield
     symfunc.clear_character_cache()
@@ -137,50 +138,144 @@ def test_timing_flag(capsys):
     assert "elapsed_ms" in out
 
 
-def test_cache_warm_and_transparency(capsys, tmp_path):
-    # cold run
-    code, cold, _ = run(capsys, "char", "lie", "3", "2", "--format", "json")
-    assert code == cli.EXIT_OK
-
-    code, out, _ = run(capsys, "cache", "warm", "--n", "5")
-    assert code == cli.EXIT_OK
-    path = os.path.join(cli.cache_dir(), cli.CACHE_FILE_NAME)
-    assert os.path.exists(path)
-
-    symfunc.clear_character_cache()
-    code, warm, _ = run(capsys, "char", "lie", "3", "2", "--format", "json")
-    assert code == cli.EXIT_OK
-    assert warm == cold  # byte-identical with warm cache
-
-    code, out, _ = run(capsys, "cache", "clear")
-    assert code == cli.EXIT_OK
-    assert not os.path.exists(path)
-
-
-def test_cache_corruption_is_ignored_with_warning(capsys):
-    run(capsys, "cache", "warm", "--n", "3")
-    path = os.path.join(cli.cache_dir(), cli.CACHE_FILE_NAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"format_version": 1, "digest": "bogus", "rows": []}')
-    symfunc.clear_character_cache()
-    code, out, err = run(capsys, "char", "lie", "2", "1")
-    assert code == cli.EXIT_OK
-    assert "corrupt character cache" in err
-
-
-def test_cache_warm_trivial_row(capsys):
-    run(capsys, "cache", "warm", "--n", "4")
-    path = os.path.join(cli.cache_dir(), cli.CACHE_FILE_NAME)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    # the single-row shape has character 1 on every cycle type
-    for lam, mu, value in payload["rows"]:
-        if lam == [sum(lam)] and len(lam) == 1:
-            assert value == 1
-
-
 def test_run_suite_rejects_unknown_profile():
     with pytest.raises(cli.UsageError):
         cli.run_suite("hook", "fastest")
     with pytest.raises(cli.UsageError):
         cli.run_suite("bogus", "quick")
+
+
+def test_verify_inapplicable_override_is_usage_error(capsys):
+    # thrall takes max_total, not max_n: ignoring the override must not pass
+    code, out, err = run(capsys, "verify", "thrall", "--max-n", "2")
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "max_n" in err
+    # an override that some of the suites take still applies to those
+    reports = cli.run_suite("all", "quick", {"max_n": 2})
+    assert {r.check for r in reports} >= {"hook-formula", "pi-root"}
+    assert len([r for r in reports if r.check == "hook-formula"]) == 3
+
+
+def test_verify_empty_run_is_usage_error(capsys):
+    for argv in (["hook", "--max-n", "0"], ["reu", "--max-n", "-3"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == cli.EXIT_USAGE
+        assert "pass" not in out and "no checks" in err
+
+
+def test_repeated_matrix_cell_is_usage_error(capsys):
+    code, _, err = run(capsys, "char", "higher", "--matrix", "[[1,0,1],[1,0,2]]")
+    assert code == cli.EXIT_USAGE
+    assert "twice" in err
+
+
+def test_empty_support_matrix_is_domain_error(capsys):
+    code, _, err = run(capsys, "char", "higher", "--matrix", "[[0,0,0]]")
+    assert code == cli.EXIT_DOMAIN
+    assert "domain error" in err
+
+
+def test_negative_bar_count_is_domain_error(capsys):
+    code, _, err = run(capsys, "count", "(2,1)", "--neg", "-1")
+    assert code == cli.EXIT_DOMAIN
+    assert "domain error" in err
+
+
+# sha256 of stdout in text and in JSON format for fixed flags.  Output for
+# fixed flags is part of the interface: a change to the arithmetic core must
+# leave these bytes alone.  Each report is computed once and rendered in both
+# formats, exactly as main() prints it, to keep the test fast.
+GOLDEN_DIGESTS = {
+    "verify brandt-diagonal --profile quick": (
+        "f392fb9b345a82a4ab258ae1aed815bc76dd9b7076b69367d8abf41a76c2bb9e",
+        "5d149613398c5d12fc83be833eb8fb2580907bff9660194163d4f4646706b35b",
+    ),
+    "verify petrogradsky --profile quick": (
+        "a57cc1bcccb3fb6f114d5a5a60c390b87a6f39f897f09f323beff4a24887c66e",
+        "d26635f7858f768a23e8601535760907341c17d1d2944ff0df24c6d3843dfcf6",
+    ),
+    "verify witt-oracle --profile quick": (
+        "c730e2b16c31acdd97abe783fdfca33523ff20a34989752157ab07652e7378ac",
+        "f87d0343a01e8e912b05404eca55e76e651887cb20d41a668e7b674cd7926420",
+    ),
+    "verify thrall --profile quick": (
+        "0556c1ed244de68428852a88e77e27dcf166342d1ffd2de352db5c159d7e2682",
+        "c4134a45954b8cff781525d192cac4deda02148da1bb0f1f288e07d6e8efc204",
+    ),
+    "verify klyachko --profile quick": (
+        "a9c22f0944a7c00cc40cfd361f41effc9f241bd83cffbad2a67e742428bf82e3",
+        "5e1b3bf93d5e998f47424207f93505ed4784fafc35ce3c4ee06dc939ced67dce",
+    ),
+    "verify super-klyachko --profile quick": (
+        "ff6dd08997102fe54883a95529543f6e8bee26941fffd65a345df189d1d98d77",
+        "33752f8cd3f005fbbfecaaf0789d8caa6516713f02e368d2ed1825aa421719c6",
+    ),
+    "verify hook --profile quick": (
+        "d7936c8be290ec1e4621211b43c72a39c8aca2dbfbd4a4c0f4cc999703c1998f",
+        "3e8f8c96a368f5215c85daac06220a546c138657297da089e7b5db501dd31ca8",
+    ),
+    "verify qps --profile quick": (
+        "890bdfe77a1a7dded7606de6d6c9f6d2fcbd18028080e06d32aea76e74a93bd3",
+        "b10d1ca58229c11e40dd237fbe64136c6f4c3b149d824313f484e9621e93cc74",
+    ),
+    "verify sps --profile quick": (
+        "412fcf60fe767f99a6214a8f26de7a044be57021d1fac176f667c7e87b348f95",
+        "e2acb7052b0fbf50330d948d66328e5cf50a20fedae850d93d01a4c88b00acf6",
+    ),
+    "verify cauchy --profile quick": (
+        "c7c4841756b17a68f0d05103314e524b97eb092f50f14dec0f323531c6998dda",
+        "45413a0509727520ec8bf8e719297ff90e68d06308e73fb9d9462625a85d10e3",
+    ),
+    "verify reu --profile quick": (
+        "5b9164274bb931e3cda85f028c1fea404e4bc79d78c8a2dce075f00fd663de78",
+        "17741d69218127b7ca2cb3e92b09de33f707f0b4092b315be1a195d74916703b",
+    ),
+    "verify kw --profile quick": (
+        "2cc8b73f7d1bc40293d93108cc9f67923019495b03300c682bdc965734f9b3bb",
+        "df576a543f102816827251d828e34a1cdcae594327f8cb72b52ae8a8a29a23e0",
+    ),
+    "verify symmetry --profile quick": (
+        "3a7607db3ca3b5db6f5b14f15bdd1c06ae0780ec234792ced3939d8fbf1d1c64",
+        "cc06eddfd56bc72cb4d925c4af1d39ab92f97c98021b26b19da2b110f31dca53",
+    ),
+    "verify degree-two --profile quick": (
+        "beff2e1baf7fb598ba6f694518238293d59ba533fd09b617dc2afcde2cf33904",
+        "6972707f0b1a62c46c6efb661d0a5af966e920363dd81f6c313b6f50b8d1bdf9",
+    ),
+    "char lie 4 2": (
+        "9c4b91fe729dc454f283035c4685be5b8bde67d4d9c90ee15decb1e4337ee205",
+        "4e213c457d39b6728dcc7b2f1f55e2cf466aebd8ecd4a4f0f3daee28b8b0f732",
+    ),
+    "char bilie 3 2": (
+        "1ffa80a8200ffaeb94607bc84cb20512de9894bd8dcef060d7cdd4c86afddf1d",
+        "4644980132a54967babb425629a14b2c889693215a62508f4f23e37b425dc13c",
+    ),
+    "char higher --matrix [[1,1,2],[2,0,1]]": (
+        "424a84d84e2f7ad737212f91b75b0ca6252a784a6762a743649da034a56abcae",
+        "b913f283fdd20b69700c19140017145dda135b803727f2b09fa4dacbfd311916",
+    ),
+    "count (3,2) --gf": (
+        "a9dea921810568e426bbc0b3f3dd3f44bed14bf785a12ba136905960db15ff87",
+        "3ddc3f1747073ba9087c5b689b4a2e7478c93e0230e28a5bbc4da32b5585c8ef",
+    ),
+    "count (3,2) --mod 5 --res 1 --neg 2": (
+        "05d8c218240379b4481be1259259efd7002aaab6996f25018e1bdf20f60523b0",
+        "352e29a09721803fb6e04afe4481446381ecc44a8adf5bb87be474dbd9b4b179",
+    ),
+    "dim 2 1 2 --oracle": (
+        "f25bfe18609744bb73b46cc8a76f54c8709a2d70eed99ff559a31bc5f4dcca4f",
+        "31d0c9fd8a85c1b90ae42615530369a660bdf3a58dc11d1b961d278426108009",
+    ),
+}
+
+
+def test_golden_output_digests():
+    parser = cli.build_parser()
+    for command, digests in GOLDEN_DIGESTS.items():
+        args = parser.parse_args(command.split())
+        report = args.func(args)
+        for fmt, digest in zip(("text", "json"), digests):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                cli._print_report(report, fmt)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (command, fmt)

@@ -25,6 +25,7 @@ from freelie.exactalg import (
     qpoly_exact_div,
     qpoly_mul,
 )
+from freelie.specialization import SpecSeries
 
 
 # -- number theory
@@ -167,24 +168,44 @@ def test_exact_division_raises_on_remainder():
         qpoly_exact_div(qpoly([1, 1, 1]), qpoly([1, 1]))
 
 
-# -- QTPoly ring axioms
+# -- ring axioms, once for every TermMap subclass
 
 coeffs = st.integers(min_value=-6, max_value=6)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
-qt_polys = st.dictionaries(exponents, coeffs, max_size=5).map(QTPoly)
+term_dicts = st.dictionaries(exponents, coeffs, max_size=5)
+qt_polys = term_dicts.map(QTPoly)
 
 
-@given(qt_polys, qt_polys, qt_polys)
-@settings(max_examples=60)
-def test_qtpoly_ring_axioms(a, b, c):
+def _ring(make, one, zero):
+    values = term_dicts.map(make)
+    return st.tuples(values, values, values, st.just(one), st.just(zero))
+
+
+rings = st.one_of(
+    _ring(QTPoly, QTPoly.one(), QTPoly.zero()),
+    _ring(lambda t: MultiPoly(1, 1, t), MultiPoly.const(1, 1, 1), MultiPoly.zero(1, 1)),
+    _ring(
+        lambda t: MultiPoly(1, 1, t, cap=5),
+        MultiPoly.const(1, 1, 1, cap=5),
+        MultiPoly.zero(1, 1, cap=5),
+    ),
+    _ring(lambda t: SpecSeries(3, t), SpecSeries(3, {(0, 0): 1}), SpecSeries(3)),
+)
+
+
+@given(rings)
+@settings(max_examples=120)
+def test_qtpoly_ring_axioms(ring):
+    a, b, c, one, zero = ring
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * QTPoly.one() == a
-    assert a + QTPoly.zero() == a
-    assert a - a == QTPoly.zero()
+    assert a * one == a
+    assert a + zero == a
+    assert a - a == zero
+    assert a * 3 - a - a == a + a * 0
 
 
 @given(qt_polys, st.dictionaries(st.integers(0, 4), coeffs, min_size=1, max_size=4))
@@ -237,6 +258,22 @@ def test_multipoly_cap_truncates():
 def test_multipoly_layout_mismatch():
     with pytest.raises(ValueError):
         MultiPoly.monomial(2, 0, (1, 0)) + MultiPoly.monomial(1, 0, (1,))
+    with pytest.raises(ValueError):
+        MultiPoly.monomial(1, 1, (1, 0)) * MultiPoly.monomial(2, 0, (1, 0))
+    with pytest.raises(ValueError):
+        MultiPoly(1, 0, {(1, 1): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(1, 0, {(-1,): 1})
+    # q-caps must agree; total-degree caps combine under the smaller one
+    with pytest.raises(ValueError):
+        SpecSeries(3, {(0, 0): 1}) + SpecSeries(4, {(0, 0): 1})
+    with pytest.raises(ValueError):
+        SpecSeries(3, {(0, 0): 1}) * SpecSeries(4, {(0, 0): 1})
+    x = MultiPoly.monomial(1, 0, (1,))
+    low = MultiPoly.monomial(1, 0, (1,), cap=2)
+    assert (x * x * x + low).cap == 2
+    assert x * x * x + low == low
+    assert low + x * x * x == low
 
 
 # -- exact linear algebra

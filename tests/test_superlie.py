@@ -126,6 +126,19 @@ def test_support_matrix_json_roundtrip():
     assert m.to_json() == [[1, 1, 2], [3, 0, 1]]
 
 
+def test_support_matrix_rejects_input_it_would_drop_or_rewrite():
+    # keeping only the last multiplicity of a repeated cell would drop input
+    with pytest.raises(ValueError):
+        SupportMatrix.from_json([[1, 0, 1], [1, 0, 2]])
+    # int() would round a non-integer entry silently
+    for bad in ([[1, 1, 1.5]], [[1, 1, True]], [["1", 1, 1]]):
+        with pytest.raises(ValueError):
+            SupportMatrix.from_json(bad)
+    # the empty matrix has bidegree (0, 0), which no character has
+    with pytest.raises(ValueError):
+        super_lie_module_char(SupportMatrix.from_json([[0, 0, 0]]))
+
+
 def test_enumerate_bidegree_matrices_small():
     assert enumerate_bidegree_matrices(1, 0) == [SupportMatrix({(1, 0): 1})]
     two = enumerate_bidegree_matrices(1, 1)
