@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -392,8 +393,6 @@ def suite_symmetry(
     sym1_max_n: int = 7, sym2_max_total: int = 7, sym3_max_total: int = 8
 ) -> list[CheckReport]:
     """Residue-class counting symmetries of the maj statistic."""
-    import math as _math
-
     reports = []
     for n in range(2, sym1_max_n + 1):
         for lam in partitions_of(n):
@@ -401,7 +400,7 @@ def suite_symmetry(
                 specialization.sym1_check(lam, r, s)
                 for r in range(1, n + 1)
                 for s in range(r + 1, n + 1)
-                if _math.gcd(r, n) == _math.gcd(s, n)
+                if math.gcd(r, n) == math.gcd(s, n)
             )
             reports.append(
                 CheckReport(
@@ -417,7 +416,7 @@ def suite_symmetry(
             (r, s)
             for r in range(1, total + 1)
             for s in range(r + 1, total + 1)
-            if _math.gcd(r + shift, total) == _math.gcd(s + shift, total)
+            if math.gcd(r + shift, total) == math.gcd(s + shift, total)
         ]
         ok = all(
             specialization.sym2_check(lam, n, m, r, s)
@@ -546,6 +545,8 @@ def cmd_char(args) -> RunReport:
 
     if args.matrix is None:
         raise UsageError("char higher requires --matrix")
+    if args.args:
+        raise UsageError(f"char higher takes no positional arguments, got {args.args!r}")
     text = args.matrix
     if text.startswith("@") or os.path.exists(text):
         path = text[1:] if text.startswith("@") else text
@@ -592,14 +593,16 @@ def cmd_count(args) -> RunReport:
     parameters: dict = {"partition": format_partition(lam)}
     payload: dict = {}
     if args.gf:
+        if (args.mod, args.res, args.neg) != (None, None, None):
+            raise UsageError("--gf cannot be combined with --mod, --res or --neg")
         poly = tableau.maj_neg_generating_poly(lam)
         payload["generating_polynomial"] = str(poly)
         payload["monomials"] = poly.to_json()
         parameters["gf"] = True
     else:
         modulus = args.mod if args.mod is not None else sum(lam)
-        residue = args.res
-        neg = args.neg
+        residue = 1 if args.res is None else args.res
+        neg = 0 if args.neg is None else args.neg
         parameters.update({"mod": modulus, "res": residue, "neg": neg})
         payload["count"] = tableau.count_super_tableaux(lam, modulus, residue, neg)
     return RunReport("count", parameters, "pass", payload)
@@ -668,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", parents=[common], help="signed tableau counts")
     p_count.add_argument("partition", help='partition, e.g. "(2,1)"')
     p_count.add_argument("--mod", type=int, default=None)
-    p_count.add_argument("--res", type=int, default=1)
-    p_count.add_argument("--neg", type=int, default=0)
+    p_count.add_argument("--res", type=int, default=None, help="residue (default 1)")
+    p_count.add_argument("--neg", type=int, default=None, help="bar count (default 0)")
     p_count.add_argument("--gf", action="store_true")
     p_count.set_defaults(func=cmd_count)
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .exactalg import CycloElem, ResourceLimitError, binom, divisors
-from .partition import Partition
+from .partition import Partition, partitions_of
 from .symfunc import ClassFunctionSn, SymFunc
 
 _INDUCE_ORACLE_MAX = 7
@@ -79,8 +79,6 @@ def chi_cyc_oracle(n: int, m: int) -> CyclicClassFunction:
     r = n + m
     if r > _CHI_CYC_ORACLE_MAX:
         raise ResourceLimitError(f"subset oracle capped at n + m <= {_CHI_CYC_ORACLE_MAX}")
-    from itertools import combinations
-
     subsets = [frozenset(s) for s in combinations(range(r), m)]
     values = []
     for k in range(1, r + 1):
@@ -178,8 +176,6 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
             out.extend([base + (i + 1) % part for i in range(part)])
             base += part
         return tuple(out)
-
-    from .partition import partitions_of
 
     everyone = list(permutations(range(r)))
     values: dict[Partition, Fraction] = {}

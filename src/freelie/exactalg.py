@@ -14,7 +14,7 @@ floating point appears anywhere in the package.  This module provides
   (:class:`CycloElem`), used for exact root-of-unity sums,
 * truncated multivariate polynomials over two alphabets (:class:`MultiPoly`),
 * q-series primitives [n]_q, [n]_q!, (q;q)_n and number-theoretic helpers,
-* exact Gaussian elimination (rank, dense solve) over the rationals.
+* incremental sparse Gaussian elimination (rank) over the rationals.
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share between concurrent execution contexts.
@@ -747,9 +747,6 @@ class MultiPoly(TermMap):
     ) -> MultiPoly:
         return cls(nx, ny, {exp: c}, cap)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def __add__(self, other: MultiPoly) -> MultiPoly:
         total = TermMap.__add__(self, other)
         if self.cap == other.cap:
@@ -830,22 +827,3 @@ class SparseEchelon:
                     row[k] = s
         return False
 
-
-def dense_solve(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Solve a square nonsingular rational system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

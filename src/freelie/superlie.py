@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations, product
 
 from .exactalg import (
     CheckReport,
@@ -36,7 +36,6 @@ from .symfunc import (
     bi_h_pleth,
     bi_multiply,
     bi_schur_expand,
-    diagonal,
 )
 
 
@@ -296,51 +295,38 @@ _BRUTE_MAX_DEGREE = 6
 _BRUTE_MAX_DIM = 3
 
 
-@lru_cache(maxsize=None)
-def _bracketing_trees(leaves: int):
-    """All full binary trees with the given number of leaves.  A tree is
-    either an int (leaf slot index, filled later) or a pair of trees."""
-    if leaves == 1:
-        return (0,)
-    out = []
-    for left in range(1, leaves):
-        for lt in _bracketing_trees(left):
-            for rt in _bracketing_trees(leaves - left):
-                out.append((lt, _shift_leaves(rt, left)))
-    return tuple(out)
-
-
-def _shift_leaves(tree, offset: int):
-    if isinstance(tree, int):
-        return tree + offset
-    return (_shift_leaves(tree[0], offset), _shift_leaves(tree[1], offset))
-
-
-def _expand_bracketing(tree, word, parities) -> tuple[dict, int]:
-    """Expand a bracketing of the word into the tensor space.
-
-    Returns (tensor, parity): tensor maps basis words (tuples of generator
-    ids) to coefficients, parity is the Z/2 degree of the whole expression.
-    The super commutator is [A, B] = AB - (-1)^(|A||B|) BA.
+def _left_normed(word, parities) -> dict:
+    """Expand the left-normed bracket [[...[w1, w2], ...], wn] of the word
+    into the tensor space, as a map from basis words (tuples of generator
+    ids) to coefficients.  The super commutator is
+    [A, B] = AB - (-1)^(|A||B|) BA.
     """
-    if isinstance(tree, int):
-        return {(word[tree],): Fraction(1)}, parities[word[tree]]
-    left, lp = _expand_bracketing(tree[0], word, parities)
-    right, rp = _expand_bracketing(tree[1], word, parities)
-    sign = -((-1) ** (lp * rp))
-    out = collect(
-        pair
-        for wl, cl in left.items()
-        for wr, cr in right.items()
-        for pair in ((wl + wr, cl * cr), (wr + wl, sign * cl * cr))
-    )
-    return out, (lp + rp) % 2
+    tensor = {(word[0],): Fraction(1)}
+    parity = parities[word[0]]
+    for letter in word[1:]:
+        lp = parities[letter]
+        sign = -((-1) ** (parity * lp))
+        tensor = collect(
+            pair
+            for w, c in tensor.items()
+            for pair in ((w + (letter,), c), ((letter,) + w, sign * c))
+        )
+        parity = (parity + lp) % 2
+    return tensor
 
 
 def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> int:
-    """Dimension of the span of all full bracketings of words with n even and
-    m odd generators, inside the bidegree-(n, m) tensor space, by exact
-    Gaussian elimination.  Deliberately independent of every formula here."""
+    """Dimension of the span of all brackets of words with n even and m odd
+    generators, inside the bidegree-(n, m) tensor space, by exact Gaussian
+    elimination.  Deliberately independent of every formula here.
+
+    Only the left-normed bracket [[...[w1, w2], ...], wn] of each word is
+    expanded.  These span the same space as all full bracketings: the super
+    Jacobi identity [a, [b, c]] = [[a, b], c] + (-1)^(|a||b|) [b, [a, c]]
+    rewrites any bracket as a sum of left-normed ones (Bahturin, Mikhalev,
+    Petrogradsky and Zaicev, 1992), and left-normed brackets are among the
+    full bracketings.
+    """
     if n < 0 or m < 0 or n + m <= 0:
         raise ValueError(f"need n + m > 0: ({n}, {m})")
     if n + m > _BRUTE_MAX_DEGREE or N > _BRUTE_MAX_DIM or M > _BRUTE_MAX_DIM:
@@ -357,16 +343,12 @@ def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> int:
     odds = list(range(N, N + M))
     length = n + m
 
-    from itertools import combinations, product
-
     echelon = SparseEchelon()
-    trees = _bracketing_trees(length)
     for odd_positions in combinations(range(length), m):
         odd_set = set(odd_positions)
         slots = [odds if i in odd_set else evens for i in range(length)]
         for word in product(*slots):
-            for tree in trees:
-                tensor, _ = _expand_bracketing(tree, word, parities)
-                if tensor:
-                    echelon.add(tensor)
+            tensor = _left_normed(word, parities)
+            if tensor:
+                echelon.add(tensor)
     return echelon.rank

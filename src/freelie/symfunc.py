@@ -1,8 +1,8 @@
 """Symmetric functions in one and two alphabets, over exact q,t-coefficients.
 
 The internal canonical basis is the power sums: every formula this package
-verifies is native to p, so s, h, e and m are conversion layers on top.  Both
-containers are :class:`SymTerms`, a term map from index keys to
+verifies is native to p, so the Schur basis s is a conversion layer on top.
+Both containers are :class:`SymTerms`, a term map from index keys to
 :class:`~freelie.exactalg.QTPoly` coefficients: a :class:`SymFunc` is a basis
 tag plus partition keys; a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
 monomials by pairs of partitions and is always read in the power-sum sense.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
 from .exactalg import MultiPoly, QTPoly, RatLike, TermMap, collect, render_terms
@@ -34,7 +33,7 @@ from .partition import (
     z_lambda,
 )
 
-BASES = ("p", "s", "h", "e", "m")
+BASES = ("p", "s")
 
 
 def _partition_sort_key(lam: Partition):
@@ -252,70 +251,20 @@ def clear_character_cache() -> None:
 # basis conversions
 
 
-@lru_cache(maxsize=None)
-def _h_or_e_single_to_p(k: int, basis: str) -> SymFunc:
-    # h_k = sum over mu of p_mu / z_mu; e_k adds the sign (-1)^(k - len(mu))
-    return SymFunc(
-        "p",
-        {
-            mu: Fraction((-1) ** (k - len(mu)) if basis == "e" else 1, z_lambda(mu))
-            for mu in partitions_of(k)
-        },
-    )
-
-
-@lru_cache(maxsize=None)
-def _monomial_expansion_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix M with M[i][j] = coefficient of the monomial x^{nu_j} in p_{mu_i},
-    both indexed by partitions_of(n)."""
-    parts = partitions_of(n)
-    rows = []
-    for mu in parts:
-        expansion = expand_truncated(SymFunc.term("p", mu), n)
-        row = []
-        for nu in parts:
-            exp = tuple(nu) + (0,) * (n - len(nu))
-            row.append(expansion.coefficient(exp))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _m_single_to_p(lam: Partition) -> SymFunc:
-    # Solve sum_mu c_mu p_mu = m_lam against the monomial expansion matrix.
-    n = sum(lam)
-    parts = partitions_of(n)
-    matrix = _monomial_expansion_matrix(n)
-    transpose = [[matrix[i][j] for i in range(len(parts))] for j in range(len(parts))]
-    from .exactalg import dense_solve
-
-    rhs = [Fraction(1) if nu == lam else Fraction(0) for nu in parts]
-    coeffs = dense_solve(transpose, rhs)
-    return SymFunc("p", {mu: c for mu, c in zip(parts, coeffs) if c != 0})
-
-
 def to_p(f: SymFunc) -> SymFunc:
-    """Convert any supported basis to the power-sum basis."""
+    """Convert to the power-sum basis: s_lambda = sum over mu of
+    chi^lambda(mu) / z_mu * p_mu."""
     if f.basis == "p":
         return f
-    out = SymFunc.zero("p")
-    for lam, coeff in f.terms.items():
-        if f.basis == "s":
-            piece = SymFunc(
-                "p",
-                {
-                    mu: Fraction(mn_character(lam, mu), z_lambda(mu))
-                    for mu in partitions_of(sum(lam))
-                },
-            )
-        elif f.basis in ("h", "e"):
-            piece = SymFunc.one("p")
-            for part in lam:
-                piece = multiply(piece, _h_or_e_single_to_p(part, f.basis))
-        else:  # m
-            piece = _m_single_to_p(lam)
-        out = out + piece.scale(coeff)
-    return out
+    return f._with(
+        collect(
+            (mu, c * Fraction(chi, z_lambda(mu)))
+            for lam, c in f.terms.items()
+            for mu in partitions_of(sum(lam))
+            if (chi := mn_character(lam, mu))
+        ),
+        basis="p",
+    )
 
 
 def s_to_p(f: SymFunc) -> SymFunc:

@@ -64,6 +64,8 @@ def test_char_usage_error_exit_code(capsys):
     assert code == cli.EXIT_USAGE
     code, _, err = run(capsys, "char", "higher")
     assert code == cli.EXIT_USAGE
+    code, _, err = run(capsys, "char", "higher", "7", "9", "--matrix", "[[1,0,1]]")
+    assert code == cli.EXIT_USAGE
 
 
 def test_dim_with_oracle(capsys):
@@ -94,6 +96,18 @@ def test_count_gf(capsys):
     assert "1 + t + q*t + q*t^2" in out
     code, out, _ = run(capsys, "count", "(1)", "--gf")
     assert "1 + t" in out
+
+
+def test_count_gf_rejects_counting_flags(capsys):
+    for flags in (["--mod", "5"], ["--res", "1"], ["--neg", "0"], ["--mod", "5", "--neg", "2"]):
+        code, out, err = run(capsys, "count", "(2,1)", "--gf", *flags)
+        assert code == cli.EXIT_USAGE, flags
+        assert out == ""
+        assert "--gf" in err
+    # the counting path still echoes the default residue and bar count
+    code, out, _ = run(capsys, "count", "(2,1)", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["parameters"] == {"partition": "(2,1)", "mod": 3, "res": 1, "neg": 0}
 
 
 def test_count_bad_partition_usage_error(capsys):

@@ -13,7 +13,6 @@ from freelie.exactalg import (
     binom,
     cyclo_reduce,
     cyclotomic_poly,
-    dense_solve,
     divisors,
     euler_phi,
     mobius,
@@ -285,9 +284,3 @@ def test_sparse_echelon_rank():
     assert not ech.add({0: 2, 1: 4})  # 2*(row1) + 2*(row2)
     assert ech.rank == 2
 
-
-def test_dense_solve():
-    matrix = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    rhs = [Fraction(5), Fraction(10)]
-    x = dense_solve(matrix, rhs)
-    assert [matrix[i][0] * x[0] + matrix[i][1] * x[1] for i in range(2)] == rhs

@@ -1,17 +1,17 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from freelie.exactalg import ResourceLimitError, binom, divisors, mobius
-from freelie.partition import partitions_of
+from freelie.exactalg import ResourceLimitError, SparseEchelon, collect, divisors, mobius
 from freelie.symfunc import (
     BiSymFunc,
     SymFunc,
     bi_e_pleth,
+    bi_expand_truncated,
     diagonal,
     expand_truncated,
     schur_expand,
-    to_p,
 )
 from freelie.superlie import (
     SupportMatrix,
@@ -202,10 +202,58 @@ def test_brute_force_examples():
     assert brute_force_lie_dim(1, 1, 2, 2) == 4
     assert brute_force_lie_dim(2, 0, 2, 0) == 1
     assert brute_force_lie_dim(0, 2, 0, 2) == 3
+    assert brute_force_lie_dim(3, 2, 3, 3) == 486
+
+
+def _all_bracketings(word, parities):
+    """Every full bracketing of the word, each expanded into the tensor space
+    as (tensor, parity) with [A, B] = AB - (-1)^(|A||B|) BA."""
+    if len(word) == 1:
+        return [({word: Fraction(1)}, parities[word[0]])]
+    out = []
+    for cut in range(1, len(word)):
+        for left, lp in _all_bracketings(word[:cut], parities):
+            for right, rp in _all_bracketings(word[cut:], parities):
+                sign = -((-1) ** (lp * rp))
+                tensor = collect(
+                    pair
+                    for wl, cl in left.items()
+                    for wr, cr in right.items()
+                    for pair in ((wl + wr, cl * cr), (wr + wl, sign * cl * cr))
+                )
+                out.append((tensor, (lp + rp) % 2))
+    return out
+
+
+def _all_bracketings_rank(n, m, N):
+    """Rank of every full bracketing of every word with n of the N even and
+    m of the N odd generators: the oracle's span before the left-normed
+    reduction."""
+    parities = {g: 0 for g in range(N)}
+    parities.update({N + g: 1 for g in range(N)})
+    evens, odds = range(N), range(N, 2 * N)
+    echelon = SparseEchelon()
+    for odd_positions in combinations(range(n + m), m):
+        slots = [odds if i in odd_positions else evens for i in range(n + m)]
+        for word in product(*slots):
+            for tensor, _ in _all_bracketings(word, parities):
+                if tensor:
+                    echelon.add(tensor)
+    return echelon.rank
+
+
+def test_left_normed_brackets_span_all_bracketings():
+    # left-normed brackets are among all bracketings, so equal rank means
+    # equal span
+    for total in range(1, 5):
+        for m in range(total + 1):
+            n = total - m
+            for N in range(1, 3):
+                assert brute_force_lie_dim(n, m, N, N) == _all_bracketings_rank(n, m, N), (n, m, N)
 
 
 def test_brute_force_matches_witt():
-    for total in range(1, 5):
+    for total in range(1, 6):
         for m in range(total + 1):
             n = total - m
             for N in range(1, 3):
@@ -228,7 +276,5 @@ def test_tensor_degree_totals():
         for m in range(total + 1):
             n = total - m
             for mat in enumerate_bidegree_matrices(n, m):
-                from freelie.symfunc import bi_expand_truncated
-
                 acc += bi_expand_truncated(super_lie_module_char(mat), N, M).eval_all_ones()
         assert acc == (N + M) ** total

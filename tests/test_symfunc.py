@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from freelie.exactalg import MultiPoly, QTPoly
-from freelie.partition import conjugate, partitions_of, z_lambda
+from freelie.partition import partitions_of, z_lambda
 from freelie.symfunc import (
     BiSymFunc,
     ClassFunctionSn,
@@ -33,6 +33,11 @@ from freelie.symfunc import (
 
 def p(*parts, coeff=1):
     return SymFunc.term("p", tuple(parts), coeff)
+
+
+# h_2 = (p_11 + p_2)/2 and e_2 = (p_11 - p_2)/2
+H2 = SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)})
+E2 = SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
 
 
 # -- characters
@@ -95,31 +100,19 @@ def test_s_p_roundtrip():
             assert p_to_s(s_to_p(s)) == s
 
 
+def test_only_power_sum_and_schur_bases():
+    for basis in ("h", "e", "m"):
+        with pytest.raises(ValueError):
+            SymFunc.term(basis, (2,))
+
+
 def test_h_e_to_p():
-    # h_2 = (p_11 + p_2)/2, e_2 = (p_11 - p_2)/2
-    h2 = to_p(SymFunc.term("h", (2,)))
-    e2 = to_p(SymFunc.term("e", (2,)))
-    assert h2 == SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)})
-    assert e2 == SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
-
-
-def test_m_to_p_small():
-    # m_(2) = p_2 and m_(1,1) = e_2
-    assert to_p(SymFunc.term("m", (2,))) == p(2)
-    assert to_p(SymFunc.term("m", (1, 1))) == SymFunc(
-        "p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
-    )
-
-
-def test_m_basis_reconstructs_power_sums():
-    # p_n = sum over lambda of (coeff of monomial) m_lambda, inverted exactly
-    for n in range(1, 6):
-        for lam in partitions_of(n):
-            m_lam = to_p(SymFunc.term("m", lam))
-            poly = expand_truncated(m_lam, n)
-            # monomial expansion of m_lambda has coefficient 1 at x^lambda
-            exp = tuple(lam) + (0,) * (n - len(lam))
-            assert poly.coefficient(exp) == 1
+    # h_2 = s_2 and e_2 = s_11
+    assert to_p(SymFunc.term("s", (2,))) == H2
+    assert to_p(SymFunc.term("s", (1, 1))) == E2
+    # in two variables: h_2 = x1^2 + x1 x2 + x2^2, e_2 = x1 x2
+    assert expand_truncated(H2, 2) == MultiPoly(2, 0, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    assert expand_truncated(E2, 2) == MultiPoly(2, 0, {(1, 1): 1})
 
 
 # -- products and Frobenius characteristic
@@ -132,16 +125,15 @@ def test_multiply_examples():
 
 def test_h2_squared_schur_expansion():
     # h_2 * h_2 = s_4 + s_31 + s_22 (Kostka numbers for content (2,2))
-    h2 = SymFunc.term("h", (2,))
-    prod = p_to_s(multiply(h2, h2))
+    prod = p_to_s(multiply(H2, H2))
     assert prod == SymFunc("s", {(4,): 1, (3, 1): 1, (2, 2): 1})
 
 
 def test_frobenius_characteristic_small():
     triv = ClassFunctionSn(2, {(2,): 1, (1, 1): 1})
     sign = ClassFunctionSn(2, {(2,): -1, (1, 1): 1})
-    assert frobenius_characteristic(triv) == to_p(SymFunc.term("h", (2,)))
-    assert frobenius_characteristic(sign) == to_p(SymFunc.term("e", (2,)))
+    assert frobenius_characteristic(triv) == H2
+    assert frobenius_characteristic(sign) == E2
     regular = ClassFunctionSn(3, {(1, 1, 1): 6, (2, 1): 0, (3,): 0})
     assert frobenius_characteristic(regular) == p(1, 1, 1)
 
@@ -166,8 +158,7 @@ def test_plethysm_p_examples():
     f = p(2, 1, coeff=QTPoly({(1, 1): 1}))
     assert plethysm_p(1, f) == f
     assert plethysm_p(2, p(1)) == p(2)
-    e2 = to_p(SymFunc.term("e", (2,)))
-    assert plethysm_p(2, e2) == SymFunc(
+    assert plethysm_p(2, E2) == SymFunc(
         "p", {(2, 2): Fraction(1, 2), (4,): Fraction(-1, 2)}
     )
 
@@ -178,17 +169,23 @@ def test_plethysm_substitutes_coefficients():
 
 
 def test_h_e_pleth_of_p1():
+    # h_a[p_1] = h_a and e_a[p_1] = e_a are the Frobenius characteristics of
+    # the trivial and the sign character of S_a, and equal s_(a) and s_(1^a)
     for a in range(0, 9):
-        assert h_pleth(a, p(1)) == to_p(SymFunc.term("h", (a,)) if a else SymFunc.one("h"))
-        assert e_pleth(a, p(1)) == to_p(SymFunc.term("e", (a,)) if a else SymFunc.one("e"))
+        triv = ClassFunctionSn(a, {mu: 1 for mu in partitions_of(a)})
+        sign = ClassFunctionSn(a, {mu: (-1) ** (a - len(mu)) for mu in partitions_of(a)})
+        assert h_pleth(a, p(1)) == frobenius_characteristic(triv)
+        assert e_pleth(a, p(1)) == frobenius_characteristic(sign)
+        assert h_pleth(a, p(1)) == to_p(SymFunc.term("s", (a,) if a else ()))
+        assert e_pleth(a, p(1)) == to_p(SymFunc.term("s", (1,) * a))
+    assert h_pleth(2, p(1)) == H2
+    assert e_pleth(2, p(1)) == E2
 
 
 def test_h_pleth_degree_two_identities():
-    e2 = to_p(SymFunc.term("e", (2,)))
-    h2 = to_p(SymFunc.term("h", (2,)))
-    assert p_to_s(h_pleth(2, e2)) == SymFunc("s", {(2, 2): 1, (1, 1, 1, 1): 1})
-    assert p_to_s(h_pleth(2, h2)) == SymFunc("s", {(4,): 1, (2, 2): 1})
-    assert h_pleth(0, e2) == SymFunc.one("p")
+    assert p_to_s(h_pleth(2, E2)) == SymFunc("s", {(2, 2): 1, (1, 1, 1, 1): 1})
+    assert p_to_s(h_pleth(2, H2)) == SymFunc("s", {(4,): 1, (2, 2): 1})
+    assert h_pleth(0, E2) == SymFunc.one("p")
 
 
 # -- expansion in finitely many variables
@@ -261,8 +258,7 @@ def test_expand_requires_constant_coefficients():
 # -- Schur expansion reporting
 
 def test_schur_expand_examples():
-    e2 = to_p(SymFunc.term("e", (2,)))
-    result = schur_expand(e2)
+    result = schur_expand(E2)
     assert result.coefficients == {(1, 1): QTPoly.one()}
     assert result.is_nonneg_integral
 
