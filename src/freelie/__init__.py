@@ -95,7 +95,6 @@ from .specialization import (
     SpecSeries,
     degree_two_checks,
     fundamental_qsym_truncated,
-    hook_formula_check,
     hook_product,
     kw_check,
     kw_generating_function,

@@ -643,6 +643,16 @@ def cmd_verify(args) -> RunReport:
 # argument parsing and entry point
 
 
+class _StoreOnce(argparse.Action):
+    """Store the flag's value; a second occurrence is a usage error, since
+    argparse would otherwise drop the first value silently."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freelie",
@@ -680,7 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--profile", choices=("quick", "full"), default="full")
     for flag in VERIFY_OVERRIDES:
-        p_verify.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int, default=None)
+        p_verify.add_argument(
+            "--" + flag.replace("_", "-"), dest=flag, type=int, default=None, action=_StoreOnce
+        )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -723,7 +735,16 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     if args.timing:
         report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    _print_report(report, args.format)
+    try:
+        _print_report(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  That says nothing about the
+        # run, so the exit code stays the one it earned; stdout is pointed at
+        # devnull so that the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if report.status == "fail":
         return EXIT_IDENTITY_FAILURE
     return EXIT_OK

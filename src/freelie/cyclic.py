@@ -126,22 +126,6 @@ def induce_frobenius(chi: CyclicClassFunction) -> SymFunc:
 # brute-force induction oracle
 
 
-def _cycle_type(perm: tuple[int, ...]) -> Partition:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # (a after b): x -> a[b[x]]
     return tuple(a[b[x]] for x in range(len(a)))

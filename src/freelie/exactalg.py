@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Rat = Fraction
 
@@ -216,6 +216,41 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     if any(c.denominator != 1 for c in quot):
         raise ExactDivisionError(f"cyclotomic polynomial {d} not integral: {quot}")
     return tuple(int(c) for c in quot)
+
+
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
+    """(q;q)_n / prod_k (1 - q^k) as integer coefficients, constant term
+    first, computed without division.
+
+    1 - q^k = -prod_{d | k} Phi_d(q), so the quotient is
+    (-1)^(n - #ks) prod_{d >= 1} Phi_d^(floor(n/d) - #{k : d | k}).  A
+    negative exponent means the quotient is no polynomial and raises
+    ExactDivisionError.
+    """
+    exponents = {d: n // d for d in range(1, n + 1)}
+    count = 0
+    for k in ks:
+        count += 1
+        for d in divisors(k):
+            exponents[d] = exponents.get(d, 0) - 1
+    out = [-1 if (n - count) % 2 else 1]
+    for d, e in sorted(exponents.items()):
+        if e < 0:
+            raise ExactDivisionError(
+                f"(q;q)_{n} / prod (1 - q^k) is not a polynomial: Phi_{d} has exponent {e}"
+            )
+        for _ in range(e):
+            out = _int_poly_mul(out, cyclotomic_poly(d))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +586,6 @@ class QTPoly(TermMap):
     @classmethod
     def from_qpoly(cls, dense: QPoly) -> QTPoly:
         return cls.from_t_slices({0: dense})
-
-    def divide_exact_q(self, den: QPoly) -> QTPoly:
-        """Divide by a t-free polynomial, slice by t-degree; must be exact."""
-        out: dict[int, QPoly] = {}
-        for b, dense in self.t_slices().items():
-            out[b] = qpoly_exact_div(dense, den)
-        return QTPoly.from_t_slices(out)
 
     # -- rendering
 

@@ -27,12 +27,9 @@ from .exactalg import (
     add_pairs,
     collect,
     cyclo_reduce,
-    q_factorial,
-    q_int,
     q_pochhammer,
+    q_pochhammer_quotient,
     qpoly,
-    qpoly_exact_div,
-    qpoly_mul,
 )
 from .partition import (
     Partition,
@@ -309,21 +306,16 @@ def qps_check(n: int, d, q_cap: int = DEFAULT_Q_CAP) -> CheckReport:
 
 def hook_product(lam: Partition) -> QTPoly:
     """[n]_q! * prod over cells (q^(row-1) + t q^(col-1)) / [hook]_q, as an
-    exact polynomial; the division must leave no remainder."""
+    exact polynomial.  [n]_q! / prod [hook]_q = (q;q)_n / prod (1 - q^hook)
+    is a product of cyclotomic polynomials, so nothing is divided."""
     lam = check_partition(lam)
-    n = sum(lam)
-    num = q_factorial(n)
-    den = QTPoly.one()
+    quotient = q_pochhammer_quotient(sum(lam), (hook_length(lam, r, c) for r, c in cells(lam)))
+    terms = {(a, 0): v for a, v in enumerate(quotient) if v}
     for r, c in cells(lam):
-        num = num * (QTPoly.monomial(r - 1, 0) + QTPoly.monomial(c - 1, 1))
-        den = den * q_int(hook_length(lam, r, c))
-    return num.divide_exact_q(den.t_slices().get(0, qpoly([1])))
-
-
-def hook_formula_check(lam: Partition, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Generating polynomial of (maj, bar count) over signed tableaux equals
-    the q,t-hook product."""
-    return maj_neg_generating_poly(lam, budget) == hook_product(lam)
+        terms = collect(
+            (key, v) for (a, b), v in terms.items() for key in ((a + r - 1, b), (a + c - 1, b + 1))
+        )
+    return QTPoly(terms)
 
 
 def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
@@ -360,16 +352,12 @@ def qt_hook_consistency_check(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> boo
 
 
 def pi_lambda(lam: Partition) -> QPoly:
-    """(q;q)_n / prod_i (1 - q^(lam_i)), an exact polynomial quotient."""
+    """(q;q)_n / prod_i (1 - q^(lam_i)), an exact polynomial computed without
+    division."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if n < 1:
+    if not lam:
         raise ValueError("need a nonempty partition")
-    num = q_pochhammer(n).t_slices()[0]
-    den = qpoly([1])
-    for part in lam:
-        den = qpoly_mul(den, qpoly([1] + [0] * (part - 1) + [-1]))
-    return qpoly_exact_div(num, den)
+    return qpoly(q_pochhammer_quotient(sum(lam), lam))
 
 
 def pi_root_check(lam: Partition, d: int) -> bool:

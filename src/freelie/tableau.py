@@ -2,8 +2,9 @@
 
 A super tableau is stored as a plain standard tableau (its projection to
 unbarred entries) together with the set of barred entries; the filling over
-the signed alphabet is equivalent data, and the split form makes enumerating
-all 2^n sign choices a product space.
+the signed alphabet is equivalent data.  The (statistic, bar count)
+generating polynomials are computed by a forward DP over the shapes inside
+the target shape, never by listing the signed tableaux.
 
 Descent conventions are fixed to English notation, longest row on top:
 i is a descent of T when i+1 sits in a strictly lower row than i.
@@ -14,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
-from .exactalg import QTPoly, ResourceLimitError
+from .exactalg import QTPoly, ResourceLimitError, collect
 from .partition import Partition, cells, check_partition, hook_length
 
-# Enumerations over (tableau, sign subset) pairs fail loudly past this many
-# pairs rather than silently truncating.
+# The signed-tableau DP refuses, before it starts, a shape whose bound on
+# table-entry updates exceeds this many, rather than hanging; an update costs
+# a few tenths of a microsecond.  Every shape with n <= 18 is admitted.
 DEFAULT_PAIR_BUDGET = 20_000_000
 
 
@@ -216,27 +217,76 @@ def negg(st: SuperTableau) -> int:
     return len(st.neg)
 
 
-def _check_budget(pairs: int, budget: int) -> None:
-    if pairs > budget:
-        raise ResourceLimitError(
-            f"enumeration of {pairs} tableau-subset pairs exceeds budget {budget}"
-        )
+def _moves(lam: Partition, mu: tuple[int, ...]):
+    """(row, shape) for each cell that can be added to mu inside lam."""
+    for r, part in enumerate(mu):
+        if part < lam[r] and (r == 0 or mu[r - 1] > part):
+            yield r, mu[:r] + (part + 1,) + mu[r + 1 :]
+
+
+def _check_budget(lam: Partition, budget: int) -> None:
+    """Refuse the shape when a bound on the DP's table-entry updates exceeds
+    the budget.  After i is placed in a shape mu, the row of i is a removable
+    corner of mu and i may be barred or not; each such state moves by the
+    addable rows of mu, barred or not; and its table has at most
+    i * (sum_{j<i} (n - j) + 1) entries, as the bar count takes i values and
+    the statistic, maj or comaj, is at most sum_{j<i} (n - j).  The shapes are
+    walked layer by layer, so a huge shape is refused after a few layers."""
+    n = sum(lam)
+    bound = 0
+    layer = {(1,) + (0,) * (len(lam) - 1)} if n else set()
+    for i in range(1, n):
+        table = i * ((i - 1) * (2 * n - i) // 2 + 1)
+        nxt = set()
+        for mu in layer:
+            corners = sum(1 for a, b in zip(mu, mu[1:] + (0,)) if a > b)
+            moves = [nu for _, nu in _moves(lam, mu)]
+            nxt.update(moves)
+            bound += 4 * corners * len(moves) * table
+        if bound > budget:
+            raise ResourceLimitError(
+                f"the signed-tableau DP of {lam} needs more than {budget} table-entry updates"
+            )
+        layer = nxt
 
 
 @lru_cache(maxsize=None)
 def _sign_generating_poly(lam: Partition, budget: int, use_comaj: bool) -> QTPoly:
-    """Counts of (statistic, bar count) over all signed tableaux of the shape."""
+    """Counts of (statistic, bar count) over all signed tableaux of the shape.
+
+    Entries 1..n are placed in order.  A state after placing i is (shape mu,
+    row of i, whether i is barred); its table maps stat * (n+1) + bar count
+    to the number of signed fillings of mu reaching it.  Placing i+1 in row
+    r, barred or not, puts i in the index set of :func:`relative_maj` when r
+    is strictly lower than the row of i and i+1 is unbarred, or r is not
+    strictly lower and i is barred; i then adds i to maj, or n - i to comaj.
+    """
+    _check_budget(lam, budget)
     n = sum(lam)
-    _check_budget(syt_count(lam) * (1 << n), budget)
-    counts: dict[tuple[int, int], int] = {}
-    for t in syt_enumerate(lam):
-        d = descent_set(t)
-        for mask in range(1 << n):
-            s = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
-            stat = relative_comaj(d, s, n) if use_comaj else relative_maj(d, s, n)
-            key = (stat, len(s))
-            counts[key] = counts.get(key, 0) + 1
-    return QTPoly(counts)
+    if n == 0:
+        return QTPoly.one()
+    base = n + 1
+    first = (1,) + (0,) * (len(lam) - 1)
+    layer = {(first, 0, False): {0: 1}, (first, 0, True): {1: 1}}
+    for i in range(1, n):
+        step = (n - i if use_comaj else i) * base
+        nxt: dict = {}
+        while layer:
+            (mu, row, barred), table = layer.popitem()
+            for r, nu in _moves(lam, mu):
+                lower = r > row
+                for barred_next in (False, True):
+                    joins = (lower and not barred_next) or (barred and not lower)
+                    shift = step * joins + barred_next
+                    target = nxt.setdefault((nu, r, barred_next), {})
+                    get = target.get
+                    for key, c in table.items():
+                        key += shift
+                        target[key] = get(key, 0) + c
+        layer = nxt
+    return QTPoly(
+        collect((divmod(key, base), c) for table in layer.values() for key, c in table.items())
+    )
 
 
 def maj_neg_generating_poly(lam: Partition, budget: int = DEFAULT_PAIR_BUDGET) -> QTPoly:
@@ -263,15 +313,8 @@ def count_super_tableaux(
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if m < 0:
         raise ValueError(f"number of barred entries must be >= 0, got {m}")
-    n = sum(lam)
-    if m > n:
+    if m > sum(lam):
         return 0
-    _check_budget(syt_count(lam) * math.comb(n, m), budget)
     residue %= modulus
-    total = 0
-    for t in syt_enumerate(lam):
-        d = descent_set(t)
-        for chosen in combinations(range(1, n + 1), m):
-            if relative_maj(d, set(chosen), n) % modulus == residue:
-                total += 1
-    return total
+    poly = maj_neg_generating_poly(lam, budget)
+    return sum(int(c) for (a, b), c in poly.items() if b == m and a % modulus == residue)

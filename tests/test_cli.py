@@ -1,11 +1,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
 from freelie import cli, symfunc
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -116,8 +121,8 @@ def test_count_bad_partition_usage_error(capsys):
 
 
 def test_count_budget_resource_error(capsys):
-    # (16,16) has over 3.5e7 standard tableaux, beyond the pair budget
-    code, _, err = run(capsys, "count", "(16,16)")
+    # the DP's update bound for (12,12,12) is far beyond the default budget
+    code, _, err = run(capsys, "count", "(12,12,12)")
     assert code == cli.EXIT_RESOURCE
 
 
@@ -175,6 +180,31 @@ def test_verify_empty_run_is_usage_error(capsys):
         code, out, err = run(capsys, "verify", *argv)
         assert code == cli.EXIT_USAGE
         assert "pass" not in out and "no checks" in err
+
+
+def test_repeated_verify_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "hook", "--max-n", "3", "--max-n", "4"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--max-n: given more than once" in capsys.readouterr().err
+
+
+def test_closed_stdout_keeps_exit_code():
+    # the reader is gone before anything is written, as with `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "freelie.cli", "verify", "hook", "--max-n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == b""
 
 
 def test_repeated_matrix_cell_is_usage_error(capsys):

@@ -19,6 +19,7 @@ from freelie.exactalg import (
     q_factorial,
     q_int,
     q_pochhammer,
+    q_pochhammer_quotient,
     qpoly,
     qpoly_divmod,
     qpoly_exact_div,
@@ -102,6 +103,23 @@ def test_pochhammer_vs_factorial():
     one_minus_q = QTPoly.one() - QTPoly.q()
     for n in range(0, 21):
         assert q_pochhammer(n) == one_minus_q**n * q_factorial(n)
+
+
+def test_q_pochhammer_quotient():
+    for n in range(0, 13):
+        assert qpoly(q_pochhammer_quotient(n, [])) == q_pochhammer(n).t_slices().get(0, ())
+        assert qpoly(q_pochhammer_quotient(n, [1] * n)) == q_factorial(n).t_slices()[0]
+    # (1 - q^4) / (1 - q^2) = 1 + q^2
+    assert q_pochhammer_quotient(4, [1, 3, 2, 2]) == [1, 0, 1]
+
+
+def test_q_pochhammer_quotient_raises_on_negative_exponent():
+    # [2]_q! / [3]_q: Phi_3 divides the denominator only
+    with pytest.raises(ExactDivisionError):
+        q_pochhammer_quotient(2, [3, 1])
+    # more factors 1 - q^k than (q;q)_n has
+    with pytest.raises(ExactDivisionError):
+        q_pochhammer_quotient(1, [1, 1])
 
 
 # -- cyclotomic quotient arithmetic
@@ -205,17 +223,6 @@ def test_qtpoly_ring_axioms(ring):
     assert a + zero == a
     assert a - a == zero
     assert a * 3 - a - a == a + a * 0
-
-
-@given(qt_polys, st.dictionaries(st.integers(0, 4), coeffs, min_size=1, max_size=4))
-@settings(max_examples=60)
-def test_qtpoly_exact_division_roundtrip(a, den_terms):
-    den_qt = QTPoly({(k, 0): v for k, v in den_terms.items()})
-    if den_qt.is_zero:
-        return
-    den = den_qt.t_slices()[0]
-    prod = a * den_qt
-    assert prod.divide_exact_q(den) == a
 
 
 def test_qtpoly_structural_ops():

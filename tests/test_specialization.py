@@ -4,14 +4,22 @@ from itertools import combinations
 
 import pytest
 
-from freelie.exactalg import MultiPoly, QTPoly, q_pochhammer, qpoly
-from freelie.partition import partitions_of, z_lambda
+from freelie.exactalg import (
+    MultiPoly,
+    QTPoly,
+    q_factorial,
+    q_int,
+    q_pochhammer,
+    qpoly,
+    qpoly_exact_div,
+    qpoly_mul,
+)
+from freelie.partition import cells, hook_length, partitions_of, z_lambda
 from freelie.specialization import (
     SpecSeries,
     degree_two_checks,
     fundamental_qsym_truncated,
     half_if_even,
-    hook_formula_check,
     hook_product,
     kw_check,
     kw_generating_function,
@@ -173,7 +181,34 @@ def test_hook_product_base_cases():
 def test_hook_formula_sweep():
     for n in range(1, 8):
         for lam in partitions_of(n):
-            assert hook_formula_check(lam), lam
+            assert maj_neg_generating_poly(lam) == hook_product(lam), lam
+
+
+def _hook_product_by_division(lam):
+    """Reference: [n]_q! times the cell factors, each t-slice divided by
+    prod [hook]_q with Fraction long division."""
+    num = q_factorial(sum(lam))
+    den = QTPoly.one()
+    for r, c in cells(lam):
+        num = num * (QTPoly.monomial(r - 1, 0) + QTPoly.monomial(c - 1, 1))
+        den = den * q_int(hook_length(lam, r, c))
+    den = den.t_slices()[0]
+    return QTPoly.from_t_slices({b: qpoly_exact_div(s, den) for b, s in num.t_slices().items()})
+
+
+def _pi_lambda_by_division(lam):
+    """Reference: (q;q)_n / prod (1 - q^part) by Fraction long division."""
+    den = qpoly([1])
+    for part in lam:
+        den = qpoly_mul(den, qpoly([1] + [0] * (part - 1) + [-1]))
+    return qpoly_exact_div(q_pochhammer(sum(lam)).t_slices()[0], den)
+
+
+def test_division_free_quotients_match_long_division():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            assert hook_product(lam) == _hook_product_by_division(lam), lam
+            assert pi_lambda(lam) == _pi_lambda_by_division(lam), lam
 
 
 def test_hook_formula_specializations():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelie import tableau
 from freelie.exactalg import QTPoly, ResourceLimitError
 from freelie.partition import partitions_of
 from freelie.tableau import (
+    DEFAULT_PAIR_BUDGET,
     StandardTableau,
     SuperTableau,
     comaj,
@@ -182,6 +184,82 @@ def test_count_super_tableaux_matches_generating_poly():
                         if b == m and a % r == s
                     )
                     assert direct == via_poly
+
+
+# The enumerations the DP replaced, kept as references for small shapes.
+REFERENCE_PAIR_BUDGET = 200_000
+
+
+def _check_reference_budget(pairs):
+    if pairs > REFERENCE_PAIR_BUDGET:
+        raise ResourceLimitError(f"{pairs} tableau-subset pairs exceed the reference budget")
+
+
+def _enumerated_sign_poly(lam, use_comaj):
+    """Sum of q^stat t^|S| over every (standard tableau, sign subset S) pair."""
+    n = sum(lam)
+    _check_reference_budget(syt_count(lam) << n)
+    counts = {}
+    for t in syt_enumerate(lam):
+        d = descent_set(t)
+        for mask in range(1 << n):
+            s = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
+            stat = relative_comaj(d, s, n) if use_comaj else relative_maj(d, s, n)
+            counts[(stat, len(s))] = counts.get((stat, len(s)), 0) + 1
+    return QTPoly(counts)
+
+
+def _enumerated_count(lam, modulus, residue, m):
+    """Signed tableaux with maj = residue mod modulus and m bars, by listing
+    every m-subset of barred entries for every standard tableau."""
+    n = sum(lam)
+    _check_reference_budget(syt_count(lam) * math.comb(n, m))
+    return sum(
+        1
+        for t in syt_enumerate(lam)
+        for chosen in combinations(range(1, n + 1), m)
+        if relative_maj(descent_set(t), set(chosen), n) % modulus == residue % modulus
+    )
+
+
+def test_dp_matches_enumeration():
+    for n in range(0, 9):
+        for lam in partitions_of(n):
+            assert maj_neg_generating_poly(lam) == _enumerated_sign_poly(lam, False), lam
+            assert comaj_neg_generating_poly(lam) == _enumerated_sign_poly(lam, True), lam
+            for m in range(n + 1):
+                assert count_super_tableaux(lam, max(n, 1), 1, m) == _enumerated_count(
+                    lam, max(n, 1), 1, m
+                ), (lam, m)
+
+
+def test_dp_matches_signed_filling_definition():
+    # super maj and super comaj read straight off the signed filling
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            by_maj, by_comaj = {}, {}
+            for t in syt_enumerate(lam):
+                for mask in range(1 << n):
+                    st_ = SuperTableau(t, frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1))
+                    descents = super_descent_set(st_)
+                    for table, stat in ((by_maj, sum(descents)), (by_comaj, sum(n - i for i in descents))):
+                        key = (stat, negg(st_))
+                        table[key] = table.get(key, 0) + 1
+            assert maj_neg_generating_poly(lam) == QTPoly(by_maj), lam
+            assert comaj_neg_generating_poly(lam) == QTPoly(by_comaj), lam
+
+
+def test_default_budget_admits_every_shape_to_18():
+    for n in range(1, 19):
+        for lam in partitions_of(n):
+            tableau._check_budget(lam, DEFAULT_PAIR_BUDGET)
+
+
+def test_budget_refuses_before_computing():
+    with pytest.raises(ResourceLimitError):
+        maj_neg_generating_poly((500, 500, 500, 500))
+    with pytest.raises(ResourceLimitError):
+        count_super_tableaux((1,) * 300, 300, 1, 0)
 
 
 def test_budget_errors():
