@@ -14,7 +14,8 @@ floating point appears anywhere in the package.  This module provides
   (:class:`CycloElem`), used for exact root-of-unity sums,
 * truncated multivariate polynomials over two alphabets (:class:`MultiPoly`),
 * q-series primitives [n]_q, [n]_q!, (q;q)_n and number-theoretic helpers,
-* incremental sparse Gaussian elimination (rank) over the rationals.
+* incremental fraction-free sparse elimination of integer vectors (rank
+  over Q).
 
 All values are immutable after construction and all operations are pure, so
 they are safe to share between concurrent execution contexts.
@@ -559,14 +560,6 @@ class QTPoly(TermMap):
         """Set q = 1, leaving a polynomial in t only."""
         return self._with(collect(((0, b), c) for (_, b), c in self._terms.items()))
 
-    def eval_t(self, value: RatLike) -> QPoly:
-        """Substitute a rational for t, leaving a dense q-polynomial."""
-        value = Fraction(value)
-        acc: dict[int, Fraction] = {}
-        for (a, b), c in self._terms.items():
-            acc[a] = acc.get(a, Fraction(0)) + c * value**b
-        return _dense(acc)
-
     def t_slices(self) -> dict[int, QPoly]:
         """Group terms by t-exponent; each slice is a dense q-polynomial."""
         acc: dict[int, dict[int, Fraction]] = {}
@@ -582,10 +575,6 @@ class QTPoly(TermMap):
                 if c != 0:
                     terms[(a, b)] = c
         return cls(terms)
-
-    @classmethod
-    def from_qpoly(cls, dense: QPoly) -> QTPoly:
-        return cls.from_t_slices({0: dense})
 
     # -- rendering
 
@@ -824,9 +813,14 @@ def _merge_caps(a: int | None, b: int | None) -> int | None:
 
 
 class SparseEchelon:
-    """Incremental row reduction of sparse rational vectors; tracks the rank.
+    """Incremental fraction-free row reduction of sparse integer vectors;
+    tracks the rank over Q.
 
-    Vectors are dicts column-index -> Fraction.  Single-context use only.
+    Vectors are dicts column-index -> int.  Elimination is fraction-free
+    (after Bareiss, 1968): a vector is reduced by integer combinations
+    a * row - b * basis_row with a != 0, each invertible over Q, and a new
+    basis row is made primitive by dividing it by the gcd of its entries.
+    Single-context use only.
     """
 
     def __init__(self):
@@ -837,21 +831,33 @@ class SparseEchelon:
         return len(self._pivots)
 
     def add(self, vector: Mapping) -> bool:
-        """Reduce a vector against the basis; returns True if the rank grew."""
-        row = {k: Fraction(v) for k, v in vector.items() if v != 0}
+        """Reduce a vector against the basis; returns True if the rank grew.
+        Raises TypeError on a coefficient that is not an int."""
+        row = {}
+        for k, v in vector.items():
+            if not isinstance(v, int):
+                raise TypeError(f"echelon coefficients must be int, got {v!r}")
+            if v:
+                row[k] = v
         while row:
             pivot = min(row)
             basis_row = self._pivots.get(pivot)
             if basis_row is None:
-                scale = row[pivot]
-                self._pivots[pivot] = {k: v / scale for k, v in row.items()}
+                g = math.gcd(*row.values())
+                if row[pivot] < 0:
+                    g = -g
+                self._pivots[pivot] = {k: v // g for k, v in row.items()}
                 return True
-            factor = row[pivot]
+            a, b = basis_row[pivot], row[pivot]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
             for k, v in basis_row.items():
-                s = row.get(k, Fraction(0)) - factor * v
-                if s == 0:
-                    row.pop(k, None)
-                else:
+                s = row.get(k, 0) - b * v
+                if s:
                     row[k] = s
+                else:
+                    del row[k]
         return False
 

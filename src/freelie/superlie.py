@@ -16,8 +16,8 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
 
 from .exactalg import (
     CheckReport,
@@ -29,6 +29,7 @@ from .exactalg import (
     divisors,
     mobius,
 )
+from .partition import partitions_of
 from .symfunc import (
     BiSymFunc,
     SymFunc,
@@ -291,17 +292,48 @@ def thrall_sum_check(n: int, m: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # brute-force oracle over actual bracketed tensors
 
-_BRUTE_MAX_DEGREE = 6
 _BRUTE_MAX_DIM = 3
+# The oracle refuses a bidegree whose left-normed expansions hold more than
+# this many terms in all, before expanding any.  Every n + m <= 7 at
+# N = M <= 3 is admitted; the largest, (4, 3, 3, 3), has 166,400 terms.
+_BRUTE_TERM_BUDGET = 200_000
+
+
+def _multinomial(counts) -> int:
+    """(sum of the counts)! / (product of their factorials)."""
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def _orbit(parts: tuple, slots: int) -> int:
+    """Number of distinct rearrangements of the parts, padded with zeros to
+    the given number of slots."""
+    return _multinomial(Counter(parts + (0,) * (slots - len(parts))).values())
+
+
+def _arrangements(counts: list[int]):
+    """Every word with these letter counts, as a tuple of generator ids.
+    The list is changed while the words are generated and restored after."""
+    if not any(counts):
+        yield ()
+        return
+    for g, c in enumerate(counts):
+        if c:
+            counts[g] -= 1
+            for tail in _arrangements(counts):
+                yield (g,) + tail
+            counts[g] += 1
 
 
 def _left_normed(word, parities) -> dict:
     """Expand the left-normed bracket [[...[w1, w2], ...], wn] of the word
     into the tensor space, as a map from basis words (tuples of generator
-    ids) to coefficients.  The super commutator is
+    ids) to integer coefficients.  The super commutator is
     [A, B] = AB - (-1)^(|A||B|) BA.
     """
-    tensor = {(word[0],): Fraction(1)}
+    tensor = {(word[0],): 1}
     parity = parities[word[0]]
     for letter in word[1:]:
         lp = parities[letter]
@@ -315,40 +347,67 @@ def _left_normed(word, parities) -> dict:
     return tensor
 
 
-def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> int:
+def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
     """Dimension of the span of all brackets of words with n even and m odd
     generators, inside the bidegree-(n, m) tensor space, by exact Gaussian
     elimination.  Deliberately independent of every formula here.
 
-    Only the left-normed bracket [[...[w1, w2], ...], wn] of each word is
-    expanded.  These span the same space as all full bracketings: the super
-    Jacobi identity [a, [b, c]] = [[a, b], c] + (-1)^(|a||b|) [b, [a, c]]
-    rewrites any bracket as a sum of left-normed ones (Bahturin, Mikhalev,
-    Petrogradsky and Zaicev, 1992), and left-normed brackets are among the
-    full bracketings.
+    Returns the dimension and the rank of each sorted weight block, a map
+    from (alpha, beta) to the dimension of the weight space x^alpha y^beta.
+
+    * Weight blocks.  A bracket of a word lies in the tensor subspace of the
+      word's content, so the bidegree is the direct sum of its weight spaces.
+      Permuting the even generators among themselves, and the odd ones, is a
+      parity-preserving automorphism of the tensor algebra that maps
+      brackets to brackets and weight spaces onto weight spaces.  So every
+      rearrangement of a weight has the same dimension, and the total is the
+      sum over sorted weights of the block rank times the orbit sizes of
+      alpha under S_N and of beta under S_M.
+    * Left-normed brackets with a fixed first letter span.  The super Jacobi
+      identity rewrites any bracket as a sum of left-normed ones, and the
+      brackets [x1, x_s(2), ..., x_s(k)] of distinct letters span the
+      multilinear part (super Dynkin-Specht-Wever; Bahturin, Mikhalev,
+      Petrogradsky and Zaicev, 1992).  A bracket of a word is the image of
+      a multilinear bracket under the parity-preserving substitution of its
+      letters; naming a position of the block's first letter x1 makes every
+      image a left-normed bracket of a word of the same content that begins
+      with that letter.  So one block needs only those words.
+    * Integer rows.  The expansions have integer coefficients, and
+      :class:`~freelie.exactalg.SparseEchelon` reduces them by integer
+      combinations a * row - b * pivot row with a != 0, each invertible over
+      Q, so its rank is the rank over Q.
     """
     if n < 0 or m < 0 or n + m <= 0:
         raise ValueError(f"need n + m > 0: ({n}, {m})")
-    if n + m > _BRUTE_MAX_DEGREE or N > _BRUTE_MAX_DIM or M > _BRUTE_MAX_DIM:
-        raise ResourceLimitError(
-            f"brute force capped at degree {_BRUTE_MAX_DEGREE} and dimension {_BRUTE_MAX_DIM}"
-        )
+    if N > _BRUTE_MAX_DIM or M > _BRUTE_MAX_DIM:
+        raise ResourceLimitError(f"brute force capped at dimension {_BRUTE_MAX_DIM}")
     if N < 0 or M < 0:
         raise ValueError("dimensions must be >= 0")
 
-    # generator ids: 0..N-1 even, N..N+M-1 odd
-    parities = {g: 0 for g in range(N)}
-    parities.update({N + g: 1 for g in range(M)})
-    evens = list(range(N))
-    odds = list(range(N, N + M))
-    length = n + m
+    # generators 0..N-1 are even and N..N+M-1 odd; every word of a block
+    # begins with the first generator present, 0 if n > 0, else N
+    first = 0 if n else N
+    blocks = []
+    for alpha in partitions_of(n):
+        for beta in partitions_of(m):
+            if len(alpha) <= N and len(beta) <= M:
+                rest = list(alpha) + [0] * (N - len(alpha)) + list(beta) + [0] * (M - len(beta))
+                rest[first] -= 1
+                blocks.append((alpha, beta, rest))
+    terms = sum(_multinomial(rest) for _, _, rest in blocks) << (n + m - 1)
+    if terms > _BRUTE_TERM_BUDGET:
+        raise ResourceLimitError(
+            f"the bracket oracle at ({n}, {m}, {N}, {M}) needs {terms} expansion terms,"
+            f" more than {_BRUTE_TERM_BUDGET}"
+        )
 
-    echelon = SparseEchelon()
-    for odd_positions in combinations(range(length), m):
-        odd_set = set(odd_positions)
-        slots = [odds if i in odd_set else evens for i in range(length)]
-        for word in product(*slots):
-            tensor = _left_normed(word, parities)
-            if tensor:
-                echelon.add(tensor)
-    return echelon.rank
+    parities = [0] * N + [1] * M
+    ranks: dict[tuple[tuple, tuple], int] = {}
+    total = 0
+    for alpha, beta, rest in blocks:
+        echelon = SparseEchelon()
+        for tail in _arrangements(rest):
+            echelon.add(_left_normed((first,) + tail, parities))
+        ranks[(alpha, beta)] = echelon.rank
+        total += echelon.rank * _orbit(alpha, N) * _orbit(beta, M)
+    return total, ranks

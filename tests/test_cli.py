@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from freelie import cli, symfunc
+from freelie.exactalg import MultiPoly
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -84,9 +85,31 @@ def test_dim_with_oracle(capsys):
 
 
 def test_dim_resource_exit_code(capsys):
-    code, _, err = run(capsys, "dim", "4", "3", "3", "--oracle")
+    code, _, err = run(capsys, "dim", "5", "5", "3", "--oracle")
     assert code == cli.EXIT_RESOURCE
     assert "resource limit" in err
+
+
+def test_oracle_names_mismatched_weight(capsys, monkeypatch):
+    # one weight's character coefficient is off by one; the total rank and
+    # the dimension formula still agree, so only the per-weight check sees it
+    real = symfunc.bi_expand_truncated
+
+    def off_by_one(f, N, M, cap=None):
+        char = real(f, N, M, cap)
+        return char + MultiPoly.monomial(2, 2, (1, 1, 1, 0)) if (N, M) == (2, 2) else char
+
+    monkeypatch.setattr(symfunc, "bi_expand_truncated", off_by_one)
+    code, out, _ = run(capsys, "dim", "2", "1", "2", "--oracle", "--format", "json")
+    assert code == cli.EXIT_IDENTITY_FAILURE
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["payload"]["match"] is False
+    assert report["payload"]["first_discrepancy"].startswith("weight (1,1)|(1):")
+
+    code, out, _ = run(capsys, "verify", "witt-oracle", "--profile", "quick")
+    assert code == cli.EXIT_IDENTITY_FAILURE
+    assert "discrepancy: weight (1,1)|(1):" in out
 
 
 def test_count_command(capsys):

@@ -74,9 +74,3 @@ def test_bi_sym_func_coefficient():
     assert f.coefficient((2,), (1,)) == QTPoly.const(3)
     assert f.coefficient((1,), (2,)) == QTPoly.zero()
 
-
-def test_qtpoly_eval_t():
-    p = QTPoly({(0, 0): 1, (2, 1): 3, (1, 2): -2})
-    assert p.eval_t(0) == (Fraction(1),)
-    assert p.eval_t(1) == (Fraction(1), Fraction(-2), Fraction(3))
-    assert QTPoly.from_qpoly(p.eval_t(0)) == QTPoly({(0, 0): 1})

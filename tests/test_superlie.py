@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -25,6 +26,7 @@ from freelie.superlie import (
     super_witt_dim,
     thrall_sum_check,
 )
+from test_exactalg import fraction_rank
 
 
 def test_super_brandt_base_cases():
@@ -199,17 +201,89 @@ def test_schur_positivity_of_characters():
 
 
 def test_brute_force_examples():
-    assert brute_force_lie_dim(1, 1, 2, 2) == 4
-    assert brute_force_lie_dim(2, 0, 2, 0) == 1
-    assert brute_force_lie_dim(0, 2, 0, 2) == 3
-    assert brute_force_lie_dim(3, 2, 3, 3) == 486
+    assert brute_force_lie_dim(1, 1, 2, 2)[0] == 4
+    assert brute_force_lie_dim(2, 0, 2, 0)[0] == 1
+    assert brute_force_lie_dim(0, 2, 0, 2)[0] == 3
+    assert brute_force_lie_dim(3, 2, 3, 3)[0] == 486
+    # x1 x1 y1 in the (2, 1) piece at N = M = 2 is spanned by [[x1, y1], x1]
+    assert brute_force_lie_dim(2, 1, 2, 2)[1][((2,), (1,))] == 1
+
+
+def _fraction_left_normed(word, parities):
+    """[[...[w1, w2], ...], wn] in the tensor space, with Fraction
+    coefficients and [A, B] = AB - (-1)^(|A||B|) BA."""
+    tensor = {(word[0],): Fraction(1)}
+    parity = parities[word[0]]
+    for letter in word[1:]:
+        lp = parities[letter]
+        sign = -((-1) ** (parity * lp))
+        tensor = collect(
+            pair
+            for w, c in tensor.items()
+            for pair in ((w + (letter,), c), ((letter,) + w, sign * c))
+        )
+        parity = (parity + lp) % 2
+    return tensor
+
+
+def _words(n, m, N, M):
+    """Every word with n letters from the N even generators 0..N-1 and m from
+    the M odd generators N..N+M-1."""
+    evens, odds = range(N), range(N, N + M)
+    for odd_positions in combinations(range(n + m), m):
+        slots = [odds if i in odd_positions else evens for i in range(n + m)]
+        yield from product(*slots)
+
+
+def _all_words_rank(n, m, N, M):
+    """The oracle before weight blocks: the Fraction rank of the left-normed
+    bracket of every word of the bidegree."""
+    parities = [0] * N + [1] * M
+    return fraction_rank(_fraction_left_normed(w, parities) for w in _words(n, m, N, M))
+
+
+def test_weight_block_oracle_matches_all_words_oracle():
+    cases = [(t - m, m, N, M) for t in range(1, 6) for m in range(t + 1) for N in range(3) for M in range(3)]
+    for n, m, N, M in cases + [(3, 2, 3, 3)]:
+        assert brute_force_lie_dim(n, m, N, M)[0] == _all_words_rank(n, m, N, M), (n, m, N, M)
+
+
+def _block_letters(alpha, beta, N):
+    return [g for g, c in enumerate(alpha) for _ in range(c)] + [
+        N + g for g, c in enumerate(beta) for _ in range(c)
+    ]
+
+
+def test_fixed_first_letter_spans_each_weight_block():
+    for total in range(1, 6):
+        for m in range(total + 1):
+            n = total - m
+            for N in range(1, 4):
+                parities = [0] * N + [1] * N
+                for (alpha, beta), rank in brute_force_lie_dim(n, m, N, N)[1].items():
+                    words = set(permutations(_block_letters(alpha, beta, N)))
+                    full = fraction_rank(_fraction_left_normed(w, parities) for w in words)
+                    assert rank == full, (alpha, beta, N)
+
+
+def test_weight_block_ranks_match_character_coefficients():
+    for total in range(1, 7):
+        for m in range(total + 1):
+            n = total - m
+            for N in range(1, 4):
+                char = bi_expand_truncated(super_bi_brandt_char(n, m), N, N)
+                blocks = brute_force_lie_dim(n, m, N, N)[1]
+                assert blocks
+                for (alpha, beta), rank in blocks.items():
+                    weight = alpha + (0,) * (N - len(alpha)) + beta + (0,) * (N - len(beta))
+                    assert rank == char.coefficient(weight), (n, m, N, alpha, beta)
 
 
 def _all_bracketings(word, parities):
     """Every full bracketing of the word, each expanded into the tensor space
     as (tensor, parity) with [A, B] = AB - (-1)^(|A||B|) BA."""
     if len(word) == 1:
-        return [({word: Fraction(1)}, parities[word[0]])]
+        return [({word: 1}, parities[word[0]])]
     out = []
     for cut in range(1, len(word)):
         for left, lp in _all_bracketings(word[:cut], parities):
@@ -229,16 +303,11 @@ def _all_bracketings_rank(n, m, N):
     """Rank of every full bracketing of every word with n of the N even and
     m of the N odd generators: the oracle's span before the left-normed
     reduction."""
-    parities = {g: 0 for g in range(N)}
-    parities.update({N + g: 1 for g in range(N)})
-    evens, odds = range(N), range(N, 2 * N)
+    parities = [0] * N + [1] * N
     echelon = SparseEchelon()
-    for odd_positions in combinations(range(n + m), m):
-        slots = [odds if i in odd_positions else evens for i in range(n + m)]
-        for word in product(*slots):
-            for tensor, _ in _all_bracketings(word, parities):
-                if tensor:
-                    echelon.add(tensor)
+    for word in _words(n, m, N, N):
+        for tensor, _ in _all_bracketings(word, parities):
+            echelon.add(tensor)
     return echelon.rank
 
 
@@ -249,7 +318,7 @@ def test_left_normed_brackets_span_all_bracketings():
         for m in range(total + 1):
             n = total - m
             for N in range(1, 3):
-                assert brute_force_lie_dim(n, m, N, N) == _all_bracketings_rank(n, m, N), (n, m, N)
+                assert brute_force_lie_dim(n, m, N, N)[0] == _all_bracketings_rank(n, m, N), (n, m, N)
 
 
 def test_brute_force_matches_witt():
@@ -257,14 +326,22 @@ def test_brute_force_matches_witt():
         for m in range(total + 1):
             n = total - m
             for N in range(1, 3):
-                assert brute_force_lie_dim(n, m, N, N) == super_witt_dim(n, m, N)
+                assert brute_force_lie_dim(n, m, N, N)[0] == super_witt_dim(n, m, N)
 
 
 def test_brute_force_caps():
+    start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        brute_force_lie_dim(4, 3, 2, 2)
+        brute_force_lie_dim(5, 5, 3, 3)
+    assert time.perf_counter() - start < 1
     with pytest.raises(ResourceLimitError):
         brute_force_lie_dim(1, 1, 4, 4)
+
+
+def test_term_bound_admits_degree_seven_at_dimension_three():
+    # the largest of these, (4, 3, 3, 3), has 166,400 expansion terms
+    for m in range(8):
+        assert brute_force_lie_dim(7 - m, m, 3, 3)[0] == super_witt_dim(7 - m, m, 3)
 
 
 def test_tensor_degree_totals():
