@@ -200,7 +200,7 @@ def _bracket_oracle(n: int, m: int, N: int, expected: int) -> tuple[int, str | N
     rank, blocks = superlie.brute_force_lie_dim(n, m, N, N)
     char = symfunc.bi_expand_truncated(superlie.super_bi_brandt_char(n, m), N, N)
     for (alpha, beta), block_rank in blocks.items():
-        coeff = char.coefficient(alpha + (0,) * (N - len(alpha)) + beta + (0,) * (N - len(beta)))
+        coeff = char.coefficient(superlie.weight_exponents(alpha, beta, N, N))
         if block_rank != coeff:
             weight = f"{format_partition(alpha)}|{format_partition(beta)}"
             return rank, f"weight {weight}: rank {block_rank}, character coefficient {coeff}"

@@ -347,6 +347,12 @@ def _left_normed(word, parities) -> dict:
     return tensor
 
 
+def weight_exponents(alpha, beta, N: int, M: int) -> tuple:
+    """The exponent vector of x^alpha y^beta over N even and M odd
+    variables: alpha and beta each padded with zeros, then joined."""
+    return tuple(alpha) + (0,) * (N - len(alpha)) + tuple(beta) + (0,) * (M - len(beta))
+
+
 def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
     """Dimension of the span of all brackets of words with n even and m odd
     generators, inside the bidegree-(n, m) tensor space, by exact Gaussian
@@ -379,6 +385,14 @@ def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
     """
     if n < 0 or m < 0 or n + m <= 0:
         raise ValueError(f"need n + m > 0: ({n}, {m})")
+    # every word's bracket has 2^(n+m-1) terms, so a degree whose single
+    # word is over the budget is refused before its partitions are listed,
+    # even when it has no weight block at all
+    if n + m - 1 >= _BRUTE_TERM_BUDGET.bit_length():
+        raise ResourceLimitError(
+            f"the bracket oracle at ({n}, {m}, {N}, {M}) needs 2^{n + m - 1}"
+            f" expansion terms per word, more than {_BRUTE_TERM_BUDGET}"
+        )
     if N > _BRUTE_MAX_DIM or M > _BRUTE_MAX_DIM:
         raise ResourceLimitError(f"brute force capped at dimension {_BRUTE_MAX_DIM}")
     if N < 0 or M < 0:
@@ -391,7 +405,7 @@ def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
     for alpha in partitions_of(n):
         for beta in partitions_of(m):
             if len(alpha) <= N and len(beta) <= M:
-                rest = list(alpha) + [0] * (N - len(alpha)) + list(beta) + [0] * (M - len(beta))
+                rest = list(weight_exponents(alpha, beta, N, M))
                 rest[first] -= 1
                 blocks.append((alpha, beta, rest))
     terms = sum(_multinomial(rest) for _, _, rest in blocks) << (n + m - 1)

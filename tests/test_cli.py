@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -88,6 +89,15 @@ def test_dim_resource_exit_code(capsys):
     code, _, err = run(capsys, "dim", "5", "5", "3", "--oracle")
     assert code == cli.EXIT_RESOURCE
     assert "resource limit" in err
+
+
+def test_dim_oracle_refuses_high_degree_at_once(capsys):
+    for argv in (("100", "0", "1"), ("100", "0", "0"), ("0", "200", "2")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "dim", *argv, "--oracle")
+        assert time.perf_counter() - start < 1, argv
+        assert code == cli.EXIT_RESOURCE, argv
+        assert "resource limit" in err
 
 
 def test_oracle_names_mismatched_weight(capsys, monkeypatch):

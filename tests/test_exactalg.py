@@ -292,29 +292,6 @@ def test_sparse_echelon_rank():
     assert ech.rank == 2
 
 
-def fraction_rank(rows) -> int:
-    """Rank over Q by the Fraction elimination the integer echelon replaced:
-    each pivot row is scaled to a leading 1."""
-    pivots: dict = {}
-    for vector in rows:
-        row = {k: Fraction(v) for k, v in vector.items() if v != 0}
-        while row:
-            pivot = min(row)
-            basis_row = pivots.get(pivot)
-            if basis_row is None:
-                scale = row[pivot]
-                pivots[pivot] = {k: v / scale for k, v in row.items()}
-                break
-            factor = row[pivot]
-            for k, v in basis_row.items():
-                s = row.get(k, Fraction(0)) - factor * v
-                if s == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-    return len(pivots)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -322,7 +299,7 @@ def fraction_rank(rows) -> int:
         max_size=8,
     )
 )
-def test_integer_echelon_matches_fraction_echelon(rows):
+def test_integer_echelon_matches_fraction_echelon(fraction_rank, rows):
     ech = SparseEchelon()
     grew = [ech.add(row) for row in rows]
     assert ech.rank == fraction_rank(rows) == sum(grew)

@@ -25,8 +25,8 @@ from freelie.superlie import (
     super_lie_module_char,
     super_witt_dim,
     thrall_sum_check,
+    weight_exponents,
 )
-from test_exactalg import fraction_rank
 
 
 def test_super_brandt_base_cases():
@@ -235,17 +235,17 @@ def _words(n, m, N, M):
         yield from product(*slots)
 
 
-def _all_words_rank(n, m, N, M):
+def _all_words_rank(n, m, N, M, fraction_rank):
     """The oracle before weight blocks: the Fraction rank of the left-normed
     bracket of every word of the bidegree."""
     parities = [0] * N + [1] * M
     return fraction_rank(_fraction_left_normed(w, parities) for w in _words(n, m, N, M))
 
 
-def test_weight_block_oracle_matches_all_words_oracle():
+def test_weight_block_oracle_matches_all_words_oracle(fraction_rank):
     cases = [(t - m, m, N, M) for t in range(1, 6) for m in range(t + 1) for N in range(3) for M in range(3)]
     for n, m, N, M in cases + [(3, 2, 3, 3)]:
-        assert brute_force_lie_dim(n, m, N, M)[0] == _all_words_rank(n, m, N, M), (n, m, N, M)
+        assert brute_force_lie_dim(n, m, N, M)[0] == _all_words_rank(n, m, N, M, fraction_rank), (n, m, N, M)
 
 
 def _block_letters(alpha, beta, N):
@@ -254,7 +254,7 @@ def _block_letters(alpha, beta, N):
     ]
 
 
-def test_fixed_first_letter_spans_each_weight_block():
+def test_fixed_first_letter_spans_each_weight_block(fraction_rank):
     for total in range(1, 6):
         for m in range(total + 1):
             n = total - m
@@ -275,7 +275,7 @@ def test_weight_block_ranks_match_character_coefficients():
                 blocks = brute_force_lie_dim(n, m, N, N)[1]
                 assert blocks
                 for (alpha, beta), rank in blocks.items():
-                    weight = alpha + (0,) * (N - len(alpha)) + beta + (0,) * (N - len(beta))
+                    weight = weight_exponents(alpha, beta, N, N)
                     assert rank == char.coefficient(weight), (n, m, N, alpha, beta)
 
 
@@ -336,6 +336,14 @@ def test_brute_force_caps():
     assert time.perf_counter() - start < 1
     with pytest.raises(ResourceLimitError):
         brute_force_lie_dim(1, 1, 4, 4)
+    # a degree whose single word is over the budget is refused before its
+    # partitions are listed, with or without weight blocks
+    start = time.perf_counter()
+    for args in ((100, 0, 1, 1), (100, 0, 0, 0), (0, 200, 2, 2), (19, 0, 0, 0)):
+        with pytest.raises(ResourceLimitError):
+            brute_force_lie_dim(*args)
+    assert time.perf_counter() - start < 1
+    assert brute_force_lie_dim(18, 0, 0, 0) == (0, {})
 
 
 def test_term_bound_admits_degree_seven_at_dimension_three():
