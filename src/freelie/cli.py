@@ -19,11 +19,10 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import CheckReport, QTPoly, ResourceLimitError, collect, render_terms
+from .exactalg import CheckReport, QTPoly, Record, ResourceLimitError, collect, render_terms
 from .partition import format_partition, parse_partition, partitions_of
 from .specialization import DEFAULT_Q_CAP
 from .symfunc import SymFunc
@@ -39,15 +38,18 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """Envelope for one command invocation, serialized to JSON or text."""
 
-    command: str
-    parameters: dict
-    status: str
-    payload: dict = field(default_factory=dict)
-    elapsed_ms: int | None = None
+    __slots__ = ("command", "parameters", "status", "payload", "elapsed_ms")
+    __hash__ = None
+
+    def __init__(self, command: str, parameters: dict, status: str, payload: dict):
+        self.command = command
+        self.parameters = parameters
+        self.status = status
+        self.payload = payload
+        self.elapsed_ms = None  # set under --timing
 
     def to_json(self) -> dict:
         out = {

@@ -10,11 +10,10 @@ power of the generator, with the identity at k = r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .exactalg import CycloElem, ResourceLimitError, binom, divisors
+from .exactalg import CycloElem, Record, ResourceLimitError, binom, divisors
 from .partition import Partition, partitions_of
 from .symfunc import ClassFunctionSn, SymFunc
 
@@ -22,22 +21,21 @@ _INDUCE_ORACLE_MAX = 7
 _CHI_CYC_ORACLE_MAX = 16
 
 
-@dataclass(frozen=True)
-class CyclicClassFunction:
+class CyclicClassFunction(Record):
     """Values of a class function on C_r at generator powers k = 1..r."""
 
-    order: int
-    values: tuple[CycloElem, ...]
+    __slots__ = ("order", "values")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        vals = tuple(self.values)
-        if len(vals) != self.order:
-            raise ValueError(f"expected {self.order} values, got {len(vals)}")
-        if any(v.modulus != self.order for v in vals):
+    def __init__(self, order: int, values: tuple[CycloElem, ...]):
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        vals = tuple(values)
+        if len(vals) != order:
+            raise ValueError(f"expected {order} values, got {len(vals)}")
+        if any(v.modulus != order for v in vals):
             raise ValueError("all values must live modulo the group order")
-        object.__setattr__(self, "values", vals)
+        self.order = order
+        self.values = vals
 
     def at_power(self, k: int) -> CycloElem:
         """Value at the k-th power of the generator (k taken mod the order,

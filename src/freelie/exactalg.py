@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping, Sequence
 
 Rat = Fraction
 
@@ -39,20 +38,56 @@ class ResourceLimitError(Exception):
     """An enumeration or cap-limited operation was asked to exceed its budget."""
 
 
-@dataclass
-class CheckReport:
+class Record:
+    """A small record: equality, hash and repr read ``__slots__`` in order.
+
+    Each subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__``; a mutable record sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CheckReport(Record):
     """Outcome of one verification check, serializable to JSON.
 
     ``lhs``/``rhs`` carry printable renderings of the two computation routes;
     ``first_discrepancy`` is populated exactly when the check failed.
     """
 
-    check: str
-    parameters: dict
-    ok: bool
-    lhs: object = None
-    rhs: object = None
-    first_discrepancy: object = None
+    __slots__ = ("check", "parameters", "ok", "lhs", "rhs", "first_discrepancy")
+    __hash__ = None
+
+    def __init__(
+        self,
+        check: str,
+        parameters: dict,
+        ok: bool,
+        lhs: object = None,
+        rhs: object = None,
+        first_discrepancy: object = None,
+    ):
+        self.check = check
+        self.parameters = parameters
+        self.ok = ok
+        self.lhs = lhs
+        self.rhs = rhs
+        self.first_discrepancy = first_discrepancy
 
     @property
     def status(self) -> str:
@@ -628,8 +663,7 @@ def q_pochhammer(n: int) -> QTPoly:
 # cyclotomic quotient rings
 
 
-@dataclass(frozen=True)
-class CycloElem:
+class CycloElem(Record):
     """Element of Q[q]/(Phi_d(q)): exact arithmetic with d-th roots of unity.
 
     The representative is a trimmed dense polynomial of degree < phi(d).
@@ -637,14 +671,15 @@ class CycloElem:
     constant exactly when its representative has degree 0.
     """
 
-    modulus: int
-    rep: QPoly
+    __slots__ = ("modulus", "rep")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if len(self.rep) > euler_phi(self.modulus):
+    def __init__(self, modulus: int, rep: QPoly):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if len(rep) > euler_phi(modulus):
             raise ValueError("representative not reduced")
+        self.modulus = modulus
+        self.rep = rep
 
     @classmethod
     def from_rational(cls, d: int, value: RatLike) -> CycloElem:

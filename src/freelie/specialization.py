@@ -13,9 +13,9 @@ top of cyclotomic arithmetic so the two can be checked against each other.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
 
 from .exactalg import (
     CheckReport,

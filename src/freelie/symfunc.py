@@ -21,11 +21,11 @@ p_d(-y) = (-1)^d p_d(y), so the two-alphabet term map stays a true basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
-from .exactalg import MultiPoly, QTPoly, RatLike, TermMap, collect, render_terms
+from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect, render_terms
 from .partition import (
     Partition,
     check_partition,
@@ -180,20 +180,19 @@ class BiSymFunc(SymTerms):
         return f"BiSymFunc({self})"
 
 
-@dataclass(frozen=True)
-class ClassFunctionSn:
+class ClassFunctionSn(Record):
     """A class function on the symmetric group: one rational value per cycle type."""
 
-    n: int
-    values: Mapping[Partition, Fraction]
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        vals = {check_partition(mu): Fraction(v) for mu, v in self.values.items()}
-        expected = set(partitions_of(self.n))
+    def __init__(self, n: int, values: Mapping[Partition, RatLike]):
+        vals = {check_partition(mu): Fraction(v) for mu, v in values.items()}
+        expected = set(partitions_of(n))
         if set(vals) != expected:
             missing = sorted(expected - set(vals))
             raise ValueError(f"class function must cover all cycle types; missing {missing}")
-        object.__setattr__(self, "values", vals)
+        self.n = n
+        self.values = vals
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +246,47 @@ def clear_character_cache() -> None:
     _character_cache.clear()
 
 
+def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
+    """Replace every power sum by its Schur expansion, one alphabet at a time.
+
+    ``terms`` maps tuples (mu_1, ..., mu_k) of canonical partitions to the
+    coefficient of p_{mu_1}(x_1) ... p_{mu_k}(x_k); the result maps tuples
+    (lambda_1, ..., lambda_k) to the nonzero coefficients of
+    s_{lambda_1}(x_1) ... s_{lambda_k}(x_k), using
+    p_mu = sum over lambda of chi^lambda(mu) s_lambda.  Coefficients are
+    cleared to integer numerators over one common denominator, and slot j
+    is replaced only after the terms that agree on slots up to j have merged.
+    """
+    den = math.lcm(*(c.denominator for poly in terms.values() for c in poly._terms.values()))
+    # one integer numerator per (q,t exponent, mu_1, ..., mu_k)
+    layer = {
+        (e, *key): c.numerator * (den // c.denominator)
+        for key, poly in terms.items()
+        for e, c in poly._terms.items()
+    }
+    width = len(next(iter(terms), ()))  # alphabets per key
+    for slot in range(1, width + 1):
+        merged: dict = {}
+        columns: dict = {}  # mu -> the nonzero (lambda, chi^lambda(mu))
+        for key, v in layer.items():
+            mu = key[slot]
+            column = columns.get(mu)
+            if column is None:
+                column = columns[mu] = [
+                    (lam, chi) for lam in partitions_of(sum(mu)) if (chi := _mn(lam, mu))
+                ]
+            head, tail = key[:slot], key[slot + 1 :]
+            for lam, chi in column:
+                k = head + (lam,) + tail
+                merged[k] = merged.get(k, 0) + chi * v
+        layer = {key: v for key, v in merged.items() if v}
+    coeffs: dict = {}
+    for key, v in layer.items():
+        coeffs.setdefault(key[1:], {})[key[0]] = Fraction(v, den)
+    zero = QTPoly.zero()
+    return {key: zero._with(poly) for key, poly in coeffs.items()}
+
+
 # ---------------------------------------------------------------------------
 # basis conversions
 
@@ -277,14 +317,8 @@ def p_to_s(f: SymFunc) -> SymFunc:
     """Exact change of basis via the character table; inverse of s_to_p."""
     if f.basis != "p":
         raise ValueError(f"p_to_s expects the p basis, got {f.basis}")
-    return f._with(
-        collect(
-            (lam, c * mn_character(lam, mu))
-            for mu, c in f.terms.items()
-            for lam in partitions_of(sum(mu))
-        ),
-        basis="s",
-    )
+    s_terms = _character_transform({(mu,): c for mu, c in f.terms.items()})
+    return f._with({lam: c for (lam,), c in s_terms.items()}, basis="s")
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +418,7 @@ def expand_truncated(
 # Schur expansion reporting
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(Record):
     """Schur coefficients of a symmetric function, plus an integrality flag.
 
     ``is_nonneg_integral`` records whether every coefficient is a polynomial
@@ -394,8 +427,11 @@ class SchurExpansion:
     an error by itself.
     """
 
-    coefficients: dict[Partition, QTPoly]
-    is_nonneg_integral: bool
+    __slots__ = ("coefficients", "is_nonneg_integral")
+
+    def __init__(self, coefficients: dict[Partition, QTPoly], is_nonneg_integral: bool):
+        self.coefficients = coefficients
+        self.is_nonneg_integral = is_nonneg_integral
 
     def items(self):
         return sorted(self.coefficients.items(), key=lambda kv: _partition_sort_key(kv[0]))
@@ -451,15 +487,8 @@ def bi_expand_truncated(f: BiSymFunc, N: int, M: int, cap: int | None = None) ->
 
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
     """Expansion in products s_alpha(x) s_beta(y), via the character table on
-    each alphabet independently."""
-    return collect(
-        ((alpha, beta), c * (chi_a * chi_b))
-        for (lam, mu), c in f.terms.items()
-        for alpha in partitions_of(sum(lam))
-        if (chi_a := mn_character(alpha, lam))
-        for beta in partitions_of(sum(mu))
-        if (chi_b := mn_character(beta, mu))
-    )
+    each alphabet in turn."""
+    return _character_transform(f.terms)
 
 
 # ---------------------------------------------------------------------------

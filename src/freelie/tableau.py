@@ -13,10 +13,9 @@ i is a descent of T when i+1 sits in a strictly lower row than i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactalg import QTPoly, ResourceLimitError, collect
+from .exactalg import QTPoly, Record, ResourceLimitError, collect
 from .partition import Partition, cells, check_partition, hook_length
 
 # The signed-tableau DP refuses, before it starts, a shape whose bound on
@@ -46,11 +45,16 @@ class StandardTableau:
             for c in range(len(lower)):
                 if self.rows[r][c] >= lower[c]:
                     raise ValueError(f"columns must strictly increase: {self.rows}")
-        row_of = {}
-        for r, row in enumerate(self.rows, start=1):
-            for e in row:
-                row_of[e] = r
-        self._row_of = row_of
+        self._row_of = {e: r for r, row in enumerate(self.rows, start=1) for e in row}
+
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...], shape: Partition) -> StandardTableau:
+        """A tableau from rows already known to be standard of the given shape."""
+        t = object.__new__(cls)
+        t.rows = rows
+        t.shape = shape
+        t._row_of = {e: r for r, row in enumerate(rows, start=1) for e in row}
+        return t
 
     @property
     def n(self) -> int:
@@ -80,18 +84,18 @@ class StandardTableau:
         return f"StandardTableau({self.render()!r})"
 
 
-@dataclass(frozen=True)
-class SuperTableau:
+class SuperTableau(Record):
     """A standard tableau plus the set of entries carrying a bar."""
 
-    plus_part: StandardTableau
-    neg: frozenset[int]
+    __slots__ = ("plus_part", "neg")
 
-    def __post_init__(self):
-        n = self.plus_part.n
-        object.__setattr__(self, "neg", frozenset(int(i) for i in self.neg))
-        if any(i < 1 or i > n for i in self.neg):
-            raise ValueError(f"negated entries must lie in 1..{n}: {sorted(self.neg)}")
+    def __init__(self, plus_part: StandardTableau, neg: frozenset[int]):
+        n = plus_part.n
+        neg = frozenset(int(i) for i in neg)
+        if any(i < 1 or i > n for i in neg):
+            raise ValueError(f"negated entries must lie in 1..{n}: {sorted(neg)}")
+        self.plus_part = plus_part
+        self.neg = neg
 
     def render(self) -> str:
         return "/".join(
@@ -142,7 +146,7 @@ def syt_enumerate(lam: Partition) -> list[StandardTableau]:
 
     def place(entry: int) -> None:
         if entry > n:
-            out.append(StandardTableau([tuple(row) for row in rows]))
+            out.append(StandardTableau._unchecked(tuple(map(tuple, rows)), lam))
             return
         for r in range(len(lam)):
             if fill[r] < lam[r] and (r == 0 or fill[r - 1] > fill[r]):

@@ -240,6 +240,22 @@ def test_closed_stdout_keeps_exit_code():
     assert proc.stderr == b""
 
 
+def test_cli_import_leaves_out_heavy_modules():
+    # a one-shot query pays for every module the import loads; these come in
+    # only through dataclasses and typing
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    code = f"import sys, freelie.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_repeated_matrix_cell_is_usage_error(capsys):
     code, _, err = run(capsys, "char", "higher", "--matrix", "[[1,0,1],[1,0,2]]")
     assert code == cli.EXIT_USAGE

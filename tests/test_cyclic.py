@@ -77,6 +77,17 @@ def test_pointwise_product():
         pointwise_product(chi_power(2, 1), chi_power(3, 1))
 
 
+def test_cyclic_class_function_rejects_bad_values():
+    one = CycloElem.from_rational(3, 1)
+    assert CyclicClassFunction(3, [one] * 3).values == (one,) * 3
+    with pytest.raises(ValueError):
+        CyclicClassFunction(3, (one, one))  # wrong length
+    with pytest.raises(ValueError):
+        CyclicClassFunction(2, (CycloElem.from_rational(3, 1),) * 2)  # wrong modulus
+    with pytest.raises(ValueError):
+        CyclicClassFunction(0, ())
+
+
 def test_induce_frobenius_small():
     assert induce_frobenius(chi_power(2, 1)) == SymFunc(
         "p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}

@@ -164,6 +164,23 @@ def test_cyclo_modulus_mismatch():
         CycloElem.from_rational(2, 1) + CycloElem.from_rational(3, 1)
 
 
+def test_cyclo_elem_is_a_value():
+    w = CycloElem.root_power(6, 1)
+    assert w * w * w == CycloElem.from_rational(6, -1)
+    assert hash(CycloElem.root_power(6, 7)) == hash(w)
+    assert len({w, CycloElem.root_power(6, 7), CycloElem.root_power(3, 1)}) == 2
+    assert {w: "omega"}[CycloElem(6, qpoly([0, 1]))] == "omega"
+    assert CycloElem.root_power(3, 1) != CycloElem.root_power(6, 1)
+    assert repr(w) == f"CycloElem(modulus=6, rep={w.rep!r})"
+
+
+def test_cyclo_elem_rejects_bad_input():
+    with pytest.raises(ValueError):
+        CycloElem(0, ())
+    with pytest.raises(ValueError):
+        CycloElem(4, qpoly([1, 2, 3]))  # phi(4) = 2, so degree 2 is not reduced
+
+
 # -- dense division
 
 def test_qpoly_divmod_roundtrip():

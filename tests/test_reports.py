@@ -3,9 +3,21 @@ and discrepancy-reporting paths that the true identities never reach."""
 
 from fractions import Fraction
 
+import pytest
+
 from freelie.exactalg import CheckReport, QTPoly
 from freelie.specialization import SpecSeries, sym1_check, symmetry_counts
 from freelie.symfunc import SymFunc
+
+
+def test_check_report_is_mutable_and_unhashable():
+    report = CheckReport("demo", {"n": 1}, True)
+    assert report == CheckReport("demo", {"n": 1}, True)
+    assert report != CheckReport("demo", {"n": 1}, True, lhs="a")
+    report.ok = False
+    assert report.status == "fail"
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_check_report_serialization():

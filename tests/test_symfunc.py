@@ -326,6 +326,71 @@ def test_bi_schur_expand_of_p11():
     assert expansion == {((1,), (1,)): QTPoly.one()}
 
 
+# -- the integer character transform against the per-pair loops it replaced
+
+def _p_to_s_reference(f):
+    out = {}
+    for mu, c in f.terms.items():
+        for lam in partitions_of(sum(mu)):
+            out[lam] = out.get(lam, QTPoly.zero()) + c * mn_character(lam, mu)
+    return SymFunc("s", out)
+
+
+def _bi_schur_reference(f):
+    out = {}
+    for (lam, mu), c in f.terms.items():
+        for alpha in partitions_of(sum(lam)):
+            for beta in partitions_of(sum(mu)):
+                chi = mn_character(alpha, lam) * mn_character(beta, mu)
+                out[(alpha, beta)] = out.get((alpha, beta), QTPoly.zero()) + c * chi
+    return {key: c for key, c in out.items() if c}
+
+
+def test_p_to_s_matches_per_pair_loop():
+    for n in range(8):
+        for lam in partitions_of(n):
+            assert p_to_s(p(*lam)) == _p_to_s_reference(p(*lam)), lam
+    # every p_lambda with |lambda| <= 5 at once, with q,t coefficients over
+    # several denominators, so the common denominator and cancellations matter
+    mixed = SymFunc(
+        "p",
+        {
+            lam: QTPoly({(0, 0): Fraction(1, z_lambda(lam)), (len(lam), 1): Fraction(-len(lam), 3)})
+            for n in range(6)
+            for lam in partitions_of(n)
+        },
+    )
+    assert p_to_s(mixed) == _p_to_s_reference(mixed)
+    assert p_to_s(SymFunc.zero("p")) == SymFunc.zero("s")
+    assert p_to_s(SymFunc.one("p")) == SymFunc.one("s")
+
+
+def test_bi_schur_expand_matches_per_pair_loop():
+    from freelie.superlie import enumerate_bidegree_matrices, super_lie_module_char
+
+    for total in range(7):
+        for a in range(total + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(total - a):
+                    f = BiSymFunc.term(lam, mu)
+                    assert bi_schur_expand(f) == _bi_schur_reference(f), (lam, mu)
+    fractional = 0
+    for total in range(1, 7):
+        for n in range(total + 1):
+            for matrix in enumerate_bidegree_matrices(n, total - n):
+                f = super_lie_module_char(matrix)
+                fractional += any(
+                    c.denominator > 1 for coeff in f.terms.values() for _, c in coeff.items()
+                )
+                assert bi_schur_expand(f) == _bi_schur_reference(f), matrix.entries
+    assert fractional
+    assert bi_schur_expand(BiSymFunc.zero()) == {}
+    assert bi_schur_expand(BiSymFunc.one()) == {((), ()): QTPoly.one()}
+    assert bi_schur_expand(BiSymFunc.term((), (), Fraction(-2, 3))) == {
+        ((), ()): QTPoly.const(Fraction(-2, 3))
+    }
+
+
 # -- serialization
 
 def test_sym_json_roundtrip():

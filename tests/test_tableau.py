@@ -51,6 +51,19 @@ def test_syt_counts_against_hook_formula():
             assert len(syt_enumerate(lam)) == syt_count(lam)
 
 
+def test_syt_enumerate_builds_valid_tableaux():
+    for n in range(9):
+        for lam in partitions_of(n):
+            tableaux = syt_enumerate(lam)
+            assert len(tableaux) == syt_count(lam)
+            for t in tableaux:
+                checked = StandardTableau(t.rows)
+                assert t == checked and t.shape == checked.shape == lam
+                assert [t.row_of(e) for e in range(1, n + 1)] == [
+                    checked.row_of(e) for e in range(1, n + 1)
+                ]
+
+
 def test_syt_enumerate_entries_valid():
     for lam in ((3, 2), (2, 2, 1)):
         tableaux = syt_enumerate(lam)
@@ -79,6 +92,18 @@ def test_super_descent_worked_example():
     assert super_descent_set(st_) == {2, 3, 4}
     assert super_maj(st_) == 9
     assert negg(st_) == 3
+
+
+def test_super_tableau_is_a_value():
+    a = SuperTableau(EXAMPLE, frozenset({2, 3, 7}))
+    b = SuperTableau.parse(a.render())
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert len({a, b, SuperTableau(EXAMPLE, frozenset({2}))}) == 2
+    assert SuperTableau(EXAMPLE, [2, 3, 7]).neg == frozenset({2, 3, 7})
+    for bad in ({0}, {8}, {-1}):
+        with pytest.raises(ValueError):
+            SuperTableau(EXAMPLE, frozenset(bad))
 
 
 def test_super_descent_reductions():
