@@ -159,13 +159,13 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
             base += part
         return tuple(out)
 
-    everyone = list(permutations(range(r)))
+    everyone = [(x, _inverse(x)) for x in permutations(range(r))]
     values: dict[Partition, Fraction] = {}
     for mu in partitions_of(r):
         sigma = representative(mu)
         acc = CycloElem.from_rational(r, 0)
-        for x in everyone:
-            conj = _compose(_compose(_inverse(x), sigma), x)
+        for x, xinv in everyone:
+            conj = tuple(xinv[sigma[y]] for y in x)  # x^-1 sigma x
             k = power_of.get(conj)
             if k is not None:
                 acc = acc + chi.at_power(k)

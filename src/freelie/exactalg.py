@@ -9,7 +9,7 @@ floating point appears anywhere in the package.  This module provides
   the package is a thin subclass of it,
 * sparse two-variable polynomials in q and t (:class:`QTPoly`),
 * dense univariate q-polynomials as trimmed coefficient tuples (constant term
-  first), with exact division,
+  first), and subtract-only division by monic integer polynomials,
 * cyclotomic polynomials and the quotient rings Q[q]/(Phi_d(q))
   (:class:`CycloElem`), used for exact root-of-unity sums,
 * truncated multivariate polynomials over two alphabets (:class:`MultiPoly`),
@@ -208,50 +208,26 @@ def qpoly_mul(a: QPoly, b: QPoly) -> QPoly:
     return qpoly(out)
 
 
-def qpoly_divmod(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Exact long division over Q; returns (quotient, remainder)."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
+def monic_divmod(num: Sequence[RatLike], den: Sequence[int]) -> tuple[list, list]:
+    """Divide by a monic integer polynomial, constant terms first, by
+    subtraction alone; returns (quotient, remainder) as lists, the remainder
+    of length at most deg(den).  No division happens, so integer input gives
+    integer output."""
     dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
+    if dd < 0 or den[-1] != 1:
+        raise ValueError(f"divisor must be monic: {tuple(den)}")
+    rem = list(num)
+    quot = [0] * max(len(rem) - dd, 0)
+    low = den[:-1]
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        quot[i - dd] = f
-        for j, cd in enumerate(den):
-            rem[i - dd + j] -= f * cd
-    return qpoly(quot), qpoly(rem)
-
-
-def qpoly_exact_div(num: QPoly, den: QPoly) -> QPoly:
-    quot, rem = qpoly_divmod(num, den)
-    if rem:
-        raise ExactDivisionError("polynomial division left a remainder")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(d: int) -> tuple[int, ...]:
-    """The d-th cyclotomic polynomial Phi_d(q), with integer coefficients.
-
-    Computed by exactly dividing q^d - 1 by the product of all Phi_e with
-    e | d, e < d.
-    """
-    if d < 1:
-        raise ValueError(f"cyclotomic_poly requires d >= 1, got {d}")
-    num = qpoly([-1] + [0] * (d - 1) + [1])
-    den: QPoly = qpoly([1])
-    for e in divisors(d):
-        if e < d:
-            den = qpoly_mul(den, qpoly(cyclotomic_poly(e)))
-    quot = qpoly_exact_div(num, den)
-    if any(c.denominator != 1 for c in quot):
-        raise ExactDivisionError(f"cyclotomic polynomial {d} not integral: {quot}")
-    return tuple(int(c) for c in quot)
+        if c:
+            base = i - dd
+            quot[base] = c
+            for j, cd in enumerate(low):
+                if cd:
+                    rem[base + j] -= c * cd
+    return quot, rem[:dd]
 
 
 def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -261,6 +237,25 @@ def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
     return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(d: int) -> tuple[int, ...]:
+    """The d-th cyclotomic polynomial Phi_d(q), with integer coefficients.
+
+    Computed by dividing q^d - 1 by the monic product of all Phi_e with
+    e | d, e < d; a nonzero remainder raises ExactDivisionError.
+    """
+    if d < 1:
+        raise ValueError(f"cyclotomic_poly requires d >= 1, got {d}")
+    den = [1]
+    for e in divisors(d):
+        if e < d:
+            den = _int_poly_mul(den, cyclotomic_poly(e))
+    quot, rem = monic_divmod([-1] + [0] * (d - 1) + [1], den)
+    if any(rem):
+        raise ExactDivisionError(f"q^{d} - 1 left remainder {rem}")
+    return tuple(quot)
 
 
 def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
@@ -395,6 +390,11 @@ class TermMap:
         return key
 
     # -- inspection
+
+    @property
+    def terms(self) -> dict:
+        """The term map itself, unordered; read-only by convention."""
+        return self._terms
 
     def items(self) -> list:
         """Terms in the canonical order of the container."""
@@ -568,7 +568,7 @@ class QTPoly(TermMap):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QTPoly.const(other)
+            return self._terms == ({(0, 0): other} if other else {})
         return TermMap.__eq__(self, other)
 
     __hash__ = TermMap.__hash__
@@ -692,7 +692,8 @@ class CycloElem(Record):
 
     def __add__(self, other: CycloElem) -> CycloElem:
         self._check(other)
-        return cyclo_reduce(qpoly_add(self.rep, other.rep), self.modulus)
+        # two reduced representatives sum to a reduced one
+        return CycloElem(self.modulus, qpoly_add(self.rep, other.rep))
 
     def __mul__(self, other: CycloElem | RatLike) -> CycloElem:
         if isinstance(other, (int, Fraction)):
@@ -729,12 +730,14 @@ class CycloElem(Record):
 
 
 def cyclo_reduce(p: QPoly | Iterable[RatLike], d: int) -> CycloElem:
-    """Reduce a q-polynomial modulo Phi_d(q), i.e. evaluate it at omega_d."""
+    """Reduce a q-polynomial modulo Phi_d(q), i.e. evaluate it at omega_d.
+
+    Phi_d is monic, so the reduction only subtracts multiples of it; the
+    coefficients keep their type until the remainder is made a CycloElem."""
     if d < 1:
         raise ValueError(f"cyclo_reduce requires d >= 1, got {d}")
-    dense = qpoly(p)
-    _, rem = qpoly_divmod(dense, qpoly(cyclotomic_poly(d)))
-    return CycloElem(d, rem)
+    _, rem = monic_divmod(p, cyclotomic_poly(d))
+    return CycloElem(d, qpoly(rem))
 
 
 # ---------------------------------------------------------------------------

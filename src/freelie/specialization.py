@@ -389,9 +389,11 @@ def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
     def average(c: QTPoly) -> QTPoly:
         pairs = []
         for (a, b), v in c.items():
-            total = CycloElem.from_rational(r, 0)
+            # sum over k of q^(k(a - s) mod r), reduced once modulo Phi_r
+            powers = [0] * r
             for k in range(1, r + 1):
-                total = total + CycloElem.root_power(r, k * (a - s))
+                powers[k * (a - s) % r] += 1
+            total = cyclo_reduce(powers, r)
             pairs.append(((0, b), total.rational_value() * v / r))
         return QTPoly(collect(pairs))
 
@@ -453,7 +455,7 @@ def symmetry_counts(
         raise ValueError(f"r_total must be >= 1, got {r_total}")
     poly = maj_neg_generating_poly(lam, budget)
     counts = {s: 0 for s in range(r_total)}
-    for (a, b), c in poly.items():
+    for (a, b), c in poly.terms.items():  # summing needs no term order
         if b == m:
             counts[a % r_total] += int(c)
     return counts

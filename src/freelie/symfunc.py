@@ -61,11 +61,6 @@ class SymTerms(TermMap):
     __slots__ = ()
     _zero = QTPoly.zero()
 
-    @property
-    def terms(self) -> dict:
-        """The term map itself; read-only by convention."""
-        return self._terms
-
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> SymTerms:
         return self._with({k: v for k, c in self._terms.items() if (v := fn(c))})
 
@@ -257,12 +252,12 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
     cleared to integer numerators over one common denominator, and slot j
     is replaced only after the terms that agree on slots up to j have merged.
     """
-    den = math.lcm(*(c.denominator for poly in terms.values() for c in poly._terms.values()))
+    den = math.lcm(*(c.denominator for poly in terms.values() for c in poly.terms.values()))
     # one integer numerator per (q,t exponent, mu_1, ..., mu_k)
     layer = {
         (e, *key): c.numerator * (den // c.denominator)
         for key, poly in terms.items()
-        for e, c in poly._terms.items()
+        for e, c in poly.terms.items()
     }
     width = len(next(iter(terms), ()))  # alphabets per key
     for slot in range(1, width + 1):

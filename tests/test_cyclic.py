@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -123,6 +124,51 @@ def test_induce_oracle_matches_shortcut():
         for k0 in range(1, r + 1):
             chi = chi_power(r, k0)
             assert frobenius_characteristic(induce_oracle(chi)) == induce_frobenius(chi)
+
+
+def _induce_by_three_tuple_conjugation(chi):
+    """Reference induced character: x^-1 sigma x built by composing the
+    inverse of x, sigma and x as three separate tuples."""
+    r = chi.order
+
+    def compose(a, b):
+        return tuple(a[b[x]] for x in range(len(a)))
+
+    def inverse(a):
+        out = [0] * len(a)
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    generator = tuple((i + 1) % r for i in range(r))
+    power_of = {}
+    g = generator
+    for k in range(1, r + 1):
+        power_of[g] = k
+        g = compose(generator, g)
+    values = {}
+    for mu in partitions_of(r):
+        sigma, base = [], 0
+        for part in mu:
+            sigma.extend(base + (i + 1) % part for i in range(part))
+            base += part
+        sigma = tuple(sigma)
+        acc = CycloElem.from_rational(r, 0)
+        for x in permutations(range(r)):
+            k = power_of.get(compose(compose(inverse(x), sigma), x))
+            if k is not None:
+                acc = acc + chi.at_power(k)
+        values[mu] = acc.rational_value() / r
+    return values
+
+
+def test_induce_oracle_matches_three_tuple_conjugation():
+    for r in range(1, 6):
+        characters = [chi_power(r, k0) for k0 in range(r)]
+        characters += [chi_cyc(n, r - n) for n in range(r + 1)]
+        characters += [pointwise_product(chi_cyc(n, r - n), chi_power(r, 1)) for n in range(r + 1)]
+        for chi in characters:
+            assert induce_oracle(chi).values == _induce_by_three_tuple_conjugation(chi), (r, chi)
 
 
 def test_induce_oracle_cap():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,13 @@ from freelie.exactalg import (
     divisors,
     euler_phi,
     mobius,
+    monic_divmod,
     q_factorial,
     q_int,
     q_pochhammer,
     q_pochhammer_quotient,
     qpoly,
-    qpoly_divmod,
-    qpoly_exact_div,
+    qpoly_add,
     qpoly_mul,
 )
 from freelie.specialization import SpecSeries
@@ -74,7 +75,7 @@ def test_cyclotomic_six():
 
 def test_cyclotomic_product_oracle():
     # prod over d | n of Phi_d(q) = q^n - 1
-    for n in range(1, 31):
+    for n in range(1, 61):
         prod = qpoly([1])
         for d in divisors(n):
             prod = qpoly_mul(prod, qpoly(cyclotomic_poly(d)))
@@ -181,25 +182,80 @@ def test_cyclo_elem_rejects_bad_input():
         CycloElem(4, qpoly([1, 2, 3]))  # phi(4) = 2, so degree 2 is not reduced
 
 
+def _random_poly(rng, degree, fractions):
+    if fractions:
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)]
+    return [rng.randint(-9, 9) for _ in range(degree + 1)]
+
+
+def _padded_sum(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return qpoly(out)
+
+
+def test_cyclo_reduce_matches_long_division(qpoly_divmod):
+    rng = random.Random(14)
+    for d in range(1, 31):
+        phi = qpoly(cyclotomic_poly(d))
+        for fractions in (False, True):
+            for _ in range(4):
+                p = _random_poly(rng, rng.randint(0, 3 * d), fractions)
+                _, rem = qpoly_divmod(qpoly(p), phi)
+                assert cyclo_reduce(p, d).rep == rem, (d, p)
+                assert cyclo_reduce(qpoly(p), d).rep == rem, (d, p)
+
+
+def test_monic_division_keeps_integers():
+    rng = random.Random(15)
+    for d in range(1, 31):
+        p = _random_poly(rng, 3 * d, False)
+        quot, rem = monic_divmod(p, cyclotomic_poly(d))
+        assert all(type(c) is int for c in quot + rem)
+        assert len(rem) <= euler_phi(d)
+        recon = _padded_sum(qpoly_mul(qpoly(quot), qpoly(cyclotomic_poly(d))), qpoly(rem))
+        assert recon == qpoly(p)
+
+
+def test_cyclo_sum_needs_no_reduction():
+    rng = random.Random(16)
+    for d in range(1, 31):
+        for _ in range(4):
+            p1 = _random_poly(rng, rng.randint(0, 2 * d), rng.random() < 0.5)
+            p2 = _random_poly(rng, rng.randint(0, 2 * d), rng.random() < 0.5)
+            a, b = cyclo_reduce(p1, d), cyclo_reduce(p2, d)
+            assert a + b == cyclo_reduce(qpoly_add(a.rep, b.rep), d)
+            assert a + b == cyclo_reduce(qpoly_add(qpoly(p1), qpoly(p2)), d)
+            assert a - b == cyclo_reduce(qpoly_add(a.rep, qpoly(-c for c in b.rep)), d)
+
+
 # -- dense division
 
-def test_qpoly_divmod_roundtrip():
+def test_qpoly_divmod_roundtrip(qpoly_divmod):
     num = qpoly([1, 2, 0, -1, 5])
     den = qpoly([1, 1])
     quot, rem = qpoly_divmod(num, den)
     assert len(rem) < len(den)
-    recon = qpoly_mul(quot, den)
-    padded = [Fraction(0)] * max(len(recon), len(rem))
-    for i, c in enumerate(recon):
-        padded[i] += c
-    for i, c in enumerate(rem):
-        padded[i] += c
-    assert qpoly(padded) == num
+    assert _padded_sum(qpoly_mul(quot, den), rem) == num
+    # the subtract-only route agrees on a monic divisor
+    quot2, rem2 = monic_divmod([1, 2, 0, -1, 5], [1, 1])
+    assert (qpoly(quot2), qpoly(rem2)) == (quot, rem)
 
 
-def test_exact_division_raises_on_remainder():
+def test_exact_division_raises_on_remainder(qpoly_exact_div):
     with pytest.raises(ExactDivisionError):
         qpoly_exact_div(qpoly([1, 1, 1]), qpoly([1, 1]))
+    assert monic_divmod([1, 1, 1], [1, 1]) == ([0, 1], [1])
+
+
+def test_monic_division_rejects_non_monic_divisor():
+    with pytest.raises(ValueError):
+        monic_divmod([1, 2, 3], [1, 2])
+    with pytest.raises(ValueError):
+        monic_divmod([1, 2, 3], [])
 
 
 # -- ring axioms, once for every TermMap subclass
@@ -259,6 +315,19 @@ def test_qtpoly_json_roundtrip():
 def test_qtpoly_rendering():
     assert str(QTPoly({(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 1): 1})) == "1 + t + q*t + q*t^2"
     assert str(QTPoly.zero()) == "0"
+
+
+def test_qtpoly_scalar_compare_builds_no_polynomial(monkeypatch):
+    values = [QTPoly.zero(), QTPoly.one(), QTPoly.const(-1), QTPoly.const(Fraction(1, 2)),
+              QTPoly.q(), QTPoly({(0, 0): 1, (1, 0): 1})]
+    scalars = [0, 1, -1, Fraction(1, 2), Fraction(2), True]
+    # the reference: equality with the constant polynomial of the scalar
+    expected = [[p == QTPoly.const(c) for c in scalars] for p in values]
+    monkeypatch.setattr(QTPoly, "__init__", None)
+    assert [[p == c for c in scalars] for p in values] == expected
+    assert [[p != c for c in scalars] for p in values] == [[not e for e in row] for row in expected]
+    assert expected[0][0] and expected[1][1] and expected[1][5] and expected[3][3]
+    assert not any(expected[4]) and not any(expected[5])
 
 
 # -- MultiPoly

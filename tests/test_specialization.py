@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 
 from freelie.exactalg import (
+    CycloElem,
     MultiPoly,
     QTPoly,
     q_factorial,
     q_int,
     q_pochhammer,
     qpoly,
-    qpoly_exact_div,
     qpoly_mul,
 )
 from freelie.partition import cells, hook_length, partitions_of, z_lambda
@@ -184,7 +184,7 @@ def test_hook_formula_sweep():
             assert maj_neg_generating_poly(lam) == hook_product(lam), lam
 
 
-def _hook_product_by_division(lam):
+def _hook_product_by_division(lam, qpoly_exact_div):
     """Reference: [n]_q! times the cell factors, each t-slice divided by
     prod [hook]_q with Fraction long division."""
     num = q_factorial(sum(lam))
@@ -196,7 +196,7 @@ def _hook_product_by_division(lam):
     return QTPoly.from_t_slices({b: qpoly_exact_div(s, den) for b, s in num.t_slices().items()})
 
 
-def _pi_lambda_by_division(lam):
+def _pi_lambda_by_division(lam, qpoly_exact_div):
     """Reference: (q;q)_n / prod (1 - q^part) by Fraction long division."""
     den = qpoly([1])
     for part in lam:
@@ -204,11 +204,11 @@ def _pi_lambda_by_division(lam):
     return qpoly_exact_div(q_pochhammer(sum(lam)).t_slices()[0], den)
 
 
-def test_division_free_quotients_match_long_division():
+def test_division_free_quotients_match_long_division(qpoly_exact_div):
     for n in range(1, 11):
         for lam in partitions_of(n):
-            assert hook_product(lam) == _hook_product_by_division(lam), lam
-            assert pi_lambda(lam) == _pi_lambda_by_division(lam), lam
+            assert hook_product(lam) == _hook_product_by_division(lam, qpoly_exact_div), lam
+            assert pi_lambda(lam) == _pi_lambda_by_division(lam, qpoly_exact_div), lam
 
 
 def test_hook_formula_specializations():
@@ -303,6 +303,39 @@ def test_omega_filter_equals_root_average():
         r = rng.randint(1, 12)
         s = rng.randint(0, r)
         assert omega_extract(f, r, s) == omega_extract_roots(f, r, s)
+
+
+def _omega_extract_per_root(f, r, s):
+    """Reference root-of-unity average: one reduced CycloElem addition per
+    root, r of them for each term."""
+
+    def average(c):
+        pairs = {}
+        for (a, b), v in c.items():
+            total = CycloElem.from_rational(r, 0)
+            for k in range(1, r + 1):
+                total = total + CycloElem.root_power(r, k * (a - s))
+            pairs[b] = pairs.get(b, 0) + total.rational_value() * v / r
+        return QTPoly({(0, b): v for b, v in pairs.items()})
+
+    return f.map_coefficients(average)
+
+
+def test_omega_roots_match_per_root_loop():
+    rng = random.Random(14)
+    for r in range(1, 13):
+        for _ in range(8):
+            coeff = QTPoly(
+                {
+                    (rng.randint(0, 3 * r), rng.randint(0, 3)): Fraction(
+                        rng.randint(-6, 6), rng.randint(1, 4)
+                    )
+                    for _ in range(6)
+                }
+            )
+            f = SymFunc("p", {(rng.randint(1, 3),): coeff})
+            s = rng.randint(-r, 2 * r)
+            assert omega_extract_roots(f, r, s) == _omega_extract_per_root(f, r, s), (r, s)
 
 
 # -- the multiplicity pipeline
