@@ -8,7 +8,6 @@ identity verifiable at desk scale through independent computation paths.
 """
 
 from .exactalg import (
-    CheckReport,
     CycloElem,
     ExactDivisionError,
     MultiPoly,
@@ -19,8 +18,6 @@ from .exactalg import (
     cyclo_reduce,
     cyclotomic_poly,
     mobius,
-    q_factorial,
-    q_int,
     q_pochhammer,
 )
 from .partition import (
@@ -79,7 +76,7 @@ from .superlie import (
     super_brandt_char,
     super_lie_module_char,
     super_witt_dim,
-    thrall_sum_check,
+    thrall_routes,
 )
 from .cyclic import (
     CyclicClassFunction,
@@ -93,18 +90,18 @@ from .cyclic import (
 )
 from .specialization import (
     SpecSeries,
-    degree_two_checks,
-    fundamental_qsym_truncated,
+    degree_two_routes,
     hook_product,
-    kw_check,
     kw_generating_function,
+    kw_routes,
     omega_extract,
     omega_extract_roots,
     pi_lambda,
     pi_root_check,
+    qps_routes,
     qsym_principal_spec,
     s_ps_check,
-    super_cauchy_check,
+    super_cauchy_routes,
     super_qsym_truncated,
     super_schur_truncated,
     symmetry_counts,

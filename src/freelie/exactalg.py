@@ -1,7 +1,9 @@
 """Exact arithmetic substrate for all character computations.
 
-Everything is exact: coefficients are ``fractions.Fraction`` throughout and no
-floating point appears anywhere in the package.  This module provides
+Everything is exact and no floating point appears anywhere in the package:
+coefficients are ``int`` or ``fractions.Fraction``; the cyclotomic reduction
+keeps ``int`` input ``int``, and the row reduction takes ``int`` only.  This
+module provides
 
 * :class:`TermMap`, the one sparse key -> coefficient container, with the
   accumulate-and-drop-zero loop :func:`collect` and the term renderer
@@ -12,8 +14,9 @@ floating point appears anywhere in the package.  This module provides
   first), and subtract-only division by monic integer polynomials,
 * cyclotomic polynomials and the quotient rings Q[q]/(Phi_d(q))
   (:class:`CycloElem`), used for exact root-of-unity sums,
-* truncated multivariate polynomials over two alphabets (:class:`MultiPoly`),
-* q-series primitives [n]_q, [n]_q!, (q;q)_n and number-theoretic helpers,
+* polynomials in finitely many variables of two alphabets (:class:`MultiPoly`),
+* the q-Pochhammer symbol (q;q)_n, division-free q-Pochhammer quotients and
+  number-theoretic helpers,
 * incremental fraction-free sparse elimination of integer vectors (rank
   over Q).
 
@@ -61,48 +64,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
-
-
-class CheckReport(Record):
-    """Outcome of one verification check, serializable to JSON.
-
-    ``lhs``/``rhs`` carry printable renderings of the two computation routes;
-    ``first_discrepancy`` is populated exactly when the check failed.
-    """
-
-    __slots__ = ("check", "parameters", "ok", "lhs", "rhs", "first_discrepancy")
-    __hash__ = None
-
-    def __init__(
-        self,
-        check: str,
-        parameters: dict,
-        ok: bool,
-        lhs: object = None,
-        rhs: object = None,
-        first_discrepancy: object = None,
-    ):
-        self.check = check
-        self.parameters = parameters
-        self.ok = ok
-        self.lhs = lhs
-        self.rhs = rhs
-        self.first_discrepancy = first_discrepancy
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.ok else "fail"
-
-    def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "parameters": self.parameters,
-            "status": self.status,
-        }
-        for key in ("lhs", "rhs", "first_discrepancy"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        return out
 
 
 class ExactDivisionError(ArithmeticError):
@@ -421,6 +382,15 @@ class TermMap:
         layout = tuple(getattr(self, name) for name in self._layout)
         return hash((layout, frozenset(self._terms.items())))
 
+    def first_difference(self, other: TermMap):
+        """The first key, in the canonical order, whose coefficients differ
+        between the two values, or None if their terms agree."""
+        keys = set(self._terms) | set(other._terms)
+        for k in sorted(keys, key=self._sort_key):
+            if self._terms.get(k) != other._terms.get(k):
+                return k
+        return None
+
     # -- linear structure and products
 
     def __add__(self, other):
@@ -463,14 +433,6 @@ class TermMap:
 
 def add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def _dense(coeffs: Mapping[int, Fraction]) -> QPoly:
-    """The trimmed dense q-polynomial of a sparse exponent -> coefficient map."""
-    out = [Fraction(0)] * (max(coeffs, default=-1) + 1)
-    for a, c in coeffs.items():
-        out[a] = c
-    return qpoly(out)
 
 
 def _qt_key(key) -> tuple[int, int]:
@@ -595,22 +557,6 @@ class QTPoly(TermMap):
         """Set q = 1, leaving a polynomial in t only."""
         return self._with(collect(((0, b), c) for (_, b), c in self._terms.items()))
 
-    def t_slices(self) -> dict[int, QPoly]:
-        """Group terms by t-exponent; each slice is a dense q-polynomial."""
-        acc: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in self._terms.items():
-            acc.setdefault(b, {})[a] = c
-        return {b: _dense(qs) for b, qs in acc.items()}
-
-    @classmethod
-    def from_t_slices(cls, slices: Mapping[int, QPoly]) -> QTPoly:
-        terms: dict[tuple[int, int], Fraction] = {}
-        for b, dense in slices.items():
-            for a, c in enumerate(dense):
-                if c != 0:
-                    terms[(a, b)] = c
-        return cls(terms)
-
     # -- rendering
 
     def __str__(self) -> str:
@@ -623,30 +569,8 @@ class QTPoly(TermMap):
         """Canonical JSON form: [[a, b, "num/den"], ...] in term order."""
         return [[a, b, str(c)] for (a, b), c in self.items()]
 
-    @classmethod
-    def from_json(cls, data: Iterable) -> QTPoly:
-        return cls({(int(a), int(b)): Fraction(c) for a, b, c in data})
-
-
 # ---------------------------------------------------------------------------
 # q-series primitives
-
-
-def q_int(n: int) -> QTPoly:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise ValueError(f"q_int requires n >= 0, got {n}")
-    return QTPoly({(a, 0): 1 for a in range(n)})
-
-
-def q_factorial(n: int) -> QTPoly:
-    """[n]_q! = [1]_q [2]_q ... [n]_q."""
-    if n < 0:
-        raise ValueError(f"q_factorial requires n >= 0, got {n}")
-    result = QTPoly.one()
-    for k in range(1, n + 1):
-        result = result * q_int(k)
-    return result
 
 
 def q_pochhammer(n: int) -> QTPoly:
@@ -751,80 +675,50 @@ def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class MultiPoly(TermMap):
     """Sparse polynomial in x_1..x_N and y_1..y_M with rational coefficients.
 
-    Exponent vectors have length N + M (x-block first).  An optional total
-    degree cap drops higher terms silently on every operation; all series
-    comparisons in this package are made per fixed degree, so a cap loses no
-    information for them.  cap=None keeps everything.  Values with different
-    caps combine under the smaller one and compare equal when their terms do.
+    Exponent vectors have length N + M (x-block first).
     """
 
-    __slots__ = ("nx", "ny", "cap")
+    __slots__ = ("nx", "ny")
     _layout = ("nx", "ny")
 
     def __init__(
-        self,
-        nx: int,
-        ny: int = 0,
-        terms: Mapping[tuple[int, ...], RatLike] | None = None,
-        cap: int | None = None,
+        self, nx: int, ny: int = 0, terms: Mapping[tuple[int, ...], RatLike] | None = None
     ):
         if nx < 0 or ny < 0:
             raise ValueError("variable counts must be >= 0")
         self.nx = nx
         self.ny = ny
-        self.cap = cap
         self._fill(terms, self._exponent_key)
 
-    def _exponent_key(self, exp) -> tuple[int, ...] | None:
+    def _exponent_key(self, exp) -> tuple[int, ...]:
         exp = tuple(int(e) for e in exp)
         if len(exp) != self.nx + self.ny:
             raise ValueError(f"exponent vector length {len(exp)} != {self.nx + self.ny}")
         if any(e < 0 for e in exp):
             raise ValueError(f"negative exponent in {exp}")
-        if self.cap is not None and sum(exp) > self.cap:
-            return None
         return exp
 
     def _key(self, exp):
         return tuple(exp)
 
     @classmethod
-    def zero(cls, nx: int, ny: int = 0, cap: int | None = None) -> MultiPoly:
-        return cls(nx, ny, None, cap)
+    def zero(cls, nx: int, ny: int = 0) -> MultiPoly:
+        return cls(nx, ny)
 
     @classmethod
-    def const(cls, nx: int, ny: int, c: RatLike, cap: int | None = None) -> MultiPoly:
-        return cls(nx, ny, {(0,) * (nx + ny): c}, cap)
+    def const(cls, nx: int, ny: int, c: RatLike) -> MultiPoly:
+        return cls(nx, ny, {(0,) * (nx + ny): c})
 
     @classmethod
-    def monomial(
-        cls, nx: int, ny: int, exp: tuple[int, ...], c: RatLike = 1, cap: int | None = None
-    ) -> MultiPoly:
-        return cls(nx, ny, {exp: c}, cap)
-
-    def __add__(self, other: MultiPoly) -> MultiPoly:
-        total = TermMap.__add__(self, other)
-        if self.cap == other.cap:
-            return total
-        cap = _merge_caps(self.cap, other.cap)
-        return total._with({e: c for e, c in total._terms.items() if sum(e) <= cap}, cap=cap)
+    def monomial(cls, nx: int, ny: int, exp: tuple[int, ...], c: RatLike = 1) -> MultiPoly:
+        return cls(nx, ny, {exp: c})
 
     def __mul__(self, other: MultiPoly | RatLike) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        cap = _merge_caps(self.cap, other.cap)
-        keep = None if cap is None else (lambda exp: sum(exp) <= cap)
-        return self._product(other, _add_vectors, keep, cap=cap)
+        return self._product(other, _add_vectors)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.nx, self.ny, 1, self.cap)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def eval_all_ones(self) -> Fraction:
         """Value with every variable set to 1 (the sum of all coefficients)."""
@@ -836,14 +730,6 @@ class MultiPoly(TermMap):
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
-
-
-def _merge_caps(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 # ---------------------------------------------------------------------------

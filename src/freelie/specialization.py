@@ -1,7 +1,9 @@
 """Quasisymmetric and super quasisymmetric expansions, principal
 specializations, the q,t-hook product, root-of-unity coefficient extraction,
-and the identity checks that tie the tableau statistics to the Lie
-superalgebra characters.
+and the identities that tie the tableau statistics to the Lie superalgebra
+characters: each ``*_routes`` function returns an identity's two sides for
+:mod:`freelie.verify` to compare, and each ``*_check`` predicate says whether
+one holds.
 
 Infinite principal-specialization series are compared by truncation at a
 configurable q-cap (default 12) with exact coefficients; every comparison is
@@ -18,7 +20,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exactalg import (
-    CheckReport,
     CycloElem,
     MultiPoly,
     QPoly,
@@ -36,7 +37,6 @@ from .partition import (
     cells,
     check_partition,
     conjugate,
-    format_partition,
     hook_length,
     partitions_of,
     z_lambda,
@@ -48,7 +48,7 @@ from .symfunc import (
     expand_truncated,
     h_pleth,
     multiply,
-    schur_expand,
+    p_to_s,
 )
 from .tableau import (
     DEFAULT_PAIR_BUDGET,
@@ -117,15 +117,6 @@ class SpecSeries(TermMap):
 
     __rmul__ = __mul__
 
-    def first_difference(self, other: SpecSeries):
-        """Smallest (q, t) exponent pair where the two series disagree, or None."""
-        self._check(other)
-        keys = sorted(set(self._terms) | set(other._terms))
-        for k in keys:
-            if self._terms.get(k, 0) != other._terms.get(k, 0):
-                return k
-        return None
-
     def __str__(self) -> str:
         return str(QTPoly(self._terms)) + f" + O(q^{self.q_cap + 1})"
 
@@ -165,20 +156,12 @@ def _qsym_enumerate(n: int, d, letters, nx: int, ny: int) -> MultiPoly:
     return MultiPoly(nx, ny, collect((w, 1) for w in words))
 
 
-def fundamental_qsym_truncated(n: int, d, N: int) -> MultiPoly:
-    """Fundamental quasisymmetric polynomial in x_1..x_N: weakly increasing
-    words with strict growth forced at the positions in D."""
-    if n < 1 or N < 1:
-        raise ValueError("need n >= 1 and N >= 1")
-    letters = [(v, False) for v in range(1, N + 1)]
-    return _qsym_enumerate(n, d, letters, N, 0)
-
-
 def super_qsym_truncated(n: int, d, N: int, M: int) -> MultiPoly:
     """Two-alphabet quasisymmetric polynomial over the ordered alphabet
     1 < 1' < 2 < 2' < ... truncated to N unbarred and M barred letters.
     Mixed adjacent pairs are strictly increasing in the alphabet order and
-    hence never constrained."""
+    hence never constrained.  At M = 0 this is the fundamental
+    quasisymmetric polynomial in x_1..x_N."""
     if n < 1:
         raise ValueError("need n >= 1")
     letters = []
@@ -212,9 +195,9 @@ def super_power_sum_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     return out
 
 
-def super_cauchy_check(n: int, N: int, M: int) -> CheckReport:
-    """Check the two-alphabet Cauchy identity in degree n:
-    sum_lam s_lam(x) stilde_lam = sum_lam p_lam(x) ptilde_lam / z_lam."""
+def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
+    """The two sides of the two-alphabet Cauchy identity in degree n, in N + M
+    variables: sum_lam s_lam(x) stilde_lam and sum_lam p_lam(x) ptilde_lam / z_lam."""
     if n < 1:
         raise ValueError("need n >= 1")
     lhs = MultiPoly.zero(N, M)
@@ -227,13 +210,7 @@ def super_cauchy_check(n: int, N: int, M: int) -> CheckReport:
         rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Fraction(
             1, z_lambda(lam)
         )
-    ok = lhs == rhs
-    report = CheckReport("super-cauchy", {"n": n, "N": N, "M": M}, ok)
-    if not ok:
-        report.lhs, report.rhs = str(lhs), str(rhs)
-        diff = lhs - rhs
-        report.first_discrepancy = str(diff.items()[0]) if not diff.is_zero else None
-    return report
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +248,19 @@ def qsym_principal_spec(n: int, d, q_cap: int) -> SpecSeries:
     return SpecSeries(q_cap, collect((w, 1) for w in weights))
 
 
-def _subset_comaj_poly(n: int, d) -> QTPoly:
-    """sum over S subsets of [n] of q^comaj(D, S) t^|S|."""
+def qps_routes(n: int, d, q_cap: int) -> tuple[SpecSeries, SpecSeries]:
+    """The principal specialization of the quasisymmetric function of one
+    descent set, truncated at q_cap, along two routes: the word enumeration,
+    and the formula (sum over S subsets of [n] of q^comaj(D,S) t^|S|) / (q;q)_n."""
     d = frozenset(d)
-    return QTPoly(
+    subsets = QTPoly(
         collect(
             ((relative_comaj(d, set(chosen), n), size), 1)
             for size in range(n + 1)
             for chosen in combinations(range(1, n + 1), size)
         )
     )
-
-
-def qps_check(n: int, d, q_cap: int = DEFAULT_Q_CAP) -> CheckReport:
-    """Check the principal-specialization formula for one descent set:
-    the word enumeration equals (sum_S q^comaj(D,S) t^|S|) / (q;q)_n."""
-    lhs = qsym_principal_spec(n, d, q_cap)
-    rhs = SpecSeries.inv_pochhammer(n, q_cap) * _subset_comaj_poly(n, d)
-    ok = lhs == rhs
-    report = CheckReport(
-        "qsym-principal-specialization",
-        {"n": n, "D": sorted(d), "q_cap": q_cap},
-        ok,
-    )
-    if not ok:
-        report.lhs, report.rhs = str(lhs), str(rhs)
-        report.first_discrepancy = str(lhs.first_difference(rhs))
-    return report
+    return qsym_principal_spec(n, d, q_cap), SpecSeries.inv_pochhammer(n, q_cap) * subsets
 
 
 # ---------------------------------------------------------------------------
@@ -415,26 +378,15 @@ def kw_generating_function(n_total: int, budget: int = DEFAULT_PAIR_BUDGET) -> S
     )
 
 
-def kw_check(n: int, m: int) -> CheckReport:
-    """The tableau-counting description of Schur multiplicities: extracting
-    q-exponents congruent to 1 mod n+m from the generating function and then
-    the t^m coefficient must reproduce the Schur expansion of the bidegree
-    character."""
+def kw_routes(n: int, m: int) -> tuple[SymFunc, SymFunc]:
+    """The Schur multiplicities of the bidegree-(n, m) character along two
+    routes: the tableau count (the q-exponents congruent to 1 mod n+m of the
+    generating function, then the t^m coefficient), and the Schur expansion
+    of the character."""
     total = n + m
     filtered = omega_extract(kw_generating_function(total), total, 1)
-    expansion = schur_expand(super_brandt_char(n, m))
-    first = None
-    for lam in partitions_of(total):
-        lhs = filtered.coefficient(lam).coefficient(0, m)
-        rhs_poly = expansion.coefficients.get(lam, QTPoly.zero())
-        rhs = rhs_poly.constant_value()
-        if lhs != rhs:
-            first = {"partition": format_partition(lam), "lhs": str(lhs), "rhs": str(rhs)}
-            break
-    report = CheckReport("kw-multiplicity", {"n": n, "m": m}, first is None)
-    if first is not None:
-        report.first_discrepancy = first
-    return report
+    counts = {lam: c.coefficient(0, m) for lam, c in filtered.terms.items()}
+    return SymFunc("s", counts), p_to_s(super_brandt_char(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +444,9 @@ def sym3_check(lam: Partition, n: int, m: int, r: int) -> bool:
 # degree-two plethysms
 
 
-def degree_two_checks(d: int) -> CheckReport:
-    """Three closed-form facts about degree-two building blocks:
+def degree_two_routes(d: int) -> tuple[tuple[SymFunc, ...], tuple[SymFunc, ...]]:
+    """Three closed-form facts about degree-two building blocks, returned as
+    the three computed sides and the three closed forms:
 
     (a) the d-th symmetric power of the antisymmetric square expands into
         Schur functions over shapes of 2d with all column lengths even;
@@ -507,30 +460,19 @@ def degree_two_checks(d: int) -> CheckReport:
     anti = super_brandt_char(2, 0)  # (p_11 - p_2)/2
     symm = super_brandt_char(0, 2)  # (p_11 + p_2)/2
 
-    got_a = schur_expand(h_pleth(d, anti)).coefficients
-    want_a = {
-        mu: QTPoly.one()
-        for mu in partitions_of(2 * d)
-        if all(col % 2 == 0 for col in conjugate(mu))
-    }
-    got_b = schur_expand(h_pleth(d, symm)).coefficients
-    want_b = {
-        mu: QTPoly.one()
-        for mu in partitions_of(2 * d)
-        if all(part % 2 == 0 for part in mu)
-    }
+    got_a = p_to_s(h_pleth(d, anti))
+    want_a = SymFunc(
+        "s",
+        {mu: 1 for mu in partitions_of(2 * d) if all(col % 2 == 0 for col in conjugate(mu))},
+    )
+    got_b = p_to_s(h_pleth(d, symm))
+    want_b = SymFunc(
+        "s",
+        {mu: 1 for mu in partitions_of(2 * d) if all(part % 2 == 0 for part in mu)},
+    )
 
     lhs_c = e_pleth(d, super_brandt_char(1, 1))
     rhs_c = SymFunc.zero("p")
     for k in range(d + 1):
         rhs_c = rhs_c + multiply(e_pleth(k, symm), e_pleth(d - k, anti))
-
-    ok = got_a == want_a and got_b == want_b and lhs_c == rhs_c
-    report = CheckReport("degree-two", {"d": d}, ok)
-    if not ok:
-        report.first_discrepancy = {
-            "even-columns": got_a == want_a,
-            "even-parts": got_b == want_b,
-            "exterior-convolution": lhs_c == rhs_c,
-        }
-    return report
+    return (got_a, got_b, lhs_c), (want_a, want_b, rhs_c)

@@ -372,33 +372,31 @@ def e_pleth(a: int, f: SymFunc) -> SymFunc:
 # expansion into finitely many variables
 
 
-def _power_sum_poly(k: int, nx: int, ny: int, alphabet: str, cap: int | None) -> MultiPoly:
+def _power_sum_poly(k: int, nx: int, ny: int, alphabet: str) -> MultiPoly:
     terms: dict[tuple[int, ...], int] = {}
     count, offset = (nx, 0) if alphabet == "x" else (ny, nx)
     for i in range(count):
         exp = [0] * (nx + ny)
         exp[offset + i] = k
         terms[tuple(exp)] = 1
-    return MultiPoly(nx, ny, terms, cap)
+    return MultiPoly(nx, ny, terms)
 
 
-def _expand_terms(terms, N: int, M: int, cap: int | None) -> MultiPoly:
+def _expand_terms(terms, N: int, M: int) -> MultiPoly:
     """Sum of coefficient * prod p_k over (coefficient, ((alphabet, parts), ...))
     items, each p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k.
     Coefficients must be rational constants (no free q or t)."""
-    out = MultiPoly.zero(N, M, cap)
+    out = MultiPoly.zero(N, M)
     for coeff, factors in terms:
-        piece = MultiPoly.const(N, M, coeff.constant_value(), cap)
+        piece = MultiPoly.const(N, M, coeff.constant_value())
         for alphabet, parts in factors:
             for part in parts:
-                piece = piece * _power_sum_poly(part, N, M, alphabet, cap)
+                piece = piece * _power_sum_poly(part, N, M, alphabet)
         out = out + piece
     return out
 
 
-def expand_truncated(
-    f: SymFunc, N: int, M: int = 0, alphabet: str = "x", cap: int | None = None
-) -> MultiPoly:
+def expand_truncated(f: SymFunc, N: int, M: int = 0, alphabet: str = "x") -> MultiPoly:
     """Substitute p_k -> x_1^k + ... + x_N^k (finite-variable specialization).
 
     The result lives in the (N, M)-variable layout so it can be combined with
@@ -406,7 +404,7 @@ def expand_truncated(
     constants (no free q or t).
     """
     terms = to_p(f).terms.items()
-    return _expand_terms(((c, ((alphabet, lam),)) for lam, c in terms), N, M, cap)
+    return _expand_terms(((c, ((alphabet, lam),)) for lam, c in terms), N, M)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +472,10 @@ def diagonal(f: BiSymFunc) -> SymFunc:
     )
 
 
-def bi_expand_truncated(f: BiSymFunc, N: int, M: int, cap: int | None = None) -> MultiPoly:
+def bi_expand_truncated(f: BiSymFunc, N: int, M: int) -> MultiPoly:
     """Substitute p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k."""
     terms = f.terms.items()
-    return _expand_terms(((c, (("x", lam), ("y", mu))) for (lam, mu), c in terms), N, M, cap)
+    return _expand_terms(((c, (("x", lam), ("y", mu))) for (lam, mu), c in terms), N, M)
 
 
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
@@ -498,12 +496,3 @@ def sym_to_json(f: SymFunc) -> dict:
         ],
     }
 
-
-def sym_from_json(data: Mapping) -> SymFunc:
-    return SymFunc(
-        data["basis"],
-        {
-            tuple(entry["partition"]): QTPoly.from_json(entry["coeff"])
-            for entry in data["terms"]
-        },
-    )

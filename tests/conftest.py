@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelie.exactalg import ExactDivisionError, qpoly
+from freelie.exactalg import ExactDivisionError, QTPoly, qpoly
 
 
 def _fraction_rank(rows) -> int:
@@ -74,3 +74,58 @@ def qpoly_divmod():
 def qpoly_exact_div():
     """Exact quotient by Fraction long division; raises on a remainder."""
     return _qpoly_exact_div
+
+
+def _q_int(n):
+    """[n]_q = 1 + q + ... + q^(n-1)."""
+    if n < 0:
+        raise ValueError(f"q_int requires n >= 0, got {n}")
+    return QTPoly({(a, 0): 1 for a in range(n)})
+
+
+def _q_factorial(n):
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    result = QTPoly.one()
+    for k in range(1, n + 1):
+        result = result * _q_int(k)
+    return result
+
+
+def _t_slices(p):
+    """The terms of a QTPoly grouped by t-exponent, each slice a trimmed
+    dense q-polynomial."""
+    acc = {}
+    for (a, b), c in p.terms.items():
+        acc.setdefault(b, {})[a] = c
+    return {
+        b: qpoly(qs.get(a, 0) for a in range(max(qs) + 1)) for b, qs in acc.items()
+    }
+
+
+def _from_t_slices(slices):
+    """The QTPoly whose t^b slice is the dense q-polynomial slices[b]."""
+    return QTPoly({(a, b): c for b, dense in slices.items() for a, c in enumerate(dense)})
+
+
+@pytest.fixture(scope="session")
+def q_int():
+    """[n]_q, a reference for the division routes."""
+    return _q_int
+
+
+@pytest.fixture(scope="session")
+def q_factorial():
+    """[n]_q!, a reference for the division routes."""
+    return _q_factorial
+
+
+@pytest.fixture(scope="session")
+def t_slices():
+    """QTPoly -> {t-exponent: dense q-polynomial}."""
+    return _t_slices
+
+
+@pytest.fixture(scope="session")
+def from_t_slices():
+    """{t-exponent: dense q-polynomial} -> QTPoly."""
+    return _from_t_slices

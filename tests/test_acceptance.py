@@ -8,92 +8,84 @@ summary as it happens.
 
 import time
 
-from freelie import cli
+from freelie import verify
 from freelie.exactalg import QTPoly
 from freelie.partition import partitions_of
 from freelie.superlie import super_brandt_char
 from freelie.symfunc import schur_expand
 from freelie.tableau import count_super_tableaux
 
+# Checks per suite at the "full" profile, which is the acceptance spec: a
+# change to a full bound changes one of these counts.
+FULL_CHECKS = {
+    "brandt-diagonal": 88,
+    "petrogradsky": 80,
+    "witt-oracle": 136,
+    "thrall": 20,
+    "klyachko": 94,
+    "super-klyachko": 44,
+    "hook": 132,
+    "qps": 31,
+    "sps": 47,
+    "cauchy": 5,
+    "reu": 202,
+    "kw": 45,
+    "symmetry": 86,
+    "degree-two": 4,
+}
 
-def _run(criterion: str, budget_s: float, reports) -> None:
+
+def test_full_profile_covers_every_suite():
+    assert list(FULL_CHECKS) == list(verify.SUITES)
+    assert sum(FULL_CHECKS.values()) == 1014
+
+
+def _criterion(criterion: str, budget_s: float, *suites: str) -> None:
+    """Run the suites at the full profile, print one pass/fail line, and
+    assert every check passed, the check counts and the wall-clock budget."""
+    t0 = time.monotonic()
+    runs = {name: verify.run_suite(name, "full") for name in suites}
+    elapsed = time.monotonic() - t0
+    reports = [r for name in suites for r in runs[name]]
     failed = [r for r in reports if not r.ok]
     status = "PASS" if not failed else "FAIL"
     print(
-        f"{status} {criterion}: {len(reports) - len(failed)}/{len(reports)} checks"
+        f"{status} {criterion} ({elapsed:.1f}s): {len(reports) - len(failed)}/{len(reports)} checks"
     )
     for r in failed[:5]:
         print(f"   failed: {r.check} {r.parameters} {r.first_discrepancy}")
     assert not failed, f"{criterion}: {len(failed)} checks failed"
-
-
-def _timed(fn, *args, **kwargs):
-    t0 = time.monotonic()
-    result = fn(*args, **kwargs)
-    return result, time.monotonic() - t0
+    counts = {name: len(runs[name]) for name in suites}
+    assert counts == {name: FULL_CHECKS[name] for name in suites}
+    assert elapsed < budget_s, f"{criterion} exceeded {budget_s}s: {elapsed:.1f}s"
 
 
 def test_criterion_1_brandt_consistency():
-    reports, dt1 = _timed(cli.suite_brandt_diagonal, max_total=8)
-    more, dt2 = _timed(cli.suite_petrogradsky, max_n=8, max_m=8)
-    elapsed = dt1 + dt2
-    _run(f"criterion 1 (brandt consistency, {elapsed:.1f}s)", 30, reports + more)
-    assert elapsed < 30, f"criterion 1 exceeded 30s: {elapsed:.1f}s"
+    _criterion("criterion 1 (brandt consistency)", 30, "brandt-diagonal", "petrogradsky")
 
 
 def test_criterion_2_witt_dimensions():
-    reports, elapsed = _timed(
-        cli.suite_witt_oracle,
-        max_total=6,
-        max_dim=3,
-        brute_max_total=4,
-        brute_max_dim=2,
-    )
-    _run(f"criterion 2 (witt dimensions, {elapsed:.1f}s)", 60, reports)
-    assert elapsed < 60, f"criterion 2 exceeded 60s: {elapsed:.1f}s"
+    _criterion("criterion 2 (witt dimensions)", 60, "witt-oracle")
 
 
 def test_criterion_3_super_thrall():
-    reports, elapsed = _timed(cli.suite_thrall, max_total=5)
-    _run(f"criterion 3 (super thrall, {elapsed:.1f}s)", 60, reports)
-    assert elapsed < 60, f"criterion 3 exceeded 60s: {elapsed:.1f}s"
+    _criterion("criterion 3 (super thrall)", 60, "thrall")
 
 
 def test_criterion_4_klyachko():
-    reports, dt1 = _timed(
-        cli.suite_klyachko, max_n=8, oracle_max_r=6, chi_cyc_max_total=10
-    )
-    more, dt2 = _timed(cli.suite_super_klyachko, max_total=8)
-    elapsed = dt1 + dt2
-    _run(f"criterion 4 (klyachko inductions, {elapsed:.1f}s)", 120, reports + more)
-    assert elapsed < 120, f"criterion 4 exceeded 120s: {elapsed:.1f}s"
+    _criterion("criterion 4 (klyachko inductions)", 120, "klyachko", "super-klyachko")
 
 
 def test_criterion_5_qt_hook_formula():
-    reports, elapsed = _timed(cli.suite_hook, max_n=8)
-    _run(f"criterion 5 (q,t-hook formula, {elapsed:.1f}s)", 120, reports)
-    assert elapsed < 120, f"criterion 5 exceeded 120s: {elapsed:.1f}s"
+    _criterion("criterion 5 (q,t-hook formula)", 120, "hook")
 
 
 def test_criterion_6_specialization_suite():
-    reports, dt1 = _timed(cli.suite_qps, max_n=5, q_cap=12)
-    r2, dt2 = _timed(cli.suite_sps, max_n=6, q_cap=12, qt_hook_max_n=5)
-    r3, dt3 = _timed(cli.suite_cauchy, max_n=5, N=2, M=2)
-    elapsed = dt1 + dt2 + dt3
-    _run(
-        f"criterion 6 (specialization suite, {elapsed:.1f}s)",
-        180,
-        reports + r2 + r3,
-    )
-    assert elapsed < 180, f"criterion 6 exceeded 180s: {elapsed:.1f}s"
+    _criterion("criterion 6 (specialization suite)", 180, "qps", "sps", "cauchy")
 
 
 def test_criterion_7_kw_multiplicities():
-    reports, dt1 = _timed(cli.suite_kw, max_total=8, omega_trials=100, omega_max_r=12)
-    more, dt2 = _timed(cli.suite_reu, max_n=8)
-    elapsed = dt1 + dt2
-    _run(f"criterion 7 (multiplicity pipeline, {elapsed:.1f}s)", 180, reports + more)
-    assert elapsed < 180, f"criterion 7 exceeded 180s: {elapsed:.1f}s"
+    _criterion("criterion 7 (multiplicity pipeline)", 180, "kw", "reu")
 
     # spot check: direct tableau counts match schur multiplicities
     for n, m in ((3, 2), (4, 1), (2, 3)):
@@ -105,13 +97,7 @@ def test_criterion_7_kw_multiplicities():
 
 
 def test_criterion_8_section_seven_checks():
-    reports, dt1 = _timed(
-        cli.suite_symmetry, sym1_max_n=7, sym2_max_total=7, sym3_max_total=8
-    )
-    more, dt2 = _timed(cli.suite_degree_two, max_d=4)
-    elapsed = dt1 + dt2
-    _run(f"criterion 8 (counting symmetries, {elapsed:.1f}s)", 120, reports + more)
-    assert elapsed < 120, f"criterion 8 exceeded 120s: {elapsed:.1f}s"
+    _criterion("criterion 8 (counting symmetries)", 120, "symmetry", "degree-two")
 
 
 def test_criterion_9_schur_positivity():

@@ -9,8 +9,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from freelie import cli, symfunc
+from freelie import cli, symfunc, verify
 from freelie.exactalg import MultiPoly
+from freelie.partition import parse_partition
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -105,8 +106,8 @@ def test_oracle_names_mismatched_weight(capsys, monkeypatch):
     # the dimension formula still agree, so only the per-weight check sees it
     real = symfunc.bi_expand_truncated
 
-    def off_by_one(f, N, M, cap=None):
-        char = real(f, N, M, cap)
+    def off_by_one(f, N, M):
+        char = real(f, N, M)
         return char + MultiPoly.monomial(2, 2, (1, 1, 1, 0)) if (N, M) == (2, 2) else char
 
     monkeypatch.setattr(symfunc, "bi_expand_truncated", off_by_one)
@@ -191,10 +192,10 @@ def test_timing_flag(capsys):
 
 
 def test_run_suite_rejects_unknown_profile():
-    with pytest.raises(cli.UsageError):
-        cli.run_suite("hook", "fastest")
-    with pytest.raises(cli.UsageError):
-        cli.run_suite("bogus", "quick")
+    with pytest.raises(verify.UsageError):
+        verify.run_suite("hook", "fastest")
+    with pytest.raises(verify.UsageError):
+        verify.run_suite("bogus", "quick")
 
 
 def test_verify_inapplicable_override_is_usage_error(capsys):
@@ -203,9 +204,38 @@ def test_verify_inapplicable_override_is_usage_error(capsys):
     assert code == cli.EXIT_USAGE
     assert out == "" and "max_n" in err
     # an override that some of the suites take still applies to those
-    reports = cli.run_suite("all", "quick", {"max_n": 2})
+    reports = verify.run_suite("all", "quick", {"max_n": 2})
     assert {r.check for r in reports} >= {"hook-formula", "pi-root"}
     assert len([r for r in reports if r.check == "hook-formula"]) == 3
+
+
+def _degree(parameters: dict) -> int:
+    if "partition" in parameters:
+        return sum(parse_partition(parameters["partition"]))
+    return parameters.get("n", parameters.get("r", 0)) + parameters.get("m", 0)
+
+
+def test_override_bounds_every_check_of_its_suite(capsys):
+    # an override caps every degree of its suite, not only the parameter it
+    # is named after; checks per suite at the full profile with the override
+    for suite, name, value, total in (
+        ("witt-oracle", "max_total", 2, 30),
+        ("sps", "max_n", 2, 6),
+        ("klyachko", "max_n", 3, 18),
+        ("kw", "max_total", 3, 10),
+    ):
+        reports = verify.run_suite(suite, "full", {name: value})
+        assert len(reports) == total, suite
+        degrees = {_degree(r.parameters) for r in reports if r.check != "omega-filter-vs-roots"}
+        assert max(degrees) == value, suite
+    # omega_max_r is a modulus, not a degree: max_total leaves it alone
+    assert reports[-1].parameters == {"trials": 100, "max_r": 12, "seed": 2025}
+    code, out, _ = run(capsys, "verify", "klyachko", "--max-n", "3", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["payload"]["total"] == 18
+    # an override above a capped bound leaves that bound at its profile value
+    reports = verify.run_suite("witt-oracle", "full", {"max_total": 7})
+    assert max(_degree(r.parameters) for r in reports if r.check == "witt-vs-bracket-rank") == 4
 
 
 def test_verify_empty_run_is_usage_error(capsys):

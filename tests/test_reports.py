@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from freelie.exactalg import CheckReport, QTPoly
+from freelie.exactalg import QTPoly
 from freelie.specialization import SpecSeries, sym1_check, symmetry_counts
 from freelie.symfunc import SymFunc
+from freelie.verify import CheckReport
 
 
 def test_check_report_is_mutable_and_unhashable():
@@ -86,3 +87,39 @@ def test_bi_sym_func_coefficient():
     assert f.coefficient((2,), (1,)) == QTPoly.const(3)
     assert f.coefficient((1,), (2,)) == QTPoly.zero()
 
+
+
+def test_equality_report_shows_both_routes_and_first_difference():
+    from freelie.verify import _equality
+
+    a = QTPoly({(0, 0): 1, (2, 1): 3})
+    b = QTPoly({(0, 0): 1, (1, 0): 2, (2, 1): 3})
+    assert _equality("demo", {"n": 1}, a, a).to_json() == {
+        "check": "demo", "parameters": {"n": 1}, "status": "pass"
+    }
+    assert _equality("demo", {"n": 1}, a, b).to_json() == {
+        "check": "demo",
+        "parameters": {"n": 1},
+        "status": "fail",
+        "lhs": "1 + 3*q^2*t",
+        "rhs": "1 + 2*q + 3*q^2*t",
+        "first_discrepancy": "(1, 0)",
+    }
+
+
+def test_failing_suite_reports_where_the_routes_differ(monkeypatch, capsys):
+    from freelie import cli, superlie
+    from freelie.symfunc import BiSymFunc
+
+    real = superlie.thrall_routes
+
+    def skewed(n, m):
+        lhs, rhs = real(n, m)
+        return lhs, rhs + BiSymFunc.term((1,), (1,)) if (n, m) == (1, 1) else rhs
+
+    monkeypatch.setattr(superlie, "thrall_routes", skewed)
+    code = cli.main(["verify", "thrall", "--max-total", "2"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_IDENTITY_FAILURE
+    assert '[fail] thrall-sum {"m": 1, "n": 1}\n    discrepancy: ((1,), (1,))' in out
+    assert out.count("[fail]") == 1

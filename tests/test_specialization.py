@@ -8,8 +8,6 @@ from freelie.exactalg import (
     CycloElem,
     MultiPoly,
     QTPoly,
-    q_factorial,
-    q_int,
     q_pochhammer,
     qpoly,
     qpoly_mul,
@@ -17,21 +15,20 @@ from freelie.exactalg import (
 from freelie.partition import cells, hook_length, partitions_of, z_lambda
 from freelie.specialization import (
     SpecSeries,
-    degree_two_checks,
-    fundamental_qsym_truncated,
+    degree_two_routes,
     half_if_even,
     hook_product,
-    kw_check,
+    kw_routes,
     kw_generating_function,
     omega_extract,
     omega_extract_roots,
     pi_lambda,
     pi_root_check,
-    qps_check,
+    qps_routes,
     qsym_principal_spec,
     qt_hook_consistency_check,
     s_ps_check,
-    super_cauchy_check,
+    super_cauchy_routes,
     super_power_sum_truncated,
     super_qsym_truncated,
     super_schur_truncated,
@@ -48,10 +45,11 @@ from freelie.tableau import count_super_tableaux, maj_neg_generating_poly
 # -- quasisymmetric polynomials
 
 def test_fundamental_qsym_degree_two():
-    assert fundamental_qsym_truncated(2, set(), 2) == MultiPoly(
+    # with no barred letters the two-alphabet polynomial is the fundamental one
+    assert super_qsym_truncated(2, set(), 2, 0) == MultiPoly(
         2, 0, {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     )
-    assert fundamental_qsym_truncated(2, {1}, 2) == MultiPoly(2, 0, {(1, 1): 1})
+    assert super_qsym_truncated(2, {1}, 2, 0) == MultiPoly(2, 0, {(1, 1): 1})
 
 
 def test_schur_is_sum_of_fundamentals():
@@ -62,7 +60,7 @@ def test_schur_is_sum_of_fundamentals():
             for N in range(1, 4):
                 total = MultiPoly.zero(N, 0)
                 for t in syt_enumerate(lam):
-                    total = total + fundamental_qsym_truncated(n, descent_set(t), N)
+                    total = total + super_qsym_truncated(n, descent_set(t), N, 0)
                 assert total == expand_truncated(SymFunc.term("s", lam), N)
 
 
@@ -110,15 +108,19 @@ def test_super_power_sum_degree_one():
 
 
 def test_super_cauchy_degree_one():
-    rep = super_cauchy_check(1, 2, 2)
-    assert rep.ok
+    # both sides are p_1(x) (p_1(x) + p_1(y)) in x1, x2, y1, y2
+    lhs, rhs = super_cauchy_routes(1, 2, 2)
+    assert lhs == rhs
+    assert lhs == MultiPoly(
+        2, 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (1, 1, 0, 0): 2,
+               (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1}
+    )
 
 
 def test_super_cauchy_sweep():
-    for n in range(1, 6):
-        assert super_cauchy_check(n, 2, 2).ok, n
-    assert super_cauchy_check(3, 3, 2).ok
-    assert super_cauchy_check(3, 1, 3).ok
+    for n, N, M in [(n, 2, 2) for n in range(1, 6)] + [(3, 3, 2), (3, 1, 3)]:
+        lhs, rhs = super_cauchy_routes(n, N, M)
+        assert lhs == rhs, (n, N, M)
 
 
 # -- principal specializations
@@ -159,12 +161,15 @@ def test_qsym_principal_t0_slice_is_classical():
 
 
 def test_qps_identity_examples_and_sweep():
-    assert qps_check(2, set(), 12).ok
-    assert qps_check(2, {1}, 12).ok
+    # n = 2, D = {}: the word series is (1 + t)(1 + qt) / ((1 - q)(1 - q^2))
+    words, formula = qps_routes(2, set(), 12)
+    assert words == formula
+    assert words.coefficient(0, 0) == 1 and words.coefficient(1, 1) == 2
     for n in range(1, 6):
         for mask in range(1 << (n - 1)):
             d = {i + 1 for i in range(n - 1) if mask >> i & 1}
-            assert qps_check(n, d, 12).ok, (n, d)
+            words, formula = qps_routes(n, d, 12)
+            assert words == formula, (n, d)
 
 
 # -- hook products
@@ -184,31 +189,31 @@ def test_hook_formula_sweep():
             assert maj_neg_generating_poly(lam) == hook_product(lam), lam
 
 
-def _hook_product_by_division(lam, qpoly_exact_div):
-    """Reference: [n]_q! times the cell factors, each t-slice divided by
-    prod [hook]_q with Fraction long division."""
-    num = q_factorial(sum(lam))
-    den = QTPoly.one()
-    for r, c in cells(lam):
-        num = num * (QTPoly.monomial(r - 1, 0) + QTPoly.monomial(c - 1, 1))
-        den = den * q_int(hook_length(lam, r, c))
-    den = den.t_slices()[0]
-    return QTPoly.from_t_slices({b: qpoly_exact_div(s, den) for b, s in num.t_slices().items()})
+def test_division_free_quotients_match_long_division(
+    qpoly_exact_div, q_int, q_factorial, t_slices, from_t_slices
+):
+    def hook_product_by_division(lam):
+        """[n]_q! times the cell factors, each t-slice divided by
+        prod [hook]_q with Fraction long division."""
+        num = q_factorial(sum(lam))
+        den = QTPoly.one()
+        for r, c in cells(lam):
+            num = num * (QTPoly.monomial(r - 1, 0) + QTPoly.monomial(c - 1, 1))
+            den = den * q_int(hook_length(lam, r, c))
+        den = t_slices(den)[0]
+        return from_t_slices({b: qpoly_exact_div(s, den) for b, s in t_slices(num).items()})
 
+    def pi_lambda_by_division(lam):
+        """(q;q)_n / prod (1 - q^part) by Fraction long division."""
+        den = qpoly([1])
+        for part in lam:
+            den = qpoly_mul(den, qpoly([1] + [0] * (part - 1) + [-1]))
+        return qpoly_exact_div(t_slices(q_pochhammer(sum(lam)))[0], den)
 
-def _pi_lambda_by_division(lam, qpoly_exact_div):
-    """Reference: (q;q)_n / prod (1 - q^part) by Fraction long division."""
-    den = qpoly([1])
-    for part in lam:
-        den = qpoly_mul(den, qpoly([1] + [0] * (part - 1) + [-1]))
-    return qpoly_exact_div(q_pochhammer(sum(lam)).t_slices()[0], den)
-
-
-def test_division_free_quotients_match_long_division(qpoly_exact_div):
     for n in range(1, 11):
         for lam in partitions_of(n):
-            assert hook_product(lam) == _hook_product_by_division(lam, qpoly_exact_div), lam
-            assert pi_lambda(lam) == _pi_lambda_by_division(lam, qpoly_exact_div), lam
+            assert hook_product(lam) == hook_product_by_division(lam), lam
+            assert pi_lambda(lam) == pi_lambda_by_division(lam), lam
 
 
 def test_hook_formula_specializations():
@@ -236,11 +241,11 @@ def test_qt_hook_consistency_sweep():
 
 # -- root-of-unity machinery
 
-def test_pi_lambda_examples():
+def test_pi_lambda_examples(t_slices):
     assert pi_lambda((2,)) == qpoly([1, -1])
     assert pi_lambda((1, 1)) == qpoly([1, 1])
     for n in range(1, 7):
-        expected = q_pochhammer(n - 1).t_slices()[0]
+        expected = t_slices(q_pochhammer(n - 1))[0]
         assert pi_lambda((n,)) == expected
 
 
@@ -352,8 +357,8 @@ def test_kw_generating_function_small():
 def test_kw_classical_degree_three():
     # the degree-3 classical character is s_(2,1); tableau counts: the two
     # standard tableaux of (2,1) have maj 1 and 2, one of each residue
-    rep = kw_check(3, 0)
-    assert rep.ok
+    counts, multiplicities = kw_routes(3, 0)
+    assert counts == multiplicities == SymFunc("s", {(2, 1): 1})
     filtered = omega_extract(kw_generating_function(3), 3, 1)
     assert filtered.coefficient((2, 1)).coefficient(0, 0) == 1
     assert filtered.coefficient((3,)).coefficient(0, 0) == 0
@@ -362,7 +367,8 @@ def test_kw_classical_degree_three():
 
 def test_kw_sweep_mixed():
     for n, m in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 0), (0, 3)):
-        assert kw_check(n, m).ok, (n, m)
+        counts, multiplicities = kw_routes(n, m)
+        assert counts == multiplicities, (n, m)
 
 
 def test_kw_counts_match_schur_multiplicities():
@@ -424,8 +430,8 @@ def test_sym3_odd_pairs():
 # -- degree-two identities
 
 def test_degree_two_expansions():
-    rep = degree_two_checks(2)
-    assert rep.ok
+    computed, closed = degree_two_routes(2)
+    assert computed == closed
     # frozen expectations for d = 2
     from freelie.symfunc import h_pleth, to_p
 
@@ -448,4 +454,5 @@ def test_degree_two_convolution_base():
     lhs = e_pleth(1, super_brandt_char(1, 1))
     assert lhs == SymFunc("p", {(1, 1): 1})
     for d in range(0, 4):
-        assert degree_two_checks(d).ok, d
+        computed, closed = degree_two_routes(d)
+        assert computed == closed, d

