@@ -97,10 +97,11 @@ from .specialization import (
     omega_extract,
     omega_extract_roots,
     pi_lambda,
-    pi_root_check,
+    pi_root_routes,
     qps_routes,
     qsym_principal_spec,
-    s_ps_check,
+    qt_hook_routes,
+    s_ps_routes,
     super_cauchy_routes,
     super_qsym_truncated,
     super_schur_truncated,

@@ -71,8 +71,8 @@ def _sym_payload(f: SymFunc) -> dict:
     expansion = symfunc.schur_expand(f)
     return {
         "p_expansion": render_sym(symfunc.to_p(f)),
-        "s_expansion": render_sym(SymFunc("s", expansion.coefficients)),
-        "schur_nonneg_integral": expansion.is_nonneg_integral,
+        "s_expansion": render_sym(expansion),
+        "schur_nonneg_integral": symfunc.first_bad_multiplicity(expansion) is None,
         "json": symfunc.sym_to_json(symfunc.to_p(f)),
     }
 
@@ -268,8 +268,13 @@ def _print_report(report: RunReport, fmt: str) -> None:
             for check in value:
                 line = f"  [{check['status']}] {check['check']} {json.dumps(check['parameters'], sort_keys=True, default=str)}"
                 print(line)
-                if check["status"] == "fail" and "first_discrepancy" in check:
-                    print(f"    discrepancy: {check['first_discrepancy']}")
+                if check["status"] == "fail":
+                    # where the routes differ, then both routes
+                    for label, field in (
+                        ("discrepancy", "first_discrepancy"), ("lhs", "lhs"), ("rhs", "rhs")
+                    ):
+                        if field in check:
+                            print(f"    {label}: {check[field]}")
         elif key == "json":
             continue
         else:

@@ -1,9 +1,8 @@
 """Quasisymmetric and super quasisymmetric expansions, principal
 specializations, the q,t-hook product, root-of-unity coefficient extraction,
 and the identities that tie the tableau statistics to the Lie superalgebra
-characters: each ``*_routes`` function returns an identity's two sides for
-:mod:`freelie.verify` to compare, and each ``*_check`` predicate says whether
-one holds.
+characters: each ``*_routes`` function returns an identity's two sides, and
+:mod:`freelie.verify` compares them.
 
 Infinite principal-specialization series are compared by truncation at a
 configurable q-cap (default 12) with exact coefficients; every comparison is
@@ -290,24 +289,28 @@ def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
     return acc
 
 
-def s_ps_check(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> bool:
+def s_ps_routes(
+    lam: Partition, q_cap: int = DEFAULT_Q_CAP
+) -> tuple[tuple[QTPoly, SpecSeries], tuple[QTPoly, SpecSeries]]:
     """Two facts about the principal specialization of the two-alphabet Schur
-    function: the comaj and maj sign-generating polynomials agree, and the
-    specialized tableau expansion equals that polynomial over (q;q)_n."""
+    function, as (maj polynomial, specialized tableau expansion) against
+    (comaj polynomial, maj polynomial / (q;q)_n): the comaj and maj
+    sign-generating polynomials agree, and the specialized tableau expansion
+    equals that polynomial over (q;q)_n."""
     lam = check_partition(lam)
     maj_poly = maj_neg_generating_poly(lam)
-    if maj_poly != comaj_neg_generating_poly(lam):
-        return False
-    rhs = SpecSeries.inv_pochhammer(sum(lam), q_cap) * maj_poly
-    return _schur_principal_spec(lam, q_cap) == rhs
+    return (maj_poly, _schur_principal_spec(lam, q_cap)), (
+        comaj_neg_generating_poly(lam),
+        SpecSeries.inv_pochhammer(sum(lam), q_cap) * maj_poly,
+    )
 
 
-def qt_hook_consistency_check(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> bool:
-    """(q;q)_n times the specialized tableau expansion equals the hook
-    product, as truncated series."""
+def qt_hook_routes(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> tuple[SpecSeries, SpecSeries]:
+    """(q;q)_n times the specialized tableau expansion, and the hook product,
+    as truncated series."""
     lam = check_partition(lam)
     lhs = _schur_principal_spec(lam, q_cap) * q_pochhammer(sum(lam))
-    return lhs == SpecSeries.from_qtpoly(hook_product(lam), q_cap)
+    return lhs, SpecSeries.from_qtpoly(hook_product(lam), q_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +326,16 @@ def pi_lambda(lam: Partition) -> QPoly:
     return qpoly(q_pochhammer_quotient(sum(lam), lam))
 
 
-def pi_root_check(lam: Partition, d: int) -> bool:
-    """At a primitive d-th root of unity (d | n), the quotient vanishes unless
-    the partition is rectangular with all parts d, where it equals z_lambda."""
+def pi_root_routes(lam: Partition, d: int) -> tuple[CycloElem, CycloElem]:
+    """The quotient at a primitive d-th root of unity (d | n), and its closed
+    value: zero unless the partition is rectangular with all parts d, where
+    it is z_lambda."""
     lam = check_partition(lam)
     n = sum(lam)
     if d < 1 or n % d != 0:
         raise ValueError(f"need d | n: d={d}, n={n}")
     expected = z_lambda(lam) if lam == (d,) * (n // d) else 0
-    return cyclo_reduce(pi_lambda(lam), d) == CycloElem.from_rational(d, expected)
+    return cyclo_reduce(pi_lambda(lam), d), CycloElem.from_rational(d, expected)
 
 
 def omega_extract(f: SymFunc, r: int, s: int = 1) -> SymFunc:
@@ -411,33 +415,6 @@ def symmetry_counts(
         if b == m:
             counts[a % r_total] += int(c)
     return counts
-
-
-def sym1_check(lam: Partition, r: int, s: int) -> bool:
-    """Residue-count equality over plain standard tableaux (no bars):
-    interesting when gcd(r, n) = gcd(s, n)."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    counts = symmetry_counts(lam, n, 0)
-    return counts[r % n] == counts[s % n]
-
-
-def sym2_check(lam: Partition, n: int, m: int, r: int, s: int) -> bool:
-    """Residue-count equality at fixed bar count m over shapes of n+m:
-    interesting when gcd(r + m//2, n+m) = gcd(s + m//2, n+m), where m//2 is
-    the even-half convention of :func:`half_if_even`."""
-    total = n + m
-    counts = symmetry_counts(lam, total, m)
-    return counts[r % total] == counts[s % total]
-
-
-def sym3_check(lam: Partition, n: int, m: int, r: int) -> bool:
-    """For odd n and m, bar counts m and n are equidistributed within every
-    maj residue class mod n+m."""
-    total = n + m
-    counts_m = symmetry_counts(lam, total, m)
-    counts_n = symmetry_counts(lam, total, n)
-    return counts_m[r % total] == counts_n[r % total]
 
 
 # ---------------------------------------------------------------------------

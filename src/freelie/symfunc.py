@@ -408,36 +408,23 @@ def expand_truncated(f: SymFunc, N: int, M: int = 0, alphabet: str = "x") -> Mul
 
 
 # ---------------------------------------------------------------------------
-# Schur expansion reporting
+# Schur expansion
 
 
-class SchurExpansion(Record):
-    """Schur coefficients of a symmetric function, plus an integrality flag.
-
-    ``is_nonneg_integral`` records whether every coefficient is a polynomial
-    in q, t with nonnegative integer coefficients, as a character expansion
-    must be; a False value flags a bug or a non-character input, it is not
-    an error by itself.
-    """
-
-    __slots__ = ("coefficients", "is_nonneg_integral")
-
-    def __init__(self, coefficients: dict[Partition, QTPoly], is_nonneg_integral: bool):
-        self.coefficients = coefficients
-        self.is_nonneg_integral = is_nonneg_integral
-
-    def items(self):
-        return sorted(self.coefficients.items(), key=lambda kv: _partition_sort_key(kv[0]))
+def schur_expand(f: SymFunc) -> SymFunc:
+    """The Schur expansion of f, from any basis."""
+    return p_to_s(to_p(f))
 
 
-def schur_expand(f: SymFunc) -> SchurExpansion:
-    s = p_to_s(to_p(f))
-    ok = all(
-        c.denominator == 1 and c >= 0
-        for coeff in s.terms.values()
-        for _, c in coeff.items()
-    )
-    return SchurExpansion(dict(s.terms), ok)
+def first_bad_multiplicity(f: SymFunc) -> Partition | None:
+    """The first partition, in the canonical order, whose coefficient is not a
+    polynomial in q, t with nonnegative integer coefficients, or None.  A
+    character's Schur expansion has none; one found flags a bug or a
+    non-character input, it is not an error by itself."""
+    for lam, coeff in f.items():
+        if any(c.denominator != 1 or c < 0 for _, c in coeff.items()):
+            return lam
+    return None
 
 
 # ---------------------------------------------------------------------------

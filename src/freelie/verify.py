@@ -79,15 +79,52 @@ def _bidegrees(max_total: int, min_total: int = 1) -> list[tuple[int, int]]:
     return [(t - m, m) for t in range(min_total, max_total + 1) for m in range(t + 1)]
 
 
-def _equality(check: str, parameters: dict, lhs, rhs, render=str) -> CheckReport:
-    """Compare two routes with ==.  On a failure both are rendered, and for
-    two term maps the first key where they differ is named."""
+def _equal_gcd_pairs(total: int, shift: int) -> list[tuple[int, int]]:
+    """Residues r < s in 1..total with gcd(r + shift, total) = gcd(s + shift, total)."""
+    return [
+        (r, s)
+        for r in range(1, total + 1)
+        for s in range(r + 1, total + 1)
+        if math.gcd(r + shift, total) == math.gcd(s + shift, total)
+    ]
+
+
+def _render(route) -> str:
+    """A route as a failed check prints it: a tuple's values joined by "; ",
+    a dict as {key: value, ...}, a symmetric function by its partitions."""
+    if isinstance(route, tuple):
+        return "; ".join(map(_render, route))
+    if isinstance(route, dict):
+        return "{" + ", ".join(f"{k}: {_render(v)}" for k, v in route.items()) + "}"
+    return render_sym(route) if isinstance(route, SymFunc) else str(route)
+
+
+def _first_difference(lhs, rhs):
+    """Where two unequal routes first differ, or None if that cannot be named:
+    the first key of two term maps (in their canonical order) or of two dicts
+    (in their own order), and for two tuples the index of the first unequal
+    pair, with where that pair differs."""
+    if isinstance(lhs, TermMap) and type(rhs) is type(lhs):
+        return lhs.first_difference(rhs)
+    if isinstance(lhs, dict) and isinstance(rhs, dict):
+        keys = [*lhs, *(k for k in rhs if k not in lhs)]
+        return next((k for k in keys if lhs.get(k) != rhs.get(k)), None)
+    if isinstance(lhs, tuple) and isinstance(rhs, tuple):
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            if a != b:
+                where = _first_difference(a, b)
+                return i if where is None else (i, where)
+    return None
+
+
+def _equality(check: str, parameters: dict, lhs, rhs, case: str | None = None) -> CheckReport:
+    """Compare two routes with ==.  On a failure both are rendered and the
+    first key where they differ is named, after ``case``, which names the
+    failing case when the routes are one case of many."""
     if lhs == rhs:
         return CheckReport(check, parameters, True)
-    where = lhs.first_difference(rhs) if isinstance(lhs, TermMap) else None
-    return CheckReport(
-        check, parameters, False, render(lhs), render(rhs), None if where is None else str(where)
-    )
+    where = ", at ".join(str(x) for x in (case, _first_difference(lhs, rhs)) if x is not None)
+    return CheckReport(check, parameters, False, _render(lhs), _render(rhs), where or None)
 
 
 def _bracket_oracle(n: int, m: int, N: int, expected: int) -> tuple[int, str | None]:
@@ -119,16 +156,19 @@ def suite_brandt_diagonal(max_total: int) -> list[CheckReport]:
     for n, m in _bidegrees(max_total):
         lhs = symfunc.diagonal(superlie.super_bi_brandt_char(n, m))
         rhs = superlie.super_brandt_char(n, m)
-        reports.append(_equality("brandt-diagonal", {"n": n, "m": m}, lhs, rhs, render_sym))
+        reports.append(_equality("brandt-diagonal", {"n": n, "m": m}, lhs, rhs))
+        # one route: a character's Schur multiplicities are nonnegative integers
         expansion = symfunc.schur_expand(rhs)
+        bad = symfunc.first_bad_multiplicity(expansion)
         reports.append(
             CheckReport(
                 "schur-positivity",
                 {"n": n, "m": m},
-                expansion.is_nonneg_integral,
-                lhs=None
-                if expansion.is_nonneg_integral
-                else render_sym(SymFunc("s", expansion.coefficients)),
+                bad is None,
+                lhs=None if bad is None else render_sym(expansion),
+                first_discrepancy=None
+                if bad is None
+                else f"s_{format_partition(bad)}: {expansion.coefficient(bad)}",
             )
         )
     return reports
@@ -226,15 +266,10 @@ def suite_klyachko(max_n: int, oracle_max_r: int, chi_cyc_max_total: int) -> lis
                 )
             )
     for n, m in _bidegrees(chi_cyc_max_total):
-        fast = cyclic.chi_cyc(n, m)
-        slow = cyclic.chi_cyc_oracle(n, m)
-        reports.append(
-            CheckReport(
-                "subset-rotation-character",
-                {"n": n, "m": m},
-                fast.values == slow.values,
-            )
-        )
+        # the values at generator powers k = 1..n+m
+        fast = dict(enumerate(cyclic.chi_cyc(n, m).values, 1))
+        slow = dict(enumerate(cyclic.chi_cyc_oracle(n, m).values, 1))
+        reports.append(_equality("subset-rotation-character", {"n": n, "m": m}, fast, slow))
     return reports
 
 
@@ -246,7 +281,6 @@ def suite_super_klyachko(max_total: int) -> list[CheckReport]:
             {"n": n, "m": m},
             cyclic.super_klyachko_char(n, m),
             superlie.super_brandt_char(n, m),
-            render_sym,
         )
         for n, m in _bidegrees(max_total)
     ]
@@ -268,10 +302,11 @@ def suite_hook(max_n: int) -> list[CheckReport]:
             )
             t0_slice = QTPoly({k: c for k, c in product.items() if k[1] == 0})
             reports.append(
-                CheckReport(
+                _equality(
                     "hook-classical-slice",
                     {"partition": format_partition(lam)},
-                    classical == t0_slice,
+                    classical,
+                    t0_slice,
                 )
             )
     return reports
@@ -302,19 +337,19 @@ def suite_sps(max_n: int, q_cap: int, qt_hook_max_n: int) -> list[CheckReport]:
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
             reports.append(
-                CheckReport(
+                _equality(
                     "schur-principal-specialization",
                     {"partition": format_partition(lam), "q_cap": q_cap},
-                    specialization.s_ps_check(lam, q_cap),
+                    *specialization.s_ps_routes(lam, q_cap),
                 )
             )
     for n in range(1, qt_hook_max_n + 1):
         for lam in partitions_of(n):
             reports.append(
-                CheckReport(
+                _equality(
                     "qt-hook-specialization",
                     {"partition": format_partition(lam), "q_cap": q_cap},
-                    specialization.qt_hook_consistency_check(lam, q_cap),
+                    *specialization.qt_hook_routes(lam, q_cap),
                 )
             )
     return reports
@@ -339,10 +374,10 @@ def suite_reu(max_n: int) -> list[CheckReport]:
         for lam in partitions_of(n):
             for d in (d for d in range(1, n + 1) if n % d == 0):
                 reports.append(
-                    CheckReport(
+                    _equality(
                         "pi-root",
                         {"partition": format_partition(lam), "d": d},
-                        specialization.pi_root_check(lam, d),
+                        *specialization.pi_root_routes(lam, d),
                     )
                 )
     return reports
@@ -352,12 +387,14 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int, seed: int) -> 
     """Multiplicity formula for all bidegrees, plus agreement of the two
     implementations of residue extraction on random polynomials."""
     reports = [
-        _equality("kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m), render_sym)
+        _equality("kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m))
         for n, m in _bidegrees(max_total)
     ]
 
+    # one check over all trials: it stops at the first failing trial and
+    # names it; if none fails, it compares the last trial's routes
     rng = random.Random(seed)
-    failures = 0
+    by_filter = by_roots = case = None
     for trial in range(omega_trials):
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -380,74 +417,63 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int, seed: int) -> 
         by_filter = specialization.omega_extract(f, r, s)
         by_roots = specialization.omega_extract_roots(f, r, s)
         if by_filter != by_roots:
-            failures += 1
+            case = f"trial {trial}: r = {r}, s = {s}, f = {render_sym(f)}"
+            break
     reports.append(
-        CheckReport(
+        _equality(
             "omega-filter-vs-roots",
             {"trials": omega_trials, "max_r": omega_max_r, "seed": seed},
-            failures == 0,
-            first_discrepancy=None if failures == 0 else f"{failures} mismatches",
+            by_filter,
+            by_roots,
+            case,
         )
     )
     return reports
 
 
 def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int) -> list[CheckReport]:
-    """Residue-class counting symmetries of the maj statistic."""
+    """Residue-class counting symmetries of the maj statistic.  Each check
+    compares two dicts of tableau counts, keyed by what the symmetry says
+    agrees: plain tableaux of a shape of n hold equally many with maj = r and
+    maj = s mod n when gcd(r, n) = gcd(s, n) (classical); so do those with m
+    bars over shapes of n+m when gcd(r + h, n+m) = gcd(s + h, n+m), where
+    h = half_if_even(m) (signed); and for odd n and m, bar counts m and n are
+    equidistributed within every maj residue class mod n+m (odd)."""
     reports = []
     for n in range(2, sym1_max_n + 1):
+        pairs = _equal_gcd_pairs(n, 0)
         for lam in partitions_of(n):
-            ok = all(
-                specialization.sym1_check(lam, r, s)
-                for r in range(1, n + 1)
-                for s in range(r + 1, n + 1)
-                if math.gcd(r, n) == math.gcd(s, n)
-            )
+            counts = specialization.symmetry_counts(lam, n, 0)
             reports.append(
-                CheckReport(
+                _equality(
                     "residue-symmetry-classical",
                     {"partition": format_partition(lam)},
-                    ok,
+                    {(r, s): counts[r % n] for r, s in pairs},
+                    {(r, s): counts[s % n] for r, s in pairs},
                 )
             )
     for n, m in _bidegrees(sym2_max_total, 2):
         total = n + m
-        shift = specialization.half_if_even(m)
-        pairs = [
-            (r, s)
-            for r in range(1, total + 1)
-            for s in range(r + 1, total + 1)
-            if math.gcd(r + shift, total) == math.gcd(s + shift, total)
-        ]
-        ok = all(
-            specialization.sym2_check(lam, n, m, r, s)
-            for lam in partitions_of(total)
-            for (r, s) in pairs
-        )
-        reports.append(
-            CheckReport(
-                "residue-symmetry-signed",
-                {"n": n, "m": m},
-                ok,
-            )
-        )
+        pairs = _equal_gcd_pairs(total, specialization.half_if_even(m))
+        shapes = partitions_of(total)
+        counts = {lam: specialization.symmetry_counts(lam, total, m) for lam in shapes}
+        by_r = {(lam, r, s): c[r % total] for lam, c in counts.items() for r, s in pairs}
+        by_s = {(lam, r, s): c[s % total] for lam, c in counts.items() for r, s in pairs}
+        reports.append(_equality("residue-symmetry-signed", {"n": n, "m": m}, by_r, by_s))
     for total in range(2, sym3_max_total + 1):
         for m in range(1, total, 2):
             n = total - m
             if n % 2 == 0 or n < 1:
                 continue
-            ok = all(
-                specialization.sym3_check(lam, n, m, r)
-                for lam in partitions_of(total)
-                for r in range(total)
+            bars_m, bars_n = (
+                {
+                    (lam, r): c
+                    for lam in partitions_of(total)
+                    for r, c in specialization.symmetry_counts(lam, total, bars).items()
+                }
+                for bars in (m, n)
             )
-            reports.append(
-                CheckReport(
-                    "bar-count-symmetry-odd",
-                    {"n": n, "m": m},
-                    ok,
-                )
-            )
+            reports.append(_equality("bar-count-symmetry-odd", {"n": n, "m": m}, bars_m, bars_n))
     return reports
 
 
@@ -458,7 +484,6 @@ def suite_degree_two(max_d: int) -> list[CheckReport]:
             "degree-two",
             {"d": d},
             *specialization.degree_two_routes(d),
-            lambda sides: "; ".join(map(render_sym, sides)),
         )
         for d in range(1, max_d + 1)
     ]

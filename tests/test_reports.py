@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from freelie.exactalg import QTPoly
-from freelie.specialization import SpecSeries, sym1_check, symmetry_counts
+from freelie.specialization import SpecSeries, symmetry_counts
 from freelie.symfunc import SymFunc
-from freelie.verify import CheckReport
+from freelie.verify import CheckReport, _equality
 
 
 def test_check_report_is_mutable_and_unhashable():
@@ -48,8 +48,12 @@ def test_sym1_check_can_fail():
     # one tableau and residue 0 holds none; unequal-gcd residues differ
     counts = symmetry_counts((2, 1), 3, 0)
     assert counts == {0: 0, 1: 1, 2: 1}
-    assert sym1_check((2, 1), 1, 2)       # gcd 1 = gcd 2... both coprime to 3
-    assert not sym1_check((2, 1), 1, 3)   # gcd(1,3)=1 vs gcd(3,3)=3: may differ, does
+    assert counts[1] == counts[2]      # gcd 1 = gcd 2... both coprime to 3
+    assert counts[1] != counts[3 % 3]  # gcd(1,3)=1 vs gcd(3,3)=3: may differ, does
+    # the suite's two routes for the pair (1, 3) therefore differ, and the
+    # report names it
+    report = _equality("demo", {}, {(1, 3): counts[1]}, {(1, 3): counts[0]})
+    assert (report.ok, report.first_discrepancy) == (False, "(1, 3)")
 
 
 def test_multiplicity_pipeline_distinguishes_residues():
@@ -63,12 +67,11 @@ def test_multiplicity_pipeline_distinguishes_residues():
 
     gf = kw_generating_function(4)
     wrong = omega_extract(gf, 4, 2)
-    expansion = schur_expand(super_brandt_char(4, 0)).coefficients
+    expansion = schur_expand(super_brandt_char(4, 0))
     mismatches = [
         lam
         for lam in partitions_of(4)
-        if wrong.coefficient(lam).coefficient(0, 0)
-        != expansion.get(lam, QTPoly.zero()).constant_value()
+        if wrong.coefficient(lam).coefficient(0, 0) != expansion.coefficient(lam).constant_value()
     ]
     assert mismatches == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
@@ -90,8 +93,6 @@ def test_bi_sym_func_coefficient():
 
 
 def test_equality_report_shows_both_routes_and_first_difference():
-    from freelie.verify import _equality
-
     a = QTPoly({(0, 0): 1, (2, 1): 3})
     b = QTPoly({(0, 0): 1, (1, 0): 2, (2, 1): 3})
     assert _equality("demo", {"n": 1}, a, a).to_json() == {
@@ -123,3 +124,47 @@ def test_failing_suite_reports_where_the_routes_differ(monkeypatch, capsys):
     assert code == cli.EXIT_IDENTITY_FAILURE
     assert '[fail] thrall-sum {"m": 1, "n": 1}\n    discrepancy: ((1,), (1,))' in out
     assert out.count("[fail]") == 1
+    # both routes follow the discrepancy
+    assert '(1,), (1,))\n    lhs: ' in out and "\n    rhs: " in out
+
+
+def test_equality_names_the_first_differing_key_of_dicts_and_tuples():
+    # dicts in their own order, not sorted: the suites insert in canonical order
+    a = {(3,): 1, (1, 1, 1): 2, (2, 1): 3}
+    b = {(3,): 1, (1, 1, 1): 5, (2, 1): 4}
+    report = _equality("demo", {}, a, b)
+    assert report.first_discrepancy == "(1, 1, 1)"
+    assert report.lhs == "{(3,): 1, (1, 1, 1): 2, (2, 1): 3}"
+    assert _equality("demo", {}, a, {**a, (4,): 1}).first_discrepancy == "(4,)"
+    # tuples: the index of the first unequal pair, and where that pair differs
+    p = QTPoly({(0, 0): 1})
+    report = _equality("demo", {}, (p, p), (p, p + QTPoly.q()))
+    assert report.first_discrepancy == "(1, (1, 0))"
+    assert report.rhs == "1; 1 + q"
+    # a failing case among many leads the discrepancy
+    report = _equality("demo", {}, p, p + QTPoly.t(), case="trial 3")
+    assert report.first_discrepancy == "trial 3, at (0, 1)"
+
+
+def test_omega_check_names_its_first_failing_trial(monkeypatch):
+    from freelie import specialization, verify
+
+    real = specialization.omega_extract_roots
+    calls = []
+
+    def late(f, r, s):
+        calls.append((f, r, s))
+        out = real(f, r, s)
+        return out + SymFunc.term("p", (1,)) if len(calls) > 2 else out
+
+    monkeypatch.setattr(specialization, "omega_extract_roots", late)
+    report = verify.run_suite("kw", "quick", {"max_total": 1})[-1]
+    f, r, s = calls[2]
+    assert len(calls) == 3
+    assert report.check == "omega-filter-vs-roots" and not report.ok
+    assert report.first_discrepancy == (
+        f"trial 2: r = {r}, s = {s}, f = {verify.render_sym(f)}, at (1,)"
+    )
+    by_filter = specialization.omega_extract(f, r, s)
+    assert report.lhs == verify.render_sym(by_filter)
+    assert report.rhs == verify.render_sym(by_filter + SymFunc.term("p", (1,)))

@@ -23,18 +23,15 @@ from freelie.specialization import (
     omega_extract,
     omega_extract_roots,
     pi_lambda,
-    pi_root_check,
+    pi_root_routes,
     qps_routes,
     qsym_principal_spec,
-    qt_hook_consistency_check,
-    s_ps_check,
+    qt_hook_routes,
+    s_ps_routes,
     super_cauchy_routes,
     super_power_sum_truncated,
     super_qsym_truncated,
     super_schur_truncated,
-    sym1_check,
-    sym2_check,
-    sym3_check,
     symmetry_counts,
 )
 from freelie.superlie import super_brandt_char
@@ -228,15 +225,22 @@ def test_hook_formula_specializations():
 
 
 def test_s_ps_sweep():
+    # one box, barred or not: 1 + t, over (q;q)_1 = 1 - q
+    routes = s_ps_routes((1,), 4)
+    one_box = QTPoly({(0, 0): 1, (0, 1): 1})
+    series = SpecSeries(4, {(a, b): 1 for a in range(5) for b in (0, 1)})
+    assert routes == ((one_box, series), (one_box, series))
     for n in range(1, 6):
         for lam in partitions_of(n):
-            assert s_ps_check(lam, 12), lam
+            lhs, rhs = s_ps_routes(lam, 12)
+            assert lhs == rhs, lam
 
 
 def test_qt_hook_consistency_sweep():
     for n in range(1, 5):
         for lam in partitions_of(n):
-            assert qt_hook_consistency_check(lam, 12), lam
+            lhs, rhs = qt_hook_routes(lam, 12)
+            assert lhs == rhs, lam
 
 
 # -- root-of-unity machinery
@@ -250,11 +254,12 @@ def test_pi_lambda_examples(t_slices):
 
 
 def test_pi_root_examples():
-    assert pi_root_check((2,), 2)
-    assert pi_root_check((1, 1), 2)
-    assert pi_root_check((1, 1, 1), 1)
+    # (1 - q)/(1 - q^2)... at q = -1: pi_(2) = 1 - q gives 2 = z_(2)
+    assert pi_root_routes((2,), 2) == (CycloElem.from_rational(2, 2),) * 2
+    assert pi_root_routes((1, 1), 2) == (CycloElem.from_rational(2, 0),) * 2
+    assert pi_root_routes((1, 1, 1), 1) == (CycloElem.from_rational(1, 6),) * 2
     with pytest.raises(ValueError):
-        pi_root_check((2, 1), 2)
+        pi_root_routes((2, 1), 2)
 
 
 def test_pi_root_sweep():
@@ -262,7 +267,8 @@ def test_pi_root_sweep():
         for lam in partitions_of(n):
             for d in range(1, n + 1):
                 if n % d == 0:
-                    assert pi_root_check(lam, d), (lam, d)
+                    value, closed = pi_root_routes(lam, d)
+                    assert value == closed, (lam, d)
 
 
 def test_omega_extract_examples():
@@ -374,9 +380,9 @@ def test_kw_sweep_mixed():
 def test_kw_counts_match_schur_multiplicities():
     for n, m in ((2, 1), (3, 1), (2, 2)):
         total = n + m
-        expansion = schur_expand(super_brandt_char(n, m)).coefficients
+        expansion = schur_expand(super_brandt_char(n, m))
         for lam in partitions_of(total):
-            mult = expansion.get(lam, QTPoly.zero()).constant_value()
+            mult = expansion.coefficient(lam).constant_value()
             assert count_super_tableaux(lam, total, 1, m) == mult, (lam, n, m)
 
 
@@ -402,8 +408,9 @@ def test_sym1_equal_gcd_residues():
     counts = symmetry_counts(lam, 5, 0)
     assert len({counts[r] for r in (1, 2, 3, 4)}) == 1
     for lam in partitions_of(6):
-        assert sym1_check(lam, 1, 5)  # gcd 1
-        assert sym1_check(lam, 2, 4)  # gcd 2
+        counts = symmetry_counts(lam, 6, 0)
+        assert counts[1] == counts[5]  # gcd 1
+        assert counts[2] == counts[4]  # gcd 2
 
 
 def test_sym2_small_sweep():
@@ -411,20 +418,20 @@ def test_sym2_small_sweep():
 
     for total in range(2, 7):
         for m in range(total + 1):
-            n = total - m
             shift = half_if_even(m)
             for lam in partitions_of(total):
+                counts = symmetry_counts(lam, total, m)
                 for r in range(1, total + 1):
                     for s in range(1, total + 1):
                         if math.gcd(r + shift, total) == math.gcd(s + shift, total):
-                            assert sym2_check(lam, n, m, r, s), (lam, n, m, r, s)
+                            assert counts[r % total] == counts[s % total], (lam, m, r, s)
 
 
 def test_sym3_odd_pairs():
     for n, m in ((3, 1), (1, 3), (3, 3), (5, 1)):
         for lam in partitions_of(n + m):
-            for r in range(n + m):
-                assert sym3_check(lam, n, m, r), (lam, n, m, r)
+            bars_m = symmetry_counts(lam, n + m, m)
+            assert bars_m == symmetry_counts(lam, n + m, n), (lam, n, m)
 
 
 # -- degree-two identities
@@ -437,14 +444,8 @@ def test_degree_two_expansions():
 
     e2 = super_brandt_char(2, 0)
     h2 = super_brandt_char(0, 2)
-    assert schur_expand(h_pleth(2, e2)).coefficients == {
-        (2, 2): QTPoly.one(),
-        (1, 1, 1, 1): QTPoly.one(),
-    }
-    assert schur_expand(h_pleth(2, h2)).coefficients == {
-        (4,): QTPoly.one(),
-        (2, 2): QTPoly.one(),
-    }
+    assert schur_expand(h_pleth(2, e2)) == SymFunc("s", {(2, 2): 1, (1, 1, 1, 1): 1})
+    assert schur_expand(h_pleth(2, h2)) == SymFunc("s", {(4,): 1, (2, 2): 1})
 
 
 def test_degree_two_convolution_base():

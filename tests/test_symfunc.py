@@ -17,6 +17,7 @@ from freelie.symfunc import (
     diagonal,
     e_pleth,
     expand_truncated,
+    first_bad_multiplicity,
     frobenius_characteristic,
     h_pleth,
     mn_character,
@@ -258,14 +259,18 @@ def test_expand_requires_constant_coefficients():
 
 def test_schur_expand_examples():
     result = schur_expand(E2)
-    assert result.coefficients == {(1, 1): QTPoly.one()}
-    assert result.is_nonneg_integral
+    assert result == SymFunc("s", {(1, 1): QTPoly.one()})
+    assert first_bad_multiplicity(result) is None
 
     result = schur_expand(p(1, 1))
-    assert result.coefficients == {(2,): QTPoly.one(), (1, 1): QTPoly.one()}
+    assert result == SymFunc("s", {(2,): QTPoly.one(), (1, 1): QTPoly.one()})
 
     negative = schur_expand(p(2))  # p_2 = s_2 - s_11 is not a character
-    assert not negative.is_nonneg_integral
+    assert first_bad_multiplicity(negative) == (1, 1)
+    # the first bad coefficient in the canonical order, negative or fractional
+    half = SymFunc("s", {(3,): Fraction(1, 2), (2, 1): -1, (1,): QTPoly.q()})
+    assert first_bad_multiplicity(half) == (3,)
+    assert first_bad_multiplicity(SymFunc("s", {(2,): QTPoly({(1, 1): -1})})) == (2,)
 
 
 # -- two-alphabet functions
