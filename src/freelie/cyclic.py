@@ -114,7 +114,7 @@ def induce_frobenius(chi: CyclicClassFunction) -> SymFunc:
             raise ArithmeticError(
                 f"root-of-unity sum failed to reduce to a rational: {inner}"
             )
-        c = inner.rational_value() / r
+        c = Fraction(inner.rational_value(), r)
         if c != 0:
             terms[(d,) * (r // d)] = c
     return SymFunc("p", terms)
@@ -171,7 +171,7 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
                 acc = acc + chi.at_power(k)
         if not acc.is_rational:
             raise ArithmeticError(f"induced character value not rational: {acc}")
-        values[mu] = acc.rational_value() / r
+        values[mu] = Fraction(acc.rational_value(), r)
     return ClassFunctionSn(r, values)
 
 

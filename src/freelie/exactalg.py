@@ -1,8 +1,9 @@
 """Exact arithmetic substrate for all character computations.
 
 Everything is exact and no floating point appears anywhere in the package:
-coefficients are ``int`` or ``fractions.Fraction``; the cyclotomic reduction
-keeps ``int`` input ``int``, and the row reduction takes ``int`` only.  This
+coefficients are ``int`` or ``fractions.Fraction``, and a ``float`` is
+refused.  Integer input stays ``int`` through the term maps, their products
+and the cyclotomic reduction, and the row reduction takes ``int`` only.  This
 module provides
 
 * :class:`TermMap`, the one sparse key -> coefficient container, with the
@@ -249,6 +250,17 @@ def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
 # sparse term maps
 
 
+def exact(c) -> RatLike:
+    """A coefficient as an exact number: an ``int`` or a ``Fraction`` stays
+    as it is, a ``float`` raises TypeError (its binary value is rarely the
+    number meant), and anything else goes through ``Fraction()``."""
+    if type(c) in (int, Fraction):
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"coefficients must be exact, got the float {c!r}")
+    return Fraction(c)
+
+
 def collect(pairs: Iterable[tuple[Hashable, object]], start: Mapping | None = None) -> dict:
     """Sum the coefficients of (key, coefficient) pairs by key, on top of the
     terms of ``start``, and drop every key whose sum is zero."""
@@ -300,7 +312,9 @@ class TermMap:
     container behind every exact polynomial, series and symmetric function.
 
     Zero coefficients are never stored, so equality of the term dicts is
-    equality of the values.  ``_layout`` names the attributes that two values
+    equality of the values.  Coefficients are exact (:func:`exact`): an
+    ``int`` stays ``int``, so products of integer values never touch
+    ``fractions``.  ``_layout`` names the attributes that two values
     must share to be added, multiplied or equal (a variable layout, a
     truncation cap, a basis); any other slot of a subclass is carried along.
     Public constructors validate outside input through :meth:`_fill`; results
@@ -313,7 +327,7 @@ class TermMap:
     _zero: object = Fraction(0)
     _sort_key = None  # order of items() by key; None is the natural order
 
-    def _fill(self, terms: Mapping | None, key, coeff=Fraction) -> None:
+    def _fill(self, terms: Mapping | None, key, coeff=exact) -> None:
         """Set the terms from outside input: ``key`` validates and normalizes
         a key (None drops the term), ``coeff`` converts a coefficient."""
         canon = {}
@@ -446,7 +460,8 @@ class QTPoly(TermMap):
     """Sparse polynomial in q and t with exact rational coefficients.
 
     Terms map exponent pairs (a, b) >= (0, 0), meaning q^a * t^b, to nonzero
-    Fractions.  Items come by total degree, then q, then t exponent.
+    ``int`` or ``Fraction`` coefficients.  Items come by total degree, then
+    q, then t exponent.
     """
 
     __slots__ = ()

@@ -14,8 +14,10 @@ top of cyclotomic arithmetic so the two can be checked against each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .exactalg import (
@@ -97,12 +99,12 @@ class SpecSeries(TermMap):
         """1/(1 - q^k) truncated: 1 + q^k + q^2k + ..."""
         if k < 1:
             raise ValueError(f"geometric requires k >= 1, got {k}")
-        return cls(q_cap, {(j * k, 0): Fraction(1) for j in range(q_cap // k + 1)})
+        return cls(q_cap, {(j * k, 0): 1 for j in range(q_cap // k + 1)})
 
     @classmethod
     def inv_pochhammer(cls, n: int, q_cap: int) -> SpecSeries:
         """1/(q;q)_n truncated, as a product of geometric series."""
-        out = cls(q_cap, {(0, 0): Fraction(1)})
+        out = cls(q_cap, {(0, 0): 1})
         for k in range(1, n + 1):
             out = out * cls.geometric(k, q_cap)
         return out
@@ -216,35 +218,49 @@ def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
 # principal specializations
 
 
+@lru_cache(maxsize=None)
+def _word_counts(n: int, d: frozenset, q_cap: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((q-weight, bar count), number of words) for the admissible words of
+    length n whose q-weight fits under q_cap, by a forward transfer over
+    positions.  Letter (v, barred) has index 2(v - 1) + barred and q-weight
+    v - 1; the state maps (weight used, bars used) to the prefix counts by
+    last letter.  A letter follows any smaller one, and repeats the last one
+    at position pos exactly when it is barred iff pos is in D, so one running
+    sum over the letters makes each transfer.  Letter v is placed only if
+    used + (v-1)*remaining fits under the cap, as no later letter weighs less."""
+    size = 2 * (q_cap + 1)
+    rows: dict[tuple[int, int], list[int]] = {}
+    for i in range(2 * (q_cap // n + 1)):
+        rows.setdefault((i >> 1, i & 1), [0] * size)[i] = 1
+    for pos in range(1, n):
+        remaining = n - pos
+        repeat_barred = int(pos in d)
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (used, bars), row in rows.items():
+            running = 0
+            for i in range(2 * ((q_cap - used) // remaining + 1)):
+                c = row[i]
+                into = running + c if (i & 1) == repeat_barred else running
+                running += c
+                if into:
+                    key = (used + (i >> 1), bars + (i & 1))
+                    target = nxt.get(key)
+                    if target is None:
+                        target = nxt[key] = [0] * size
+                    target[i] += into
+        rows = nxt
+    return tuple((key, sum(row)) for key, row in rows.items())
+
+
 def qsym_principal_spec(n: int, d, q_cap: int) -> SpecSeries:
     """Principal specialization x_i = q^(i-1), y_i = t q^(i-1) of the
-    two-alphabet quasisymmetric function, truncated at q_cap: enumerate the
-    admissible words over the full signed alphabet whose total q-weight fits
-    under the cap."""
+    two-alphabet quasisymmetric function, truncated at q_cap: the admissible
+    words over the full signed alphabet whose total q-weight fits under the
+    cap, counted by (q-weight, bar count) with an integer DP over positions
+    (memoized per (n, D, q_cap); each call builds a fresh series)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    d = frozenset(d)
-    weights: list[tuple[int, int]] = []
-
-    def rec(pos: int, prev, used: int, bars: int) -> None:
-        if pos == n:
-            weights.append((used, bars))
-            return
-        remaining = n - pos
-        v = prev[0] if prev is not None else 1
-        while used + (v - 1) * remaining <= q_cap:
-            for barred in (False, True):
-                letter = (v, barred)
-                if prev is not None:
-                    if letter < prev:
-                        continue
-                    if letter == prev and barred != (pos in d):
-                        continue
-                rec(pos + 1, letter, used + v - 1, bars + barred)
-            v += 1
-
-    rec(0, None, 0, 0)
-    return SpecSeries(q_cap, collect((w, 1) for w in weights))
+    return SpecSeries(q_cap, dict(_word_counts(n, frozenset(d), q_cap)))
 
 
 def qps_routes(n: int, d, q_cap: int) -> tuple[SpecSeries, SpecSeries]:
@@ -280,12 +296,14 @@ def hook_product(lam: Partition) -> QTPoly:
     return QTPoly(terms)
 
 
+@lru_cache(maxsize=None)
 def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
     """The specialized tableau expansion: sum over standard tableaux T of the
-    principal specialization of the quasisymmetric function of Des(T)."""
+    principal specialization of the quasisymmetric function of Des(T), one
+    specialization per distinct descent set, times its number of tableaux."""
     acc = SpecSeries(q_cap, {})
-    for t in syt_enumerate(lam):
-        acc = acc + qsym_principal_spec(sum(lam), descent_set(t), q_cap)
+    for d, k in Counter(descent_set(t) for t in syt_enumerate(lam)).items():
+        acc = acc + qsym_principal_spec(sum(lam), d, q_cap).scale(k)
     return acc
 
 
@@ -361,7 +379,7 @@ def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
             for k in range(1, r + 1):
                 powers[k * (a - s) % r] += 1
             total = cyclo_reduce(powers, r)
-            pairs.append(((0, b), total.rational_value() * v / r))
+            pairs.append(((0, b), Fraction(total.rational_value() * v, r)))
         return QTPoly(collect(pairs))
 
     return f.map_coefficients(average)
@@ -382,13 +400,19 @@ def kw_generating_function(n_total: int, budget: int = DEFAULT_PAIR_BUDGET) -> S
     )
 
 
+@lru_cache(maxsize=None)
+def _kw_filtered(total: int) -> SymFunc:
+    """The q-exponents congruent to 1 mod total of the generating function,
+    at q = 1: shared by every bidegree of the total."""
+    return omega_extract(kw_generating_function(total), total, 1)
+
+
 def kw_routes(n: int, m: int) -> tuple[SymFunc, SymFunc]:
     """The Schur multiplicities of the bidegree-(n, m) character along two
     routes: the tableau count (the q-exponents congruent to 1 mod n+m of the
     generating function, then the t^m coefficient), and the Schur expansion
     of the character."""
-    total = n + m
-    filtered = omega_extract(kw_generating_function(total), total, 1)
+    filtered = _kw_filtered(n + m)
     counts = {lam: c.coefficient(0, m) for lam, c in filtered.terms.items()}
     return SymFunc("s", counts), p_to_s(super_brandt_char(n, m))
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from freelie.exactalg import ExactDivisionError, QTPoly, qpoly
+from freelie.exactalg import ExactDivisionError, QTPoly, collect, qpoly
+from freelie.specialization import SpecSeries
 
 
 def _fraction_rank(rows) -> int:
@@ -129,3 +130,37 @@ def t_slices():
 def from_t_slices():
     """{t-exponent: dense q-polynomial} -> QTPoly."""
     return _from_t_slices
+
+
+def _word_principal_spec(n, d, q_cap):
+    """Principal specialization of the two-alphabet quasisymmetric function
+    of D by one recursion step per letter of every admissible word, the route
+    that the integer transfer DP replaced."""
+    d = frozenset(d)
+    weights = []
+
+    def rec(pos, prev, used, bars):
+        if pos == n:
+            weights.append((used, bars))
+            return
+        remaining = n - pos
+        v = prev[0] if prev is not None else 1
+        while used + (v - 1) * remaining <= q_cap:
+            for barred in (False, True):
+                letter = (v, barred)
+                if prev is not None:
+                    if letter < prev:
+                        continue
+                    if letter == prev and barred != (pos in d):
+                        continue
+                rec(pos + 1, letter, used + v - 1, bars + barred)
+            v += 1
+
+    rec(0, None, 0, 0)
+    return SpecSeries(q_cap, collect((w, 1) for w in weights))
+
+
+@pytest.fixture(scope="session")
+def word_principal_spec():
+    """(n, D, q_cap) -> the truncated principal specialization, word by word."""
+    return _word_principal_spec

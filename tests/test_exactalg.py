@@ -24,7 +24,8 @@ from freelie.exactalg import (
     qpoly_add,
     qpoly_mul,
 )
-from freelie.specialization import SpecSeries
+from freelie.specialization import SpecSeries, qsym_principal_spec, s_ps_routes
+from freelie.symfunc import SymFunc
 
 
 # -- number theory
@@ -323,6 +324,43 @@ def test_qtpoly_scalar_compare_builds_no_polynomial(monkeypatch):
     assert [[p != c for c in scalars] for p in values] == [[not e for e in row] for row in expected]
     assert expected[0][0] and expected[1][1] and expected[1][5] and expected[3][3]
     assert not any(expected[4]) and not any(expected[5])
+
+
+def test_float_coefficients_are_refused():
+    # 0.1 is a binary fraction, 3602879701896397/2**55, not one tenth
+    for make in (
+        lambda c: QTPoly({(0, 0): c}),
+        lambda c: SpecSeries(3, {(1, 0): c}),
+        lambda c: MultiPoly(1, 1, {(1, 0): c}),
+        lambda c: SymFunc("p", {(1,): c}),
+    ):
+        with pytest.raises(TypeError):
+            make(0.1)
+        with pytest.raises(TypeError):
+            make(2.0)
+    # every other coefficient still goes through Fraction()
+    assert QTPoly({(0, 0): "1/10"}) == Fraction(1, 10)
+    assert type(QTPoly({(0, 0): True}).coefficient(0, 0)) is Fraction
+
+
+def test_integer_products_keep_int_coefficients():
+    p = QTPoly({(0, 0): 1, (1, 1): -2, (2, 0): 3})
+    series = SpecSeries.inv_pochhammer(4, 10) * p
+    values = [
+        p * p,
+        p ** 3,
+        q_pochhammer(5) * p - p,
+        series,
+        series * series,
+        SpecSeries.geometric(2, 10) + series.scale(3),
+        qsym_principal_spec(4, {1, 3}, 8),
+        *s_ps_routes((2, 1), 8)[0],
+    ]
+    for value in values:
+        assert all(type(c) is int for c in value.terms.values()), value
+    # a Fraction stays a Fraction
+    half = p * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in (half * p).terms.values())
 
 
 # -- MultiPoly

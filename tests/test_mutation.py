@@ -32,7 +32,7 @@ from freelie.symfunc import BiSymFunc, SymFunc
 
 def _clear_caches():
     symfunc.clear_character_cache()
-    for module in (tableau, partition, exactalg):
+    for module in (tableau, partition, exactalg, specialization):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

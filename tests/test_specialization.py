@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from freelie import specialization
 from freelie.exactalg import (
     CycloElem,
     MultiPoly,
@@ -15,6 +16,7 @@ from freelie.exactalg import (
 from freelie.partition import cells, hook_length, partitions_of, z_lambda
 from freelie.specialization import (
     SpecSeries,
+    _schur_principal_spec,
     degree_two_routes,
     half_if_even,
     hook_product,
@@ -36,7 +38,12 @@ from freelie.specialization import (
 )
 from freelie.superlie import super_brandt_char
 from freelie.symfunc import SymFunc, expand_truncated, schur_expand
-from freelie.tableau import count_super_tableaux, maj_neg_generating_poly
+from freelie.tableau import (
+    count_super_tableaux,
+    descent_set,
+    maj_neg_generating_poly,
+    syt_enumerate,
+)
 
 
 # -- quasisymmetric polynomials
@@ -167,6 +174,45 @@ def test_qps_identity_examples_and_sweep():
             d = {i + 1 for i in range(n - 1) if mask >> i & 1}
             words, formula = qps_routes(n, d, 12)
             assert words == formula, (n, d)
+
+
+def test_word_dp_counts_every_admissible_word(word_principal_spec):
+    for n in range(1, 8):
+        for mask in range(1 << (n - 1)):
+            d = {i + 1 for i in range(n - 1) if mask >> i & 1}
+            for q_cap in (0, 1, 5, 12, 15):
+                assert qsym_principal_spec(n, d, q_cap) == word_principal_spec(n, d, q_cap), (
+                    n, d, q_cap
+                )
+
+
+def test_schur_principal_spec_groups_tableaux_by_descent_set():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            per_tableau = SpecSeries(12, {})
+            for t in syt_enumerate(lam):
+                per_tableau = per_tableau + qsym_principal_spec(n, descent_set(t), 12)
+            assert _schur_principal_spec(lam, 12) == per_tableau, lam
+
+
+def test_word_counts_are_computed_once_per_descent_set(monkeypatch):
+    specialization._word_counts.cache_clear()
+    specialization._schur_principal_spec.cache_clear()
+    calls = []
+    real = specialization.qsym_principal_spec
+
+    def counted(n, d, q_cap):
+        calls.append((n, frozenset(d), q_cap))
+        return real(n, d, q_cap)
+
+    monkeypatch.setattr(specialization, "qsym_principal_spec", counted)
+    for lam in partitions_of(5):
+        s_ps_routes(lam, 12)
+        qt_hook_routes(lam, 12)
+    # one call per distinct (shape, descent set), one count per (n, D, q_cap)
+    pairs = {(lam, descent_set(t)) for lam in partitions_of(5) for t in syt_enumerate(lam)}
+    assert len(calls) == len(pairs)
+    assert specialization._word_counts.cache_info().misses == len(set(calls))
 
 
 # -- hook products
