@@ -12,7 +12,6 @@ from .exactalg import (
     ExactDivisionError,
     MultiPoly,
     QTPoly,
-    Rat,
     ResourceLimitError,
     binom,
     cyclo_reduce,

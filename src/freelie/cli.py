@@ -23,7 +23,7 @@ from . import superlie, symfunc, tableau, verify
 from .exactalg import Record, ResourceLimitError, render_terms
 from .partition import format_partition, parse_partition
 from .symfunc import SymFunc
-from .verify import UsageError, render_sym
+from .verify import UsageError
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -70,8 +70,8 @@ def _render_bi_terms(terms) -> str:
 def _sym_payload(f: SymFunc) -> dict:
     expansion = symfunc.schur_expand(f)
     return {
-        "p_expansion": render_sym(symfunc.to_p(f)),
-        "s_expansion": render_sym(expansion),
+        "p_expansion": str(symfunc.to_p(f)),
+        "s_expansion": str(expansion),
         "schur_nonneg_integral": symfunc.first_bad_multiplicity(expansion) is None,
         "json": symfunc.sym_to_json(symfunc.to_p(f)),
     }

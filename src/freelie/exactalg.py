@@ -8,13 +8,14 @@ module provides
 
 * :class:`TermMap`, the one sparse key -> coefficient container, with the
   accumulate-and-drop-zero loop :func:`collect` and the term renderer
-  :func:`render_terms`; every polynomial, series and symmetric function in
-  the package is a thin subclass of it,
+  :func:`render_terms`; every polynomial, series, cyclotomic element and
+  symmetric function in the package is a thin subclass of it,
 * sparse two-variable polynomials in q and t (:class:`QTPoly`),
-* dense univariate q-polynomials as trimmed coefficient tuples (constant term
-  first), and subtract-only division by monic integer polynomials,
+* products of dense coefficient lists (constant term first) and
+  subtract-only division by monic integer polynomials,
 * cyclotomic polynomials and the quotient rings Q[q]/(Phi_d(q))
-  (:class:`CycloElem`), used for exact root-of-unity sums,
+  (:class:`CycloElem`, a term map over the reduced exponents), used for
+  exact root-of-unity sums,
 * polynomials in finitely many variables of two alphabets (:class:`MultiPoly`),
 * the q-Pochhammer symbol (q;q)_n, division-free q-Pochhammer quotients and
   number-theoretic helpers,
@@ -32,8 +33,6 @@ import operator
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-
-Rat = Fraction
 
 RatLike = int | Fraction
 
@@ -137,37 +136,7 @@ def euler_phi(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate q-polynomials: tuple of Fractions, constant term first;
-# the zero polynomial is the empty tuple.
-
-QPoly = tuple[Fraction, ...]
-
-
-def qpoly(coeffs: Iterable[RatLike]) -> QPoly:
-    """Build a trimmed dense q-polynomial from a coefficient iterable."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def qpoly_add(a: QPoly, b: QPoly) -> QPoly:
-    n = max(len(a), len(b))
-    return qpoly(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def qpoly_mul(a: QPoly, b: QPoly) -> QPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return qpoly(out)
+# dense univariate polynomials: coefficient lists, constant term first
 
 
 def monic_divmod(num: Sequence[RatLike], den: Sequence[int]) -> tuple[list, list]:
@@ -192,7 +161,9 @@ def monic_divmod(num: Sequence[RatLike], den: Sequence[int]) -> tuple[list, list
     return quot, rem[:dd]
 
 
-def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _poly_mul(a: Sequence[RatLike], b: Sequence[RatLike]) -> list:
+    """Product of two dense coefficient lists; ``int`` input gives ``int``
+    output."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -213,7 +184,7 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
     den = [1]
     for e in divisors(d):
         if e < d:
-            den = _int_poly_mul(den, cyclotomic_poly(e))
+            den = _poly_mul(den, cyclotomic_poly(e))
     quot, rem = monic_divmod([-1] + [0] * (d - 1) + [1], den)
     if any(rem):
         raise ExactDivisionError(f"q^{d} - 1 left remainder {rem}")
@@ -242,7 +213,7 @@ def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
                 f"(q;q)_{n} / prod (1 - q^k) is not a polynomial: Phi_{d} has exponent {e}"
             )
         for _ in range(e):
-            out = _int_poly_mul(out, cyclotomic_poly(d))
+            out = _poly_mul(out, cyclotomic_poly(d))
     return out
 
 
@@ -531,18 +502,6 @@ class QTPoly(TermMap):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> QTPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QTPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             return self._terms == ({(0, 0): other} if other else {})
@@ -592,91 +551,86 @@ def q_pochhammer(n: int) -> QTPoly:
     """(q;q)_n = (1 - q)(1 - q^2) ... (1 - q^n)."""
     if n < 0:
         raise ValueError(f"q_pochhammer requires n >= 0, got {n}")
-    result = QTPoly.one()
-    for k in range(1, n + 1):
-        result = result * (QTPoly.one() - QTPoly.monomial(k, 0))
-    return result
+    return QTPoly({(a, 0): c for a, c in enumerate(q_pochhammer_quotient(n, ()))})
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic quotient rings
 
 
-class CycloElem(Record):
+class CycloElem(TermMap):
     """Element of Q[q]/(Phi_d(q)): exact arithmetic with d-th roots of unity.
 
-    The representative is a trimmed dense polynomial of degree < phi(d).
-    Uniqueness of the reduced form means an element equals a rational
-    constant exactly when its representative has degree 0.
+    Terms map an exponent a, 0 <= a < phi(d), to its coefficient in the
+    reduced representative.  Uniqueness of the reduced form means an element
+    equals a rational constant exactly when no exponent above 0 occurs.
     """
 
-    __slots__ = ("modulus", "rep")
+    __slots__ = ("modulus",)
+    _layout = ("modulus",)
+    _zero = 0
 
-    def __init__(self, modulus: int, rep: QPoly):
+    def __init__(self, modulus: int, terms: Mapping[int, RatLike] | None = None):
         if modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {modulus}")
-        if len(rep) > euler_phi(modulus):
-            raise ValueError("representative not reduced")
         self.modulus = modulus
-        self.rep = rep
+        self._fill(terms, self._key)
+
+    def _key(self, a: int) -> int:
+        if not 0 <= a < euler_phi(self.modulus):
+            raise ValueError(f"representative not reduced: q^{a} modulo Phi_{self.modulus}")
+        return a
 
     @classmethod
     def from_rational(cls, d: int, value: RatLike) -> CycloElem:
-        return cyclo_reduce(qpoly([value]), d)
+        return cyclo_reduce([value], d)
 
     @classmethod
     def root_power(cls, d: int, k: int) -> CycloElem:
         """omega_d^k for the chosen primitive d-th root omega_d (the class of q)."""
-        return cyclo_reduce(qpoly([0] * (k % d) + [1]), d)
+        return cyclo_reduce([0] * (k % d) + [1], d)
 
-    def __add__(self, other: CycloElem) -> CycloElem:
-        self._check(other)
-        # two reduced representatives sum to a reduced one
-        return CycloElem(self.modulus, qpoly_add(self.rep, other.rep))
+    def _dense(self) -> list:
+        out = [0] * (max(self._terms, default=-1) + 1)
+        for a, c in self._terms.items():
+            out[a] = c
+        return out
 
     def __mul__(self, other: CycloElem | RatLike) -> CycloElem:
         if isinstance(other, (int, Fraction)):
-            other = CycloElem.from_rational(self.modulus, other)
+            return self.scale(other)
         self._check(other)
-        return cyclo_reduce(qpoly_mul(self.rep, other.rep), self.modulus)
+        return cyclo_reduce(_poly_mul(self._dense(), other._dense()), self.modulus)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> CycloElem:
-        return CycloElem(self.modulus, qpoly(-c for c in self.rep))
-
-    def __sub__(self, other: CycloElem) -> CycloElem:
-        return self + (-other)
-
-    def _check(self, other: CycloElem) -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
     @property
     def is_rational(self) -> bool:
-        return len(self.rep) <= 1
+        return set(self._terms) <= {0}
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> RatLike:
         """The value of a degree-0 element; raises if the root genuinely occurs."""
         if not self.is_rational:
             raise ValueError(f"not a rational element: {self}")
-        return self.rep[0] if self.rep else Fraction(0)
+        return self._terms.get(0, 0)
 
     def __str__(self) -> str:
-        return render_terms((_monomial_name("w", [a]), c) for a, c in enumerate(self.rep) if c)
+        return render_terms((_monomial_name("w", [a]), c) for a, c in self.items())
+
+    def __repr__(self) -> str:
+        return f"CycloElem[{self.modulus}]({self})"
 
 
-def cyclo_reduce(p: QPoly | Iterable[RatLike], d: int) -> CycloElem:
-    """Reduce a q-polynomial modulo Phi_d(q), i.e. evaluate it at omega_d.
+def cyclo_reduce(p: Iterable[RatLike], d: int) -> CycloElem:
+    """Reduce a dense q-polynomial, constant term first, modulo Phi_d(q),
+    i.e. evaluate it at omega_d.
 
-    Phi_d is monic, so the reduction only subtracts multiples of it; the
-    coefficients keep their type until the remainder is made a CycloElem."""
-    if d < 1:
-        raise ValueError(f"cyclo_reduce requires d >= 1, got {d}")
-    _, rem = monic_divmod(p, cyclotomic_poly(d))
-    return CycloElem(d, qpoly(rem))
+    Phi_d is monic, so the reduction only subtracts multiples of it and the
+    coefficients keep their exact type; a ``float`` raises TypeError.  The
+    remainder is reduced by construction and becomes the terms unchecked."""
+    zero = CycloElem(d)
+    _, rem = monic_divmod([exact(c) for c in p], cyclotomic_poly(d))
+    return zero._with({a: c for a, c in enumerate(rem) if c})
 
 
 # ---------------------------------------------------------------------------

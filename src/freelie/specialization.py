@@ -23,7 +23,6 @@ from itertools import combinations
 from .exactalg import (
     CycloElem,
     MultiPoly,
-    QPoly,
     QTPoly,
     TermMap,
     add_pairs,
@@ -31,7 +30,6 @@ from .exactalg import (
     cyclo_reduce,
     q_pochhammer,
     q_pochhammer_quotient,
-    qpoly,
 )
 from .partition import (
     Partition,
@@ -52,7 +50,6 @@ from .symfunc import (
     p_to_s,
 )
 from .tableau import (
-    DEFAULT_PAIR_BUDGET,
     comaj_neg_generating_poly,
     descent_set,
     maj_neg_generating_poly,
@@ -65,6 +62,17 @@ DEFAULT_Q_CAP = 12
 
 # ---------------------------------------------------------------------------
 # truncated q,t-series
+
+
+@lru_cache(maxsize=None)
+def _partition_counts(n: int, q_cap: int) -> tuple[int, ...]:
+    """The number of partitions of k into parts <= n, for k = 0..q_cap: one
+    running sum per part size."""
+    counts = [1] + [0] * q_cap
+    for part in range(1, n + 1):
+        for k in range(part, q_cap + 1):
+            counts[k] += counts[k - part]
+    return tuple(counts)
 
 
 class SpecSeries(TermMap):
@@ -95,19 +103,10 @@ class SpecSeries(TermMap):
         return cls(q_cap, dict(p.items()))
 
     @classmethod
-    def geometric(cls, k: int, q_cap: int) -> SpecSeries:
-        """1/(1 - q^k) truncated: 1 + q^k + q^2k + ..."""
-        if k < 1:
-            raise ValueError(f"geometric requires k >= 1, got {k}")
-        return cls(q_cap, {(j * k, 0): 1 for j in range(q_cap // k + 1)})
-
-    @classmethod
     def inv_pochhammer(cls, n: int, q_cap: int) -> SpecSeries:
-        """1/(q;q)_n truncated, as a product of geometric series."""
-        out = cls(q_cap, {(0, 0): 1})
-        for k in range(1, n + 1):
-            out = out * cls.geometric(k, q_cap)
-        return out
+        """1/(q;q)_n truncated: the coefficient of q^k counts the partitions
+        of k into parts <= n (memoized per (n, q_cap))."""
+        return cls(q_cap, {(k, 0): c for k, c in enumerate(_partition_counts(n, q_cap))})
 
     def __mul__(self, other: SpecSeries | QTPoly | int | Fraction) -> SpecSeries:
         if isinstance(other, QTPoly):
@@ -335,13 +334,13 @@ def qt_hook_routes(lam: Partition, q_cap: int = DEFAULT_Q_CAP) -> tuple[SpecSeri
 # root-of-unity evaluations
 
 
-def pi_lambda(lam: Partition) -> QPoly:
-    """(q;q)_n / prod_i (1 - q^(lam_i)), an exact polynomial computed without
-    division."""
+def pi_lambda(lam: Partition) -> list[int]:
+    """(q;q)_n / prod_i (1 - q^(lam_i)) as integer coefficients, constant
+    term first, computed without division."""
     lam = check_partition(lam)
     if not lam:
         raise ValueError("need a nonempty partition")
-    return qpoly(q_pochhammer_quotient(sum(lam), lam))
+    return q_pochhammer_quotient(sum(lam), lam)
 
 
 def pi_root_routes(lam: Partition, d: int) -> tuple[CycloElem, CycloElem]:
@@ -389,14 +388,14 @@ def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
 # the multiplicity pipeline
 
 
-def kw_generating_function(n_total: int, budget: int = DEFAULT_PAIR_BUDGET) -> SymFunc:
+def kw_generating_function(n_total: int) -> SymFunc:
     """Schur-basis generating function whose coefficient at each shape of
     n_total is that shape's (maj, bar count) generating polynomial."""
     if n_total < 1:
         raise ValueError("need n_total >= 1")
     return SymFunc(
         "s",
-        {lam: maj_neg_generating_poly(lam, budget) for lam in partitions_of(n_total)},
+        {lam: maj_neg_generating_poly(lam) for lam in partitions_of(n_total)},
     )
 
 
@@ -426,14 +425,12 @@ def half_if_even(m: int) -> int:
     return m // 2 if m % 2 == 0 else 0
 
 
-def symmetry_counts(
-    lam: Partition, r_total: int, m: int, budget: int = DEFAULT_PAIR_BUDGET
-) -> dict[int, int]:
+def symmetry_counts(lam: Partition, r_total: int, m: int) -> dict[int, int]:
     """For each residue s mod r_total, the number of signed standard tableaux
     of the shape with maj congruent to s and exactly m bars."""
     if r_total < 1:
         raise ValueError(f"r_total must be >= 1, got {r_total}")
-    poly = maj_neg_generating_poly(lam, budget)
+    poly = maj_neg_generating_poly(lam)
     counts = {s: 0 for s in range(r_total)}
     for (a, b), c in poly.terms.items():  # summing needs no term order
         if b == m:

@@ -29,6 +29,7 @@ from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect, rend
 from .partition import (
     Partition,
     check_partition,
+    format_partition,
     partitions_of,
     z_lambda,
 )
@@ -117,7 +118,7 @@ class SymFunc(SymTerms):
         return tuple(d * part for part in lam)
 
     def _name(self, lam: Partition) -> str:
-        return f"{self.basis}_{{{','.join(str(p) for p in lam)}}}" if lam else ""
+        return f"{self.basis}_{format_partition(lam)}" if lam else ""
 
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self._terms})

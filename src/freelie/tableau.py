@@ -228,14 +228,15 @@ def _moves(lam: Partition, mu: tuple[int, ...]):
             yield r, mu[:r] + (part + 1,) + mu[r + 1 :]
 
 
-def _check_budget(lam: Partition, budget: int) -> None:
+def _check_budget(lam: Partition) -> None:
     """Refuse the shape when a bound on the DP's table-entry updates exceeds
-    the budget.  After i is placed in a shape mu, the row of i is a removable
-    corner of mu and i may be barred or not; each such state moves by the
-    addable rows of mu, barred or not; and its table has at most
-    i * (sum_{j<i} (n - j) + 1) entries, as the bar count takes i values and
-    the statistic, maj or comaj, is at most sum_{j<i} (n - j).  The shapes are
-    walked layer by layer, so a huge shape is refused after a few layers."""
+    DEFAULT_PAIR_BUDGET, read at call time.  After i is placed in a shape mu,
+    the row of i is a removable corner of mu and i may be barred or not; each
+    such state moves by the addable rows of mu, barred or not; and its table
+    has at most i * (sum_{j<i} (n - j) + 1) entries, as the bar count takes i
+    values and the statistic, maj or comaj, is at most sum_{j<i} (n - j).  The
+    shapes are walked layer by layer, so a huge shape is refused after a few
+    layers."""
     n = sum(lam)
     bound = 0
     layer = {(1,) + (0,) * (len(lam) - 1)} if n else set()
@@ -247,15 +248,16 @@ def _check_budget(lam: Partition, budget: int) -> None:
             moves = [nu for _, nu in _moves(lam, mu)]
             nxt.update(moves)
             bound += 4 * corners * len(moves) * table
-        if bound > budget:
+        if bound > DEFAULT_PAIR_BUDGET:
             raise ResourceLimitError(
-                f"the signed-tableau DP of {lam} needs more than {budget} table-entry updates"
+                f"the signed-tableau DP of {lam} needs more than {DEFAULT_PAIR_BUDGET}"
+                " table-entry updates"
             )
         layer = nxt
 
 
 @lru_cache(maxsize=None)
-def _sign_generating_poly(lam: Partition, budget: int, use_comaj: bool) -> QTPoly:
+def _sign_generating_poly(lam: Partition, use_comaj: bool) -> QTPoly:
     """Counts of (statistic, bar count) over all signed tableaux of the shape.
 
     Entries 1..n are placed in order.  A state after placing i is (shape mu,
@@ -265,7 +267,7 @@ def _sign_generating_poly(lam: Partition, budget: int, use_comaj: bool) -> QTPol
     is strictly lower than the row of i and i+1 is unbarred, or r is not
     strictly lower and i is barred; i then adds i to maj, or n - i to comaj.
     """
-    _check_budget(lam, budget)
+    _check_budget(lam)
     n = sum(lam)
     if n == 0:
         return QTPoly.one()
@@ -293,23 +295,17 @@ def _sign_generating_poly(lam: Partition, budget: int, use_comaj: bool) -> QTPol
     )
 
 
-def maj_neg_generating_poly(lam: Partition, budget: int = DEFAULT_PAIR_BUDGET) -> QTPoly:
+def maj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^maj t^negg over all signed standard tableaux of the shape."""
-    return _sign_generating_poly(check_partition(lam), budget, use_comaj=False)
+    return _sign_generating_poly(check_partition(lam), use_comaj=False)
 
 
-def comaj_neg_generating_poly(lam: Partition, budget: int = DEFAULT_PAIR_BUDGET) -> QTPoly:
+def comaj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^comaj t^negg over all signed standard tableaux of the shape."""
-    return _sign_generating_poly(check_partition(lam), budget, use_comaj=True)
+    return _sign_generating_poly(check_partition(lam), use_comaj=True)
 
 
-def count_super_tableaux(
-    lam: Partition,
-    modulus: int,
-    residue: int,
-    m: int,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> int:
+def count_super_tableaux(lam: Partition, modulus: int, residue: int, m: int) -> int:
     """Number of signed standard tableaux with maj congruent to ``residue``
     mod ``modulus`` and exactly ``m`` barred entries."""
     lam = check_partition(lam)
@@ -320,5 +316,5 @@ def count_super_tableaux(
     if m > sum(lam):
         return 0
     residue %= modulus
-    poly = maj_neg_generating_poly(lam, budget)
+    poly = maj_neg_generating_poly(lam)
     return sum(int(c) for (a, b), c in poly.items() if b == m and a % modulus == residue)

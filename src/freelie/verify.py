@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import QTPoly, Record, TermMap, collect, render_terms
+from .exactalg import QTPoly, Record, TermMap, collect
 from .partition import format_partition, partitions_of
 from .symfunc import SymFunc
 
@@ -67,13 +67,6 @@ class CheckReport(Record):
         return out
 
 
-def render_sym(f: SymFunc) -> str:
-    """A symmetric function as reports and the CLI print it: p_(2,1), s_(3)."""
-    return render_terms(
-        (f"{f.basis}_{format_partition(lam)}" if lam else "", c) for lam, c in f.items()
-    )
-
-
 def _bidegrees(max_total: int, min_total: int = 1) -> list[tuple[int, int]]:
     """(n, m) with min_total <= n + m <= max_total, by total, then by m."""
     return [(t - m, m) for t in range(min_total, max_total + 1) for m in range(t + 1)]
@@ -91,12 +84,12 @@ def _equal_gcd_pairs(total: int, shift: int) -> list[tuple[int, int]]:
 
 def _render(route) -> str:
     """A route as a failed check prints it: a tuple's values joined by "; ",
-    a dict as {key: value, ...}, a symmetric function by its partitions."""
+    a dict as {key: value, ...}, anything else by str()."""
     if isinstance(route, tuple):
         return "; ".join(map(_render, route))
     if isinstance(route, dict):
         return "{" + ", ".join(f"{k}: {_render(v)}" for k, v in route.items()) + "}"
-    return render_sym(route) if isinstance(route, SymFunc) else str(route)
+    return str(route)
 
 
 def _first_difference(lhs, rhs):
@@ -165,7 +158,7 @@ def suite_brandt_diagonal(max_total: int) -> list[CheckReport]:
                 "schur-positivity",
                 {"n": n, "m": m},
                 bad is None,
-                lhs=None if bad is None else render_sym(expansion),
+                lhs=None if bad is None else str(expansion),
                 first_discrepancy=None
                 if bad is None
                 else f"s_{format_partition(bad)}: {expansion.coefficient(bad)}",
@@ -247,8 +240,8 @@ def suite_klyachko(max_n: int, oracle_max_r: int, chi_cyc_max_total: int) -> lis
                 "klyachko-classical",
                 {"n": n},
                 lhs == rhs,
-                lhs=render_sym(lhs),
-                rhs=render_sym(rhs),
+                lhs=str(lhs),
+                rhs=str(rhs),
             )
         )
     for r in range(1, oracle_max_r + 1):
@@ -261,8 +254,8 @@ def suite_klyachko(max_n: int, oracle_max_r: int, chi_cyc_max_total: int) -> lis
                     "induction-vs-oracle",
                     {"r": r, "k0": k0},
                     direct == via_oracle,
-                    lhs=render_sym(via_oracle),
-                    rhs=render_sym(direct),
+                    lhs=str(via_oracle),
+                    rhs=str(direct),
                 )
             )
     for n, m in _bidegrees(chi_cyc_max_total):
@@ -417,7 +410,7 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int, seed: int) -> 
         by_filter = specialization.omega_extract(f, r, s)
         by_roots = specialization.omega_extract_roots(f, r, s)
         if by_filter != by_roots:
-            case = f"trial {trial}: r = {r}, s = {s}, f = {render_sym(f)}"
+            case = f"trial {trial}: r = {r}, s = {s}, f = {f}"
             break
     reports.append(
         _equality(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freelie.exactalg import ExactDivisionError, QTPoly, collect, qpoly
+from freelie.exactalg import ExactDivisionError, QTPoly, collect
 from freelie.specialization import SpecSeries
 
 
@@ -37,10 +37,20 @@ def fraction_rank():
     return _fraction_rank
 
 
+def _trim(coeffs):
+    """A dense q-polynomial, constant term first, as a tuple of Fractions
+    without trailing zeros; the zero polynomial is the empty tuple."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def _qpoly_divmod(num, den):
     """Fraction long division of dense q-polynomials, the route that
     subtract-only reduction by a monic divisor replaced; returns the trimmed
     (quotient, remainder)."""
+    den = _trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(c) for c in num]
@@ -55,7 +65,7 @@ def _qpoly_divmod(num, den):
         quot[i - dd] = f
         for j, cd in enumerate(den):
             rem[i - dd + j] -= f * cd
-    return qpoly(quot), qpoly(rem)
+    return _trim(quot), _trim(rem)
 
 
 def _qpoly_exact_div(num, den):
@@ -92,6 +102,20 @@ def _q_factorial(n):
     return result
 
 
+def _q_pochhammer_product(n):
+    """(q;q)_n as the product of its n factors 1 - q^k."""
+    result = QTPoly.one()
+    for k in range(1, n + 1):
+        result = result * (QTPoly.one() - QTPoly.monomial(k, 0))
+    return result
+
+
+@pytest.fixture(scope="session")
+def q_pochhammer_product():
+    """(q;q)_n factor by factor, a reference for the division-free route."""
+    return _q_pochhammer_product
+
+
 def _t_slices(p):
     """The terms of a QTPoly grouped by t-exponent, each slice a trimmed
     dense q-polynomial."""
@@ -99,7 +123,7 @@ def _t_slices(p):
     for (a, b), c in p.terms.items():
         acc.setdefault(b, {})[a] = c
     return {
-        b: qpoly(qs.get(a, 0) for a in range(max(qs) + 1)) for b, qs in acc.items()
+        b: _trim(qs.get(a, 0) for a in range(max(qs) + 1)) for b, qs in acc.items()
     }
 
 

@@ -20,12 +20,22 @@ from freelie.exactalg import (
     monic_divmod,
     q_pochhammer,
     q_pochhammer_quotient,
-    qpoly,
-    qpoly_add,
-    qpoly_mul,
 )
 from freelie.specialization import SpecSeries, qsym_principal_spec, s_ps_routes
 from freelie.symfunc import SymFunc
+
+
+def _qt(coeffs):
+    """A dense q-polynomial, constant term first, as a QTPoly."""
+    return QTPoly({(a, 0): c for a, c in enumerate(coeffs)})
+
+
+def _dense(elem):
+    """The reduced representative of a CycloElem as a dense list."""
+    out = [0] * (max(elem.terms, default=-1) + 1)
+    for a, c in elem.terms.items():
+        out[a] = c
+    return out
 
 
 # -- number theory
@@ -75,10 +85,10 @@ def test_cyclotomic_six():
 def test_cyclotomic_product_oracle():
     # prod over d | n of Phi_d(q) = q^n - 1
     for n in range(1, 61):
-        prod = qpoly([1])
+        prod = QTPoly.one()
         for d in divisors(n):
-            prod = qpoly_mul(prod, qpoly(cyclotomic_poly(d)))
-        assert prod == qpoly([-1] + [0] * (n - 1) + [1])
+            prod = prod * _qt(cyclotomic_poly(d))
+        assert prod == _qt([-1] + [0] * (n - 1) + [1])
 
 
 def test_cyclotomic_degree_is_phi():
@@ -100,15 +110,17 @@ def test_q_pochhammer_two():
 
 
 def test_pochhammer_vs_factorial(q_factorial):
-    one_minus_q = QTPoly.one() - QTPoly.q()
+    one_minus_q_to_n = QTPoly.one()
     for n in range(0, 21):
-        assert q_pochhammer(n) == one_minus_q**n * q_factorial(n)
+        assert q_pochhammer(n) == one_minus_q_to_n * q_factorial(n)
+        one_minus_q_to_n = one_minus_q_to_n * (QTPoly.one() - QTPoly.q())
 
 
-def test_q_pochhammer_quotient(q_factorial, t_slices):
+def test_q_pochhammer_quotient(q_factorial, q_pochhammer_product):
     for n in range(0, 13):
-        assert qpoly(q_pochhammer_quotient(n, [])) == t_slices(q_pochhammer(n)).get(0, ())
-        assert qpoly(q_pochhammer_quotient(n, [1] * n)) == t_slices(q_factorial(n))[0]
+        assert q_pochhammer(n) == q_pochhammer_product(n)
+        assert _qt(q_pochhammer_quotient(n, [])) == q_pochhammer_product(n)
+        assert _qt(q_pochhammer_quotient(n, [1] * n)) == q_factorial(n)
     # (1 - q^4) / (1 - q^2) = 1 + q^2
     assert q_pochhammer_quotient(4, [1, 3, 2, 2]) == [1, 0, 1]
 
@@ -169,16 +181,26 @@ def test_cyclo_elem_is_a_value():
     assert w * w * w == CycloElem.from_rational(6, -1)
     assert hash(CycloElem.root_power(6, 7)) == hash(w)
     assert len({w, CycloElem.root_power(6, 7), CycloElem.root_power(3, 1)}) == 2
-    assert {w: "omega"}[CycloElem(6, qpoly([0, 1]))] == "omega"
+    assert {w: "omega"}[CycloElem(6, {1: 1})] == "omega"
     assert CycloElem.root_power(3, 1) != CycloElem.root_power(6, 1)
-    assert repr(w) == f"CycloElem(modulus=6, rep={w.rep!r})"
+    assert repr(w) == "CycloElem[6](w)"
+    assert str(CycloElem(6, {0: 4, 1: -1})) == "4 - w"
+    assert w.coefficient(1) == 1 and w.coefficient(0) == 0
+    # one term, but not the constant one: no rational value
+    assert not w.is_rational
+    with pytest.raises(ValueError):
+        w.rational_value()
 
 
 def test_cyclo_elem_rejects_bad_input():
     with pytest.raises(ValueError):
-        CycloElem(0, ())
+        CycloElem(0)
     with pytest.raises(ValueError):
-        CycloElem(4, qpoly([1, 2, 3]))  # phi(4) = 2, so degree 2 is not reduced
+        CycloElem(4, {2: 3})  # phi(4) = 2, so degree 2 is not reduced
+    with pytest.raises(ValueError):
+        CycloElem(4, {-1: 1})
+    with pytest.raises(TypeError):
+        CycloElem.from_rational(4, 1) + 1
 
 
 def _random_poly(rng, degree, fractions):
@@ -188,24 +210,24 @@ def _random_poly(rng, degree, fractions):
 
 
 def _padded_sum(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
         out[i] += c
-    return qpoly(out)
+    return out
 
 
 def test_cyclo_reduce_matches_long_division(qpoly_divmod):
     rng = random.Random(14)
     for d in range(1, 31):
-        phi = qpoly(cyclotomic_poly(d))
         for fractions in (False, True):
             for _ in range(4):
                 p = _random_poly(rng, rng.randint(0, 3 * d), fractions)
-                _, rem = qpoly_divmod(qpoly(p), phi)
-                assert cyclo_reduce(p, d).rep == rem, (d, p)
-                assert cyclo_reduce(qpoly(p), d).rep == rem, (d, p)
+                _, rem = qpoly_divmod(p, cyclotomic_poly(d))
+                expected = {a: c for a, c in enumerate(rem) if c}
+                assert cyclo_reduce(p, d).terms == expected, (d, p)
+                assert cyclo_reduce(map(Fraction, p), d).terms == expected, (d, p)
 
 
 def test_monic_division_keeps_integers():
@@ -215,8 +237,7 @@ def test_monic_division_keeps_integers():
         quot, rem = monic_divmod(p, cyclotomic_poly(d))
         assert all(type(c) is int for c in quot + rem)
         assert len(rem) <= euler_phi(d)
-        recon = _padded_sum(qpoly_mul(qpoly(quot), qpoly(cyclotomic_poly(d))), qpoly(rem))
-        assert recon == qpoly(p)
+        assert _qt(quot) * _qt(cyclotomic_poly(d)) + _qt(rem) == _qt(p)
 
 
 def test_cyclo_sum_needs_no_reduction():
@@ -226,27 +247,42 @@ def test_cyclo_sum_needs_no_reduction():
             p1 = _random_poly(rng, rng.randint(0, 2 * d), rng.random() < 0.5)
             p2 = _random_poly(rng, rng.randint(0, 2 * d), rng.random() < 0.5)
             a, b = cyclo_reduce(p1, d), cyclo_reduce(p2, d)
-            assert a + b == cyclo_reduce(qpoly_add(a.rep, b.rep), d)
-            assert a + b == cyclo_reduce(qpoly_add(qpoly(p1), qpoly(p2)), d)
-            assert a - b == cyclo_reduce(qpoly_add(a.rep, qpoly(-c for c in b.rep)), d)
+            assert a + b == cyclo_reduce(_padded_sum(_dense(a), _dense(b)), d)
+            assert a + b == cyclo_reduce(_padded_sum(p1, p2), d)
+            assert a - b == cyclo_reduce(_padded_sum(_dense(a), [-c for c in _dense(b)]), d)
+
+
+def test_cyclo_products_keep_int_coefficients():
+    rng = random.Random(17)
+    for d in range(1, 31):
+        a = cyclo_reduce(_random_poly(rng, 2 * d, False), d)
+        b = cyclo_reduce(_random_poly(rng, 2 * d, False), d)
+        for value in (a, a * b, a * 3 - b, CycloElem.root_power(d, 5) * a):
+            assert all(type(c) is int for c in value.terms.values()), (d, value)
+        assert type(CycloElem.from_rational(d, 0).rational_value()) is int
+        # the product is the reduced product of the representatives
+        product = _qt(_dense(a)) * _qt(_dense(b))
+        assert a * b == cyclo_reduce(
+            [product.coefficient(k, 0) for k in range(product.q_degree() + 1)], d
+        )
 
 
 # -- dense division
 
 def test_qpoly_divmod_roundtrip(qpoly_divmod):
-    num = qpoly([1, 2, 0, -1, 5])
-    den = qpoly([1, 1])
+    num = [1, 2, 0, -1, 5]
+    den = [1, 1]
     quot, rem = qpoly_divmod(num, den)
     assert len(rem) < len(den)
-    assert _padded_sum(qpoly_mul(quot, den), rem) == num
+    assert _qt(quot) * _qt(den) + _qt(rem) == _qt(num)
     # the subtract-only route agrees on a monic divisor
-    quot2, rem2 = monic_divmod([1, 2, 0, -1, 5], [1, 1])
-    assert (qpoly(quot2), qpoly(rem2)) == (quot, rem)
+    quot2, rem2 = monic_divmod(num, den)
+    assert (_qt(quot2), _qt(rem2)) == (_qt(quot), _qt(rem))
 
 
 def test_exact_division_raises_on_remainder(qpoly_exact_div):
     with pytest.raises(ExactDivisionError):
-        qpoly_exact_div(qpoly([1, 1, 1]), qpoly([1, 1]))
+        qpoly_exact_div([1, 1, 1], [1, 1])
     assert monic_divmod([1, 1, 1], [1, 1]) == ([0, 1], [1])
 
 
@@ -265,6 +301,14 @@ term_dicts = st.dictionaries(exponents, coeffs, max_size=5)
 qt_polys = term_dicts.map(QTPoly)
 
 
+def _cyclo6(terms):
+    """Terms (a, b) -> c as the sum of c q^(a + 5b), reduced modulo Phi_6."""
+    dense = [0] * 25
+    for (a, b), c in terms.items():
+        dense[a + 5 * b] += c
+    return cyclo_reduce(dense, 6)
+
+
 def _ring(make, one, zero):
     values = term_dicts.map(make)
     return st.tuples(values, values, values, st.just(one), st.just(zero))
@@ -274,6 +318,7 @@ rings = st.one_of(
     _ring(QTPoly, QTPoly.one(), QTPoly.zero()),
     _ring(lambda t: MultiPoly(1, 1, t), MultiPoly.const(1, 1, 1), MultiPoly.zero(1, 1)),
     _ring(lambda t: SpecSeries(3, t), SpecSeries(3, {(0, 0): 1}), SpecSeries(3)),
+    _ring(_cyclo6, CycloElem.from_rational(6, 1), CycloElem(6)),
 )
 
 
@@ -338,6 +383,10 @@ def test_float_coefficients_are_refused():
             make(0.1)
         with pytest.raises(TypeError):
             make(2.0)
+    with pytest.raises(TypeError):
+        CycloElem.from_rational(3, 0.1)
+    with pytest.raises(TypeError):
+        cyclo_reduce([0.1, 1], 3)
     # every other coefficient still goes through Fraction()
     assert QTPoly({(0, 0): "1/10"}) == Fraction(1, 10)
     assert type(QTPoly({(0, 0): True}).coefficient(0, 0)) is Fraction
@@ -348,11 +397,11 @@ def test_integer_products_keep_int_coefficients():
     series = SpecSeries.inv_pochhammer(4, 10) * p
     values = [
         p * p,
-        p ** 3,
+        p * p * p,
         q_pochhammer(5) * p - p,
         series,
         series * series,
-        SpecSeries.geometric(2, 10) + series.scale(3),
+        SpecSeries(10, {(2 * j, 0): 1 for j in range(6)}) + series.scale(3),
         qsym_principal_spec(4, {1, 3}, 8),
         *s_ps_routes((2, 1), 8)[0],
     ]

@@ -9,9 +9,6 @@ from freelie.exactalg import (
     CycloElem,
     MultiPoly,
     QTPoly,
-    q_pochhammer,
-    qpoly,
-    qpoly_mul,
 )
 from freelie.partition import cells, hook_length, partitions_of, z_lambda
 from freelie.specialization import (
@@ -233,7 +230,7 @@ def test_hook_formula_sweep():
 
 
 def test_division_free_quotients_match_long_division(
-    qpoly_exact_div, q_int, q_factorial, t_slices, from_t_slices
+    qpoly_exact_div, q_int, q_factorial, q_pochhammer_product, t_slices, from_t_slices
 ):
     def hook_product_by_division(lam):
         """[n]_q! times the cell factors, each t-slice divided by
@@ -248,15 +245,15 @@ def test_division_free_quotients_match_long_division(
 
     def pi_lambda_by_division(lam):
         """(q;q)_n / prod (1 - q^part) by Fraction long division."""
-        den = qpoly([1])
+        den = QTPoly.one()
         for part in lam:
-            den = qpoly_mul(den, qpoly([1] + [0] * (part - 1) + [-1]))
-        return qpoly_exact_div(t_slices(q_pochhammer(sum(lam)))[0], den)
+            den = den * (QTPoly.one() - QTPoly.monomial(part, 0))
+        return qpoly_exact_div(t_slices(q_pochhammer_product(sum(lam)))[0], t_slices(den)[0])
 
     for n in range(1, 11):
         for lam in partitions_of(n):
             assert hook_product(lam) == hook_product_by_division(lam), lam
-            assert pi_lambda(lam) == pi_lambda_by_division(lam), lam
+            assert tuple(pi_lambda(lam)) == pi_lambda_by_division(lam), lam
 
 
 def test_hook_formula_specializations():
@@ -282,6 +279,15 @@ def test_s_ps_sweep():
             assert lhs == rhs, lam
 
 
+def test_inv_pochhammer_is_a_product_of_geometric_series():
+    for q_cap in range(15):
+        for n in range(9):
+            product = SpecSeries(q_cap, {(0, 0): 1})
+            for k in range(1, n + 1):
+                product = product * SpecSeries(q_cap, {(j * k, 0): 1 for j in range(q_cap // k + 1)})
+            assert SpecSeries.inv_pochhammer(n, q_cap) == product, (n, q_cap)
+
+
 def test_qt_hook_consistency_sweep():
     for n in range(1, 5):
         for lam in partitions_of(n):
@@ -291,12 +297,15 @@ def test_qt_hook_consistency_sweep():
 
 # -- root-of-unity machinery
 
-def test_pi_lambda_examples(t_slices):
-    assert pi_lambda((2,)) == qpoly([1, -1])
-    assert pi_lambda((1, 1)) == qpoly([1, 1])
+def test_pi_lambda_examples(q_pochhammer_product, t_slices):
+    assert pi_lambda((2,)) == [1, -1]
+    assert pi_lambda((1, 1)) == [1, 1]
     for n in range(1, 7):
-        expected = t_slices(q_pochhammer(n - 1))[0]
-        assert pi_lambda((n,)) == expected
+        expected = t_slices(q_pochhammer_product(n - 1))[0]
+        assert tuple(pi_lambda((n,))) == expected
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            assert all(type(c) is int for c in pi_lambda(lam)), lam
 
 
 def test_pi_root_examples():

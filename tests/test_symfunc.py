@@ -42,6 +42,12 @@ E2 = SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
 
 # -- characters
 
+def test_symfunc_renders_its_partitions_as_the_cli_prints_them():
+    f = SymFunc("p", {(2, 1): Fraction(1, 2), (): 1, (3,): -1})
+    assert str(f) == "1 - 1*p_(3) + 1/2*p_(2,1)"
+    assert repr(SymFunc.term("s", (2, 2))) == "SymFunc[s](s_(2,2))"
+
+
 def test_mn_trivial_character():
     for n in range(1, 7):
         for mu in partitions_of(n):

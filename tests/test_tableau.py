@@ -9,7 +9,6 @@ from freelie import tableau
 from freelie.exactalg import QTPoly, ResourceLimitError
 from freelie.partition import partitions_of
 from freelie.tableau import (
-    DEFAULT_PAIR_BUDGET,
     StandardTableau,
     SuperTableau,
     comaj,
@@ -277,7 +276,7 @@ def test_dp_matches_signed_filling_definition():
 def test_default_budget_admits_every_shape_to_18():
     for n in range(1, 19):
         for lam in partitions_of(n):
-            tableau._check_budget(lam, DEFAULT_PAIR_BUDGET)
+            tableau._check_budget(lam)
 
 
 def test_budget_refuses_before_computing():
@@ -287,11 +286,13 @@ def test_budget_refuses_before_computing():
         count_super_tableaux((1,) * 300, 300, 1, 0)
 
 
-def test_budget_errors():
+def test_budget_errors(monkeypatch):
+    tableau._sign_generating_poly.cache_clear()
+    monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
-        maj_neg_generating_poly((3, 2, 1), budget=10)
+        maj_neg_generating_poly((3, 2, 1))
     with pytest.raises(ResourceLimitError):
-        count_super_tableaux((3, 2, 1), 6, 1, 3, budget=10)
+        count_super_tableaux((3, 2, 1), 6, 1, 3)
 
 
 def test_render_and_parse_tableaux():
