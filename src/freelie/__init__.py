@@ -48,11 +48,6 @@ from .symfunc import (
     BiSymFunc,
     ClassFunctionSn,
     SymFunc,
-    bi_e_pleth,
-    bi_expand_truncated,
-    bi_h_pleth,
-    bi_multiply,
-    bi_plethysm_p,
     diagonal,
     e_pleth,
     expand_truncated,
@@ -60,9 +55,7 @@ from .symfunc import (
     h_pleth,
     mn_character,
     multiply,
-    p_to_s,
     plethysm_p,
-    s_to_p,
     schur_expand,
 )
 from .superlie import (

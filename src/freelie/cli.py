@@ -61,12 +61,6 @@ class RunReport(Record):
 # rendering helpers
 
 
-def _render_bi_terms(terms) -> str:
-    return render_terms(
-        (f"[{format_partition(lam)}|{format_partition(mu)}]", c) for (lam, mu), c in terms
-    )
-
-
 def _sym_payload(f: SymFunc) -> dict:
     expansion = symfunc.schur_expand(f)
     return {
@@ -79,8 +73,10 @@ def _sym_payload(f: SymFunc) -> dict:
 
 def _bi_payload(f) -> dict:
     return {
-        "p_expansion": _render_bi_terms(f.items()),
-        "s_expansion": _render_bi_terms(sorted(symfunc.bi_schur_expand(f).items())),
+        "p_expansion": str(f),
+        "s_expansion": render_terms(
+            (f._name(key), c) for key, c in sorted(symfunc.bi_schur_expand(f).items())
+        ),
     }
 
 

@@ -421,10 +421,10 @@ def add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _qt_key(key) -> tuple[int, int]:
-    a, b = key
+    a, b = map(operator.index, key)
     if a < 0 or b < 0:
         raise ValueError(f"negative exponent pair ({a}, {b})")
-    return (int(a), int(b))
+    return (a, b)
 
 
 class QTPoly(TermMap):
@@ -660,7 +660,7 @@ class MultiPoly(TermMap):
         self._fill(terms, self._exponent_key)
 
     def _exponent_key(self, exp) -> tuple[int, ...]:
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(map(operator.index, exp))
         if len(exp) != self.nx + self.ny:
             raise ValueError(f"exponent vector length {len(exp)} != {self.nx + self.ny}")
         if any(e < 0 for e in exp):

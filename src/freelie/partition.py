@@ -11,14 +11,16 @@ byte for byte.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 Partition = tuple[int, ...]
 
 
 def check_partition(parts) -> Partition:
-    """Validate and return a canonical partition tuple."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and return a canonical partition tuple; a part that is not an
+    integer (a float, a string) raises TypeError rather than being truncated."""
+    lam = tuple(map(operator.index, parts))
     if any(p <= 0 for p in lam):
         raise ValueError(f"partition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

@@ -14,6 +14,7 @@ top of cyclotomic arithmetic so the two can be checked against each other.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -42,12 +43,13 @@ from .partition import (
 )
 from .superlie import super_brandt_char
 from .symfunc import (
+    BiSymFunc,
     SymFunc,
     e_pleth,
     expand_truncated,
     h_pleth,
     multiply,
-    p_to_s,
+    schur_expand,
 )
 from .tableau import (
     comaj_neg_generating_poly,
@@ -93,7 +95,7 @@ class SpecSeries(TermMap):
         self._fill(terms, self._capped_key)
 
     def _capped_key(self, key) -> tuple[int, int] | None:
-        a, b = key
+        a, b = map(operator.index, key)
         if a < 0 or b < 0:
             raise ValueError(f"negative exponent pair ({a}, {b})")
         return (a, b) if a <= self.q_cap else None
@@ -189,8 +191,8 @@ def super_power_sum_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     lam = check_partition(lam)
     out = MultiPoly.const(N, M, 1)
     for part in lam:
-        px = expand_truncated(SymFunc.term("p", (part,)), N, M, "x")
-        py = expand_truncated(SymFunc.term("p", (part,)), N, M, "y")
+        px = expand_truncated(SymFunc.term("p", (part,)), N, M)
+        py = expand_truncated(BiSymFunc.term((), (part,)), N, M)
         out = out * (px + py * Fraction((-1) ** (part + 1)))
     return out
 
@@ -203,10 +205,10 @@ def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
     lhs = MultiPoly.zero(N, M)
     rhs = MultiPoly.zero(N, M)
     for lam in partitions_of(n):
-        s_poly = expand_truncated(SymFunc.term("s", lam), N, M, "x")
+        s_poly = expand_truncated(SymFunc.term("s", lam), N, M)
         if not s_poly.is_zero:
             lhs = lhs + s_poly * super_schur_truncated(lam, N, M)
-        p_poly = expand_truncated(SymFunc.term("p", lam), N, M, "x")
+        p_poly = expand_truncated(SymFunc.term("p", lam), N, M)
         rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Fraction(
             1, z_lambda(lam)
         )
@@ -413,7 +415,7 @@ def kw_routes(n: int, m: int) -> tuple[SymFunc, SymFunc]:
     of the character."""
     filtered = _kw_filtered(n + m)
     counts = {lam: c.coefficient(0, m) for lam, c in filtered.terms.items()}
-    return SymFunc("s", counts), p_to_s(super_brandt_char(n, m))
+    return SymFunc("s", counts), schur_expand(super_brandt_char(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +460,12 @@ def degree_two_routes(d: int) -> tuple[tuple[SymFunc, ...], tuple[SymFunc, ...]]
     anti = super_brandt_char(2, 0)  # (p_11 - p_2)/2
     symm = super_brandt_char(0, 2)  # (p_11 + p_2)/2
 
-    got_a = p_to_s(h_pleth(d, anti))
+    got_a = schur_expand(h_pleth(d, anti))
     want_a = SymFunc(
         "s",
         {mu: 1 for mu in partitions_of(2 * d) if all(col % 2 == 0 for col in conjugate(mu))},
     )
-    got_b = p_to_s(h_pleth(d, symm))
+    got_b = schur_expand(h_pleth(d, symm))
     want_b = SymFunc(
         "s",
         {mu: 1 for mu in partitions_of(2 * d) if all(part % 2 == 0 for part in mu)},

@@ -16,6 +16,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -29,13 +30,7 @@ from .exactalg import (
     mobius,
 )
 from .partition import partitions_of
-from .symfunc import (
-    BiSymFunc,
-    SymFunc,
-    bi_e_pleth,
-    bi_h_pleth,
-    bi_multiply,
-)
+from .symfunc import BiSymFunc, SymFunc, e_pleth, h_pleth, multiply
 
 
 class SupportMatrix:
@@ -50,7 +45,7 @@ class SupportMatrix:
     def __init__(self, entries):
         canon: dict[tuple[int, int], int] = {}
         for (i, j), a in dict(entries).items():
-            i, j, a = int(i), int(j), int(a)
+            i, j, a = map(operator.index, (i, j, a))
             if i < 0 or j < 0:
                 raise ValueError(f"negative cell ({i}, {j})")
             if a < 0:
@@ -188,7 +183,7 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
         s = 1
         while d * s <= bound and not power.is_zero:
             series = series + power.scale(Fraction(mu_d, d * s))
-            power = truncate(bi_multiply(power, u))
+            power = truncate(multiply(power, u))
             s += 1
 
     out: dict[tuple[int, int], BiSymFunc] = {}
@@ -211,7 +206,7 @@ def gamma_char(j: int, a: int, f: BiSymFunc) -> BiSymFunc:
     exterior power when j is odd."""
     if j < 0 or a < 0:
         raise ValueError("j and a must be >= 0")
-    return bi_h_pleth(a, f) if j % 2 == 0 else bi_e_pleth(a, f)
+    return h_pleth(a, f) if j % 2 == 0 else e_pleth(a, f)
 
 
 def super_lie_module_char(matrix: SupportMatrix) -> BiSymFunc:
@@ -222,7 +217,7 @@ def super_lie_module_char(matrix: SupportMatrix) -> BiSymFunc:
         raise ValueError("support matrix is empty: bidegree (0, 0)")
     out = BiSymFunc.one()
     for (i, j), a in matrix.items():
-        out = bi_multiply(out, gamma_char(j, a, super_bi_brandt_char(i, j)))
+        out = multiply(out, gamma_char(j, a, super_bi_brandt_char(i, j)))
     return out
 
 

@@ -5,9 +5,12 @@ verifies is native to p, so the Schur basis s is a conversion layer on top.
 Both containers are :class:`SymTerms`, a term map from index keys to
 :class:`~freelie.exactalg.QTPoly` coefficients: a :class:`SymFunc` is a basis
 tag plus partition keys; a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
-monomials by pairs of partitions and is always read in the power-sum sense.
-Products, p_d plethysm and the h/e plethysm sums are written once, on
-:class:`SymTerms`, for both.
+monomials by pairs of partitions and is always read in the power-sum sense
+(its ``basis`` is the class constant "p").  One set of public operations
+serves both: :func:`multiply`, :func:`plethysm_p`, :func:`h_pleth`,
+:func:`e_pleth` and :func:`expand_truncated` take either container.  The one
+exception is :func:`bi_schur_expand`: no container holds an s-basis
+expansion keyed by pairs of partitions, so it returns a plain dict.
 
 Schur <-> power-sum conversion goes through the symmetric group character
 table, computed by Murnaghan-Nakayama border-strip recursion and memoized in
@@ -55,8 +58,9 @@ class SymTerms(TermMap):
     power sums) to nonzero QTPoly coefficients.
 
     Subclasses fix the key: ``_union`` multiplies two keys, ``_scaled`` is
-    the key of p_d plethysm, ``_unit`` is the key of 1 and ``_name`` renders
-    a key.
+    the key of p_d plethysm, ``_unit`` is the key of 1, ``_alphabets``
+    splits a key into one partition per alphabet and ``_name`` renders a
+    key.
     """
 
     __slots__ = ()
@@ -117,6 +121,10 @@ class SymFunc(SymTerms):
     def _scaled(lam: Partition, d: int) -> Partition:
         return tuple(d * part for part in lam)
 
+    @staticmethod
+    def _alphabets(lam: Partition) -> tuple[Partition]:
+        return (lam,)
+
     def _name(self, lam: Partition) -> str:
         return f"{self.basis}_{format_partition(lam)}" if lam else ""
 
@@ -137,6 +145,7 @@ class BiSymFunc(SymTerms):
     indexing p_lambda(x) * p_mu(y)."""
 
     __slots__ = ()
+    basis = "p"
     _sort_key = staticmethod(lambda key: (_partition_sort_key(key[0]), _partition_sort_key(key[1])))
     _union = staticmethod(lambda a, b: (_union_parts(a[0], b[0]), _union_parts(a[1], b[1])))
     _unit = ((), ())
@@ -163,14 +172,14 @@ class BiSymFunc(SymTerms):
     def _scaled(key: tuple[Partition, Partition], d: int) -> tuple[Partition, Partition]:
         return (SymFunc._scaled(key[0], d), SymFunc._scaled(key[1], d))
 
-    def _name(self, key: tuple[Partition, Partition]) -> str:
-        lam, mu = key
-        factors = []
-        if lam:
-            factors.append(f"p_{{{','.join(map(str, lam))}}}(x)")
-        if mu:
-            factors.append(f"p_{{{','.join(map(str, mu))}}}(y)")
-        return "*".join(factors) if factors else "1"
+    @staticmethod
+    def _alphabets(key: tuple[Partition, Partition]) -> tuple[Partition, Partition]:
+        return key
+
+    @staticmethod
+    def _name(key: tuple[Partition, Partition]) -> str:
+        """``[lambda|mu]`` for p_lambda(x) * p_mu(y), e.g. ``[(2,1)|()]``."""
+        return f"[{format_partition(key[0])}|{format_partition(key[1])}]"
 
     def __repr__(self) -> str:
         return f"BiSymFunc({self})"
@@ -287,9 +296,9 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
 # basis conversions
 
 
-def to_p(f: SymFunc) -> SymFunc:
+def to_p(f: SymTerms) -> SymTerms:
     """Convert to the power-sum basis: s_lambda = sum over mu of
-    chi^lambda(mu) / z_mu * p_mu."""
+    chi^lambda(mu) / z_mu * p_mu.  A :class:`BiSymFunc` is already there."""
     if f.basis == "p":
         return f
     return f._with(
@@ -303,27 +312,13 @@ def to_p(f: SymFunc) -> SymFunc:
     )
 
 
-def s_to_p(f: SymFunc) -> SymFunc:
-    if f.basis != "s":
-        raise ValueError(f"s_to_p expects the s basis, got {f.basis}")
-    return to_p(f)
-
-
-def p_to_s(f: SymFunc) -> SymFunc:
-    """Exact change of basis via the character table; inverse of s_to_p."""
-    if f.basis != "p":
-        raise ValueError(f"p_to_s expects the p basis, got {f.basis}")
-    s_terms = _character_transform({(mu,): c for mu, c in f.terms.items()})
-    return f._with({lam: c for (lam,), c in s_terms.items()}, basis="s")
-
-
 # ---------------------------------------------------------------------------
 # ring structure, Frobenius characteristic, plethysm
 
 
-def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product in the p basis: p_lambda p_mu = p_{lambda union mu}, bilinearly.
-    Other bases are converted first."""
+def multiply(f: SymTerms, g: SymTerms) -> SymTerms:
+    """Product in the p basis: p_lambda p_mu = p_{lambda union mu}, bilinearly,
+    in each alphabet.  Other bases are converted first."""
     return to_p(f)._unite(to_p(g))
 
 
@@ -334,9 +329,10 @@ def frobenius_characteristic(chi: ClassFunctionSn) -> SymFunc:
     )
 
 
-def plethysm_p(d: int, f: SymFunc) -> SymFunc:
-    """Plethysm by p_d: each p_k becomes p_{dk} and coefficients map
-    q -> q^d, t -> t^d (the standard lambda-ring convention on q,t)."""
+def plethysm_p(d: int, f: SymTerms) -> SymTerms:
+    """Plethysm by p_d: each p_k becomes p_{dk}, in every alphabet, and
+    coefficients map q -> q^d, t -> t^d (the standard lambda-ring convention
+    on q,t)."""
     if d < 1:
         raise ValueError(f"plethysm_p requires d >= 1, got {d}")
     if f.basis != "p":
@@ -359,12 +355,12 @@ def _pleth_sum(a: int, f: SymTerms, signed: bool) -> SymTerms:
     return out
 
 
-def h_pleth(a: int, f: SymFunc) -> SymFunc:
+def h_pleth(a: int, f: SymTerms) -> SymTerms:
     """h_a[f] = sum over mu |- a of z_mu^{-1} prod_j p_{mu_j}[f]."""
     return _pleth_sum(a, to_p(f), signed=False)
 
 
-def e_pleth(a: int, f: SymFunc) -> SymFunc:
+def e_pleth(a: int, f: SymTerms) -> SymTerms:
     """e_a[f], like h_a[f] but with the sign (-1)^(a - length(mu))."""
     return _pleth_sum(a, to_p(f), signed=True)
 
@@ -373,39 +369,32 @@ def e_pleth(a: int, f: SymFunc) -> SymFunc:
 # expansion into finitely many variables
 
 
-def _power_sum_poly(k: int, nx: int, ny: int, alphabet: str) -> MultiPoly:
+def _power_sum_poly(k: int, N: int, M: int, offset: int, count: int) -> MultiPoly:
+    """p_k of the ``count`` variables from ``offset`` on, in N + M variables."""
     terms: dict[tuple[int, ...], int] = {}
-    count, offset = (nx, 0) if alphabet == "x" else (ny, nx)
-    for i in range(count):
-        exp = [0] * (nx + ny)
-        exp[offset + i] = k
+    for i in range(offset, offset + count):
+        exp = [0] * (N + M)
+        exp[i] = k
         terms[tuple(exp)] = 1
-    return MultiPoly(nx, ny, terms)
+    return MultiPoly(N, M, terms)
 
 
-def _expand_terms(terms, N: int, M: int) -> MultiPoly:
-    """Sum of coefficient * prod p_k over (coefficient, ((alphabet, parts), ...))
-    items, each p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k.
-    Coefficients must be rational constants (no free q or t)."""
+def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
+    """Substitute p_k(x) -> x_1^k + ... + x_N^k and, for a :class:`BiSymFunc`,
+    p_k(y) -> y_1^k + ... + y_M^k (finite-variable specialization).
+
+    The result lives in the (N, M)-variable layout, so a one-alphabet
+    expansion can be combined with two-alphabet ones; by default M = 0.
+    Coefficients must be rational constants (no free q or t).
+    """
     out = MultiPoly.zero(N, M)
-    for coeff, factors in terms:
+    for key, coeff in to_p(f).terms.items():
         piece = MultiPoly.const(N, M, coeff.constant_value())
-        for alphabet, parts in factors:
+        for (offset, count), parts in zip(((0, N), (N, M)), f._alphabets(key)):
             for part in parts:
-                piece = piece * _power_sum_poly(part, N, M, alphabet)
+                piece = piece * _power_sum_poly(part, N, M, offset, count)
         out = out + piece
     return out
-
-
-def expand_truncated(f: SymFunc, N: int, M: int = 0, alphabet: str = "x") -> MultiPoly:
-    """Substitute p_k -> x_1^k + ... + x_N^k (finite-variable specialization).
-
-    The result lives in the (N, M)-variable layout so it can be combined with
-    two-alphabet expansions; by default M = 0.  Coefficients must be rational
-    constants (no free q or t).
-    """
-    terms = to_p(f).terms.items()
-    return _expand_terms(((c, ((alphabet, lam),)) for lam, c in terms), N, M)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +402,10 @@ def expand_truncated(f: SymFunc, N: int, M: int = 0, alphabet: str = "x") -> Mul
 
 
 def schur_expand(f: SymFunc) -> SymFunc:
-    """The Schur expansion of f, from any basis."""
-    return p_to_s(to_p(f))
+    """The Schur expansion of f, from either basis, via the character table;
+    the inverse of :func:`to_p`."""
+    s_terms = _character_transform({(mu,): c for mu, c in to_p(f).terms.items()})
+    return f._with({lam: c for (lam,), c in s_terms.items()}, basis="s")
 
 
 def first_bad_multiplicity(f: SymFunc) -> Partition | None:
@@ -432,26 +423,6 @@ def first_bad_multiplicity(f: SymFunc) -> Partition | None:
 # two-alphabet functions
 
 
-def bi_multiply(f: BiSymFunc, g: BiSymFunc) -> BiSymFunc:
-    return f._unite(g)
-
-
-def bi_plethysm_p(d: int, f: BiSymFunc) -> BiSymFunc:
-    """p_d plethysm on both alphabets: (lambda, mu) -> (d*lambda, d*mu),
-    q -> q^d, t -> t^d."""
-    if d < 1:
-        raise ValueError(f"bi_plethysm_p requires d >= 1, got {d}")
-    return f._pleth_p(d)
-
-
-def bi_h_pleth(a: int, f: BiSymFunc) -> BiSymFunc:
-    return _pleth_sum(a, f, signed=False)
-
-
-def bi_e_pleth(a: int, f: BiSymFunc) -> BiSymFunc:
-    return _pleth_sum(a, f, signed=True)
-
-
 def diagonal(f: BiSymFunc) -> SymFunc:
     """Set the second alphabet equal to the first:
     p_lambda(x) p_mu(y) -> p_{lambda union mu}(x)."""
@@ -460,15 +431,10 @@ def diagonal(f: BiSymFunc) -> SymFunc:
     )
 
 
-def bi_expand_truncated(f: BiSymFunc, N: int, M: int) -> MultiPoly:
-    """Substitute p_k(x) -> sum_{i<=N} x_i^k and p_k(y) -> sum_{i<=M} y_i^k."""
-    terms = f.terms.items()
-    return _expand_terms(((c, (("x", lam), ("y", mu))) for (lam, mu), c in terms), N, M)
-
-
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
     """Expansion in products s_alpha(x) s_beta(y), via the character table on
-    each alphabet in turn."""
+    each alphabet in turn.  The one two-alphabet-only operation: its result,
+    an s-basis expansion keyed by pairs, has no container."""
     return _character_transform(f.terms)
 
 
@@ -477,6 +443,8 @@ def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
 
 
 def sym_to_json(f: SymFunc) -> dict:
+    if not isinstance(f, SymFunc):
+        raise TypeError(f"sym_to_json takes a SymFunc, got {type(f).__name__}")
     return {
         "basis": f.basis,
         "terms": [

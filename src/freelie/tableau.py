@@ -13,6 +13,7 @@ i is a descent of T when i+1 sits in a strictly lower row than i.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .exactalg import QTPoly, Record, ResourceLimitError, collect
@@ -31,7 +32,7 @@ class StandardTableau:
     __slots__ = ("rows", "shape", "_row_of")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(map(operator.index, row)) for row in rows)
         self.shape = check_partition(len(row) for row in self.rows)
         n = sum(self.shape)
         seen = sorted(e for row in self.rows for e in row)
@@ -91,7 +92,7 @@ class SuperTableau(Record):
 
     def __init__(self, plus_part: StandardTableau, neg: frozenset[int]):
         n = plus_part.n
-        neg = frozenset(int(i) for i in neg)
+        neg = frozenset(map(operator.index, neg))
         if any(i < 1 or i > n for i in neg):
             raise ValueError(f"negated entries must lie in 1..{n}: {sorted(neg)}")
         self.plus_part = plus_part

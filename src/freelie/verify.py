@@ -126,7 +126,7 @@ def _bracket_oracle(n: int, m: int, N: int, expected: int) -> tuple[int, str | N
     the coefficient of x^alpha y^beta in the truncated character, else a
     total rank that differs from the dimension formula's ``expected``."""
     rank, blocks = superlie.brute_force_lie_dim(n, m, N, N)
-    char = symfunc.bi_expand_truncated(superlie.super_bi_brandt_char(n, m), N, N)
+    char = symfunc.expand_truncated(superlie.super_bi_brandt_char(n, m), N, N)
     for (alpha, beta), block_rank in blocks.items():
         coeff = char.coefficient(superlie.weight_exponents(alpha, beta, N, N))
         if block_rank != coeff:

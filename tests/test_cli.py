@@ -104,13 +104,13 @@ def test_dim_oracle_refuses_high_degree_at_once(capsys):
 def test_oracle_names_mismatched_weight(capsys, monkeypatch):
     # one weight's character coefficient is off by one; the total rank and
     # the dimension formula still agree, so only the per-weight check sees it
-    real = symfunc.bi_expand_truncated
+    real = symfunc.expand_truncated
 
-    def off_by_one(f, N, M):
+    def off_by_one(f, N, M=0):
         char = real(f, N, M)
         return char + MultiPoly.monomial(2, 2, (1, 1, 1, 0)) if (N, M) == (2, 2) else char
 
-    monkeypatch.setattr(symfunc, "bi_expand_truncated", off_by_one)
+    monkeypatch.setattr(symfunc, "expand_truncated", off_by_one)
     code, out, _ = run(capsys, "dim", "2", "1", "2", "--oracle", "--format", "json")
     assert code == cli.EXIT_IDENTITY_FAILURE
     report = json.loads(out)

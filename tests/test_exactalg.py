@@ -392,6 +392,34 @@ def test_float_coefficients_are_refused():
     assert type(QTPoly({(0, 0): True}).coefficient(0, 0)) is Fraction
 
 
+def test_non_integer_keys_are_refused():
+    # an exponent, part, cell or entry that is not an integer is refused, not
+    # truncated: int(1.5) == 1 and int("3") == 3 would silently rewrite it
+    from freelie.partition import check_partition
+    from freelie.superlie import SupportMatrix
+    from freelie.tableau import StandardTableau, SuperTableau
+
+    for bad in (1.5, 2.0, "3"):
+        for make in (
+            lambda x: QTPoly({(x, 0): 1}),
+            lambda x: QTPoly({(0, x): 1}),
+            lambda x: MultiPoly(1, 0, {(x,): 1}),
+            lambda x: SpecSeries(3, {(x, 0): 1}),
+            lambda x: check_partition([x, 1]),
+            lambda x: SymFunc.term("p", (x,)),
+            lambda x: SupportMatrix({(x, 0): 2}),
+            lambda x: SupportMatrix({(1, 0): x}),
+            lambda x: StandardTableau([[1, x]]),
+            lambda x: SuperTableau(StandardTableau([[1, 2]]), {x}),
+        ):
+            with pytest.raises(TypeError):
+                make(bad)
+    # integers of any integer type still pass
+    assert check_partition((True, 1)) == (1, 1)
+    assert SupportMatrix({(1, 0): 2}).entries == {(1, 0): 2}
+    assert SpecSeries(3, {(1, 0): 1, (4, 0): 1}).terms == {(1, 0): 1}
+
+
 def test_integer_products_keep_int_coefficients():
     p = QTPoly({(0, 0): 1, (1, 1): -2, (2, 0): 3})
     series = SpecSeries.inv_pochhammer(4, 10) * p

@@ -124,8 +124,8 @@ def test_failing_suite_reports_where_the_routes_differ(monkeypatch, capsys):
     assert code == cli.EXIT_IDENTITY_FAILURE
     assert '[fail] thrall-sum {"m": 1, "n": 1}\n    discrepancy: ((1,), (1,))' in out
     assert out.count("[fail]") == 1
-    # both routes follow the discrepancy
-    assert '(1,), (1,))\n    lhs: ' in out and "\n    rhs: " in out
+    # both routes follow the discrepancy, named like the CLI's two-alphabet keys
+    assert "(1,), (1,))\n    lhs: 2*[(1)|(1)]\n    rhs: 3*[(1)|(1)]\n" in out
 
 
 def test_equality_names_the_first_differing_key_of_dicts_and_tuples():

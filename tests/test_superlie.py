@@ -8,9 +8,8 @@ from freelie.exactalg import ResourceLimitError, SparseEchelon, collect, divisor
 from freelie.symfunc import (
     BiSymFunc,
     SymFunc,
-    bi_e_pleth,
-    bi_expand_truncated,
     diagonal,
+    e_pleth,
     expand_truncated,
     first_bad_multiplicity,
     schur_expand,
@@ -170,7 +169,7 @@ def test_super_lie_module_char_examples():
     assert super_lie_module_char(split) == BiSymFunc({((1,), (1,)): 1})
 
     exterior = SupportMatrix({(1, 1): 2})
-    assert super_lie_module_char(exterior) == bi_e_pleth(2, super_bi_brandt_char(1, 1))
+    assert super_lie_module_char(exterior) == e_pleth(2, super_bi_brandt_char(1, 1))
 
 
 def test_thrall_sum_small():
@@ -270,7 +269,7 @@ def test_weight_block_ranks_match_character_coefficients():
         for m in range(total + 1):
             n = total - m
             for N in range(1, 4):
-                char = bi_expand_truncated(super_bi_brandt_char(n, m), N, N)
+                char = expand_truncated(super_bi_brandt_char(n, m), N, N)
                 blocks = brute_force_lie_dim(n, m, N, N)[1]
                 assert blocks
                 for (alpha, beta), rank in blocks.items():
@@ -360,5 +359,5 @@ def test_tensor_degree_totals():
         for m in range(total + 1):
             n = total - m
             for mat in enumerate_bidegree_matrices(n, m):
-                acc += bi_expand_truncated(super_lie_module_char(mat), N, M).eval_all_ones()
+                acc += expand_truncated(super_lie_module_char(mat), N, M).eval_all_ones()
         assert acc == (N + M) ** total

@@ -8,11 +8,6 @@ from freelie.symfunc import (
     BiSymFunc,
     ClassFunctionSn,
     SymFunc,
-    bi_e_pleth,
-    bi_expand_truncated,
-    bi_h_pleth,
-    bi_multiply,
-    bi_plethysm_p,
     bi_schur_expand,
     diagonal,
     e_pleth,
@@ -22,9 +17,7 @@ from freelie.symfunc import (
     h_pleth,
     mn_character,
     multiply,
-    p_to_s,
     plethysm_p,
-    s_to_p,
     schur_expand,
     sym_to_json,
     to_p,
@@ -91,19 +84,19 @@ def test_mn_size_mismatch():
 # -- basis conversions
 
 def test_p_to_s_square_of_p1():
-    assert p_to_s(p(1, 1)) == SymFunc("s", {(2,): 1, (1, 1): 1})
+    assert schur_expand(p(1, 1)) == SymFunc("s", {(2,): 1, (1, 1): 1})
 
 
 def test_p_to_s_degree_three_lie_character():
     f = p(1, 1, 1, coeff=Fraction(1, 3)) + p(3, coeff=Fraction(-1, 3))
-    assert p_to_s(f) == SymFunc("s", {(2, 1): 1})
+    assert schur_expand(f) == SymFunc("s", {(2, 1): 1})
 
 
 def test_s_p_roundtrip():
     for n in range(1, 9):
         for lam in partitions_of(n):
             s = SymFunc.term("s", lam)
-            assert p_to_s(s_to_p(s)) == s
+            assert schur_expand(to_p(s)) == s
 
 
 def test_only_power_sum_and_schur_bases():
@@ -131,7 +124,7 @@ def test_multiply_examples():
 
 def test_h2_squared_schur_expansion():
     # h_2 * h_2 = s_4 + s_31 + s_22 (Kostka numbers for content (2,2))
-    prod = p_to_s(multiply(H2, H2))
+    prod = schur_expand(multiply(H2, H2))
     assert prod == SymFunc("s", {(4,): 1, (3, 1): 1, (2, 2): 1})
 
 
@@ -150,7 +143,7 @@ def test_frobenius_of_irreducible_characters():
             chi = ClassFunctionSn(
                 n, {mu: mn_character(lam, mu) for mu in partitions_of(n)}
             )
-            assert frobenius_characteristic(chi) == s_to_p(SymFunc.term("s", lam))
+            assert frobenius_characteristic(chi) == to_p(SymFunc.term("s", lam))
 
 
 def test_class_function_requires_all_types():
@@ -189,8 +182,8 @@ def test_h_e_pleth_of_p1():
 
 
 def test_h_pleth_degree_two_identities():
-    assert p_to_s(h_pleth(2, E2)) == SymFunc("s", {(2, 2): 1, (1, 1, 1, 1): 1})
-    assert p_to_s(h_pleth(2, H2)) == SymFunc("s", {(4,): 1, (2, 2): 1})
+    assert schur_expand(h_pleth(2, E2)) == SymFunc("s", {(2, 2): 1, (1, 1, 1, 1): 1})
+    assert schur_expand(h_pleth(2, H2)) == SymFunc("s", {(4,): 1, (2, 2): 1})
     assert h_pleth(0, E2) == SymFunc.one("p")
 
 
@@ -284,9 +277,9 @@ def test_schur_expand_examples():
 def test_bi_multiply_and_plethysm():
     x1 = BiSymFunc.term((1,), ())
     y1 = BiSymFunc.term((), (1,))
-    prod = bi_multiply(x1, y1)
+    prod = multiply(x1, y1)
     assert prod == BiSymFunc.term((1,), (1,))
-    assert bi_plethysm_p(2, prod) == BiSymFunc.term((2,), (2,))
+    assert plethysm_p(2, prod) == BiSymFunc.term((2,), (2,))
 
 
 def test_bi_h_pleth_example():
@@ -297,8 +290,39 @@ def test_bi_h_pleth_example():
             ((2,), (2,)): Fraction(1, 2),
         }
     )
-    assert bi_h_pleth(2, both) == expected
-    assert bi_e_pleth(1, both) == both
+    assert h_pleth(2, both) == expected
+    assert e_pleth(1, both) == both
+
+
+def test_one_alphabet_operations_take_a_bi_sym_func():
+    # the values of the two-alphabet copies these operations replace
+    q = QTPoly.monomial(1, 0)
+    f = BiSymFunc.term((2,), (1,), 3)
+    assert multiply(f, BiSymFunc.term((1,), (), q)) == BiSymFunc.term((2, 1), (1,), q.scale(3))
+    assert plethysm_p(2, BiSymFunc.term((1,), (1,), q)) == BiSymFunc.term(
+        (2,), (2,), QTPoly.monomial(2, 0)
+    )
+    # h_2 and e_2 of p_1(x) + p_1(y) = s_1(x, y)
+    s1 = BiSymFunc({((1,), ()): 1, ((), (1,)): 1})
+    half = Fraction(1, 2)
+    square = {((1, 1), ()): half, ((1,), (1,)): 1, ((), (1, 1)): half}
+    assert h_pleth(2, s1) == BiSymFunc({**square, ((2,), ()): half, ((), (2,)): half})
+    assert e_pleth(2, s1) == BiSymFunc({**square, ((2,), ()): -half, ((), (2,)): -half})
+    # p_2(x) p_1(y) in one x and two y variables: x1^2 (y1 + y2)
+    assert expand_truncated(f, 1, 2) == MultiPoly(1, 2, {(2, 1, 0): 3, (2, 0, 1): 3})
+    assert expand_truncated(BiSymFunc.term((), (2,)), 1, 1) == MultiPoly(1, 1, {(0, 2): 1})
+    # an empty y partition expands like the one-alphabet function
+    g = BiSymFunc({((2, 1), ()): Fraction(-2, 3), ((1,), ()): 5})
+    assert expand_truncated(g, 2, 1) == expand_truncated(diagonal(g), 2, 1)
+    # the two containers do not mix, the one-alphabet conversions refuse a
+    # pair key, and the degree checks still hold
+    for bad in (lambda: multiply(f, p(1)), lambda: schur_expand(f), lambda: sym_to_json(f)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ValueError):
+        plethysm_p(0, f)
+    with pytest.raises(ValueError):
+        h_pleth(-1, f)
 
 
 def test_diagonal():
@@ -321,7 +345,7 @@ def test_bi_expand_matches_diagonal_expand():
             terms[(lam, mu)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         f = BiSymFunc(terms)
         N = rng.randint(1, 3)
-        bi = bi_expand_truncated(f, N, N)
+        bi = expand_truncated(f, N, N)
         merged = {}
         for exp, c in bi.items():
             key = tuple(exp[i] + exp[N + i] for i in range(N))
@@ -359,7 +383,7 @@ def _bi_schur_reference(f):
 def test_p_to_s_matches_per_pair_loop():
     for n in range(8):
         for lam in partitions_of(n):
-            assert p_to_s(p(*lam)) == _p_to_s_reference(p(*lam)), lam
+            assert schur_expand(p(*lam)) == _p_to_s_reference(p(*lam)), lam
     # every p_lambda with |lambda| <= 5 at once, with q,t coefficients over
     # several denominators, so the common denominator and cancellations matter
     mixed = SymFunc(
@@ -370,9 +394,9 @@ def test_p_to_s_matches_per_pair_loop():
             for lam in partitions_of(n)
         },
     )
-    assert p_to_s(mixed) == _p_to_s_reference(mixed)
-    assert p_to_s(SymFunc.zero("p")) == SymFunc.zero("s")
-    assert p_to_s(SymFunc.one("p")) == SymFunc.one("s")
+    assert schur_expand(mixed) == _p_to_s_reference(mixed)
+    assert schur_expand(SymFunc.zero("p")) == SymFunc.zero("s")
+    assert schur_expand(SymFunc.one("p")) == SymFunc.one("s")
 
 
 def test_bi_schur_expand_matches_per_pair_loop():
