@@ -36,12 +36,14 @@ from .tableau import (
     descent_set,
     maj,
     maj_neg_generating_poly,
+    maj_neg_generating_polys,
     negg,
     relative_comaj,
     relative_maj,
     super_comaj,
     super_descent_set,
     super_maj,
+    syt_descent_sets,
     syt_enumerate,
 )
 from .symfunc import (

@@ -22,7 +22,7 @@ import time
 from . import superlie, symfunc, tableau, verify
 from .exactalg import Record, ResourceLimitError, render_terms
 from .partition import format_partition, parse_partition
-from .symfunc import SymFunc
+from .symfunc import BiSymFunc, SymFunc
 from .verify import UsageError
 
 EXIT_OK = 0
@@ -75,7 +75,10 @@ def _bi_payload(f) -> dict:
     return {
         "p_expansion": str(f),
         "s_expansion": render_terms(
-            (f._name(key), c) for key, c in sorted(symfunc.bi_schur_expand(f).items())
+            (f._name(key), c)
+            for key, c in sorted(
+                symfunc.bi_schur_expand(f).items(), key=lambda kv: BiSymFunc._sort_key(kv[0])
+            )
         ),
     }
 

@@ -52,11 +52,10 @@ from .symfunc import (
     schur_expand,
 )
 from .tableau import (
-    comaj_neg_generating_poly,
-    descent_set,
-    maj_neg_generating_poly,
+    comaj_neg_generating_polys,
+    maj_neg_generating_polys,
     relative_comaj,
-    syt_enumerate,
+    syt_descent_sets,
 )
 
 DEFAULT_Q_CAP = 12
@@ -181,8 +180,8 @@ def super_schur_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     lam = check_partition(lam)
     n = sum(lam)
     out = MultiPoly.zero(N, M)
-    for t in syt_enumerate(lam):
-        out = out + super_qsym_truncated(n, descent_set(t), N, M)
+    for d in syt_descent_sets(lam):
+        out = out + super_qsym_truncated(n, d, N, M)
     return out
 
 
@@ -303,7 +302,7 @@ def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
     principal specialization of the quasisymmetric function of Des(T), one
     specialization per distinct descent set, times its number of tableaux."""
     acc = SpecSeries(q_cap, {})
-    for d, k in Counter(descent_set(t) for t in syt_enumerate(lam)).items():
+    for d, k in Counter(syt_descent_sets(lam)).items():
         acc = acc + qsym_principal_spec(sum(lam), d, q_cap).scale(k)
     return acc
 
@@ -317,10 +316,11 @@ def s_ps_routes(
     sign-generating polynomials agree, and the specialized tableau expansion
     equals that polynomial over (q;q)_n."""
     lam = check_partition(lam)
-    maj_poly = maj_neg_generating_poly(lam)
+    n = sum(lam)
+    maj_poly = maj_neg_generating_polys(n)[lam]
     return (maj_poly, _schur_principal_spec(lam, q_cap)), (
-        comaj_neg_generating_poly(lam),
-        SpecSeries.inv_pochhammer(sum(lam), q_cap) * maj_poly,
+        comaj_neg_generating_polys(n)[lam],
+        SpecSeries.inv_pochhammer(n, q_cap) * maj_poly,
     )
 
 
@@ -395,10 +395,7 @@ def kw_generating_function(n_total: int) -> SymFunc:
     n_total is that shape's (maj, bar count) generating polynomial."""
     if n_total < 1:
         raise ValueError("need n_total >= 1")
-    return SymFunc(
-        "s",
-        {lam: maj_neg_generating_poly(lam) for lam in partitions_of(n_total)},
-    )
+    return SymFunc("s", maj_neg_generating_polys(n_total))
 
 
 @lru_cache(maxsize=None)
@@ -429,10 +426,12 @@ def half_if_even(m: int) -> int:
 
 def symmetry_counts(lam: Partition, r_total: int, m: int) -> dict[int, int]:
     """For each residue s mod r_total, the number of signed standard tableaux
-    of the shape with maj congruent to s and exactly m bars."""
+    of the shape with maj congruent to s and exactly m bars, read off the
+    DP of every shape of its size, which the shapes of a sweep share."""
     if r_total < 1:
         raise ValueError(f"r_total must be >= 1, got {r_total}")
-    poly = maj_neg_generating_poly(lam)
+    lam = check_partition(lam)
+    poly = maj_neg_generating_polys(sum(lam))[lam]
     counts = {s: 0 for s in range(r_total)}
     for (a, b), c in poly.terms.items():  # summing needs no term order
         if b == m:

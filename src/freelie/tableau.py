@@ -3,8 +3,12 @@
 A super tableau is stored as a plain standard tableau (its projection to
 unbarred entries) together with the set of barred entries; the filling over
 the signed alphabet is equivalent data.  The (statistic, bar count)
-generating polynomials are computed by a forward DP over the shapes inside
-the target shape, never by listing the signed tableaux.
+generating polynomials are computed by a forward DP over the shapes inside a
+bounding shape, never by listing the signed tableaux: one DP yields every
+shape of n inside the bound, so a single shape is the DP bounded by itself,
+and every shape of n at once is the DP bounded by (n, n//2, n//3, ...).
+Standard tableaux are walked once, as their row words, for the tableaux
+themselves and for their descent sets.
 
 Descent conventions are fixed to English notation, longest row on top:
 i is a descent of T when i+1 sits in a strictly lower row than i.
@@ -15,13 +19,17 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import combinations, compress
 
-from .exactalg import QTPoly, Record, ResourceLimitError, collect
+from .exactalg import QTPoly, Record, ResourceLimitError
 from .partition import Partition, cells, check_partition, hook_length
 
 # The signed-tableau DP refuses, before it starts, a shape whose bound on
 # table-entry updates exceeds this many, rather than hanging; an update costs
-# a few tenths of a microsecond.  Every shape with n <= 18 is admitted.
+# a few tenths of a microsecond.  The DP of every shape of n at once is
+# admitted exactly when each of its shapes would be alone, so it does at most
+# p(n) times this much work.  Every shape with n <= 18 is admitted, and so is
+# every all-shapes call with n <= 18.
 DEFAULT_PAIR_BUDGET = 20_000_000
 
 
@@ -136,29 +144,53 @@ def syt_count(lam: Partition) -> int:
     return count
 
 
-def syt_enumerate(lam: Partition) -> list[StandardTableau]:
-    """All standard tableaux of the shape, in a fixed depth-first order
-    (entries placed 1..n, candidate rows scanned top to bottom)."""
+def syt_row_words(lam: Partition):
+    """The row (0 for the top row) of each entry 1..n, for every standard
+    tableau of the shape (its Yamanouchi word), in a fixed depth-first order:
+    entries placed 1..n, candidate rows scanned top to bottom."""
     lam = check_partition(lam)
-    n = sum(lam)
-    fill = [0] * len(lam)
-    rows: list[list[int]] = [[] for _ in lam]
-    out: list[StandardTableau] = []
-
-    def place(entry: int) -> None:
-        if entry > n:
-            out.append(StandardTableau._unchecked(tuple(map(tuple, rows)), lam))
+    n, depth = sum(lam), len(lam)
+    fill = [0] * depth
+    word = [0] * n
+    i = r = 0  # the next entry to place, less one, and the next row to try
+    while True:
+        if i == n:
+            yield tuple(word)
+            r = depth
+        while r < depth and (fill[r] == lam[r] or (r and fill[r - 1] == fill[r])):
+            r += 1
+        if r < depth:
+            word[i] = r
+            fill[r] += 1
+            i, r = i + 1, 0
+        elif i:
+            i -= 1
+            r = word[i]
+            fill[r] -= 1
+            r += 1
+        else:
             return
-        for r in range(len(lam)):
-            if fill[r] < lam[r] and (r == 0 or fill[r - 1] > fill[r]):
-                rows[r].append(entry)
-                fill[r] += 1
-                place(entry + 1)
-                fill[r] -= 1
-                rows[r].pop()
 
-    place(1)
+
+def syt_enumerate(lam: Partition) -> list[StandardTableau]:
+    """All standard tableaux of the shape, in the order of :func:`syt_row_words`."""
+    lam = check_partition(lam)
+    out = []
+    for word in syt_row_words(lam):
+        rows: list[list[int]] = [[] for _ in lam]
+        for entry, r in enumerate(word, 1):
+            rows[r].append(entry)
+        out.append(StandardTableau._unchecked(tuple(map(tuple, rows)), lam))
     return out
+
+
+def syt_descent_sets(lam: Partition):
+    """The descent set of every standard tableau of the shape, in the order
+    of :func:`syt_row_words`, read off the row word: i is a descent when
+    i+1 sits in a strictly lower row than i."""
+    n = sum(check_partition(lam))
+    for word in syt_row_words(lam):
+        yield frozenset(compress(range(1, n), map(operator.gt, word[1:], word)))
 
 
 def descent_set(t: StandardTableau) -> frozenset[int]:
@@ -222,44 +254,73 @@ def negg(st: SuperTableau) -> int:
     return len(st.neg)
 
 
-def _moves(lam: Partition, mu: tuple[int, ...]):
-    """(row, shape) for each cell that can be added to mu inside lam."""
+def _moves(bound: Partition, mu: tuple[int, ...]):
+    """(row, shape) for each cell that can be added to mu inside bound."""
     for r, part in enumerate(mu):
-        if part < lam[r] and (r == 0 or mu[r - 1] > part):
+        if part < bound[r] and (r == 0 or mu[r - 1] > part):
             yield r, mu[:r] + (part + 1,) + mu[r + 1 :]
 
 
-def _check_budget(lam: Partition) -> None:
-    """Refuse the shape when a bound on the DP's table-entry updates exceeds
-    DEFAULT_PAIR_BUDGET, read at call time.  After i is placed in a shape mu,
-    the row of i is a removable corner of mu and i may be barred or not; each
-    such state moves by the addable rows of mu, barred or not; and its table
-    has at most i * (sum_{j<i} (n - j) + 1) entries, as the bar count takes i
-    values and the statistic, maj or comaj, is at most sum_{j<i} (n - j).  The
-    shapes are walked layer by layer, so a huge shape is refused after a few
-    layers."""
-    n = sum(lam)
-    bound = 0
-    layer = {(1,) + (0,) * (len(lam) - 1)} if n else set()
+def _corners(mu: tuple[int, ...]) -> list[int]:
+    """The rows of the removable cells of mu."""
+    return [r for r, part in enumerate(mu) if part and (r + 1 == len(mu) or mu[r + 1] < part)]
+
+
+def _check_budget(bound: Partition, n: int) -> None:
+    """Refuse the DP of the shapes of n inside ``bound`` unless each of them
+    would be admitted alone: unless, for each such shape lam, a bound on the
+    table-entry updates of the DP of lam alone is at most DEFAULT_PAIR_BUDGET,
+    read at call time.
+
+    After i is placed in a shape mu, the row of i is a removable corner of mu
+    and i may be barred or not; each such state moves by the addable rows of
+    mu, barred or not; and its table has at most i * (sum_{j<i} (n - j) + 1)
+    entries, as the bar count takes i values and the statistic, maj or comaj,
+    is at most sum_{j<i} (n - j).  So the bound of lam is F(lam), the sum of
+    W(nu) over the shapes nu of size >= 2 inside lam, where W(nu) sums
+    4 * corners(mu) * table(|mu|) over the shapes mu = nu minus one corner.
+    F is computed for every shape inside ``bound`` in one walk, layer by
+    layer, by inclusion-exclusion over the corners of nu: the shapes strictly
+    inside nu are those inside some nu - c, and those inside nu - c for every
+    c in a set S of corners are the shapes inside nu - S.  F only grows
+    upwards, and every shape of size <= n inside ``bound`` lies in one of size
+    n, so the walk stops at the first F over the budget: a huge shape is
+    refused after a few layers."""
+    budget = DEFAULT_PAIR_BUDGET
+    layer = [(1,) + (0,) * (len(bound) - 1)] if n else []
+    below: dict[tuple[int, ...], int] = {}
     for i in range(1, n):
         table = i * ((i - 1) * (2 * n - i) // 2 + 1)
-        nxt = set()
+        own: dict[tuple[int, ...], int] = {}
         for mu in layer:
-            corners = sum(1 for a, b in zip(mu, mu[1:] + (0,)) if a > b)
-            moves = [nu for _, nu in _moves(lam, mu)]
-            nxt.update(moves)
-            bound += 4 * corners * len(moves) * table
-        if bound > DEFAULT_PAIR_BUDGET:
-            raise ResourceLimitError(
-                f"the signed-tableau DP of {lam} needs more than {DEFAULT_PAIR_BUDGET}"
-                " table-entry updates"
-            )
-        layer = nxt
+            weight = 4 * len(_corners(mu)) * table
+            for _, nu in _moves(bound, mu):
+                own[nu] = own.get(nu, 0) + weight
+        for nu, total in own.items():
+            corners = _corners(nu)
+            for k in range(1, len(corners) + 1):
+                for rows in combinations(corners, k):
+                    smaller = list(nu)
+                    for r in rows:
+                        smaller[r] -= 1
+                    total -= (-1) ** k * below.get(tuple(smaller), 0)
+            if total > budget:
+                if sum(bound) == n:
+                    shapes = bound
+                else:
+                    shapes = f"the shapes of {n} containing {tuple(part for part in nu if part)}"
+                raise ResourceLimitError(
+                    f"the signed-tableau DP of {shapes} needs more than {budget}"
+                    " table-entry updates"
+                )
+            below[nu] = total
+        layer = list(own)
 
 
 @lru_cache(maxsize=None)
-def _sign_generating_poly(lam: Partition, use_comaj: bool) -> QTPoly:
-    """Counts of (statistic, bar count) over all signed tableaux of the shape.
+def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Partition, QTPoly]:
+    """Counts of (statistic, bar count) over all signed tableaux of each
+    shape of n inside ``bound``, from one DP over the shapes inside it.
 
     Entries 1..n are placed in order.  A state after placing i is (shape mu,
     row of i, whether i is barred); its table maps stat * (n+1) + bar count
@@ -267,43 +328,68 @@ def _sign_generating_poly(lam: Partition, use_comaj: bool) -> QTPoly:
     r, barred or not, puts i in the index set of :func:`relative_maj` when r
     is strictly lower than the row of i and i+1 is unbarred, or r is not
     strictly lower and i is barred; i then adds i to maj, or n - i to comaj.
+    A state's table does not depend on the shape it grows into, so each shape
+    inside ``bound`` is walked once for all the shapes of n above it.
     """
-    _check_budget(lam)
-    n = sum(lam)
+    _check_budget(bound, n)
     if n == 0:
-        return QTPoly.one()
+        return {(): QTPoly.one()}
     base = n + 1
-    first = (1,) + (0,) * (len(lam) - 1)
-    layer = {(first, 0, False): {0: 1}, (first, 0, True): {1: 1}}
-    for i in range(1, n):
+    # before 1 is placed: the empty shape, and a "row of 0" below every row,
+    # so that placing 1 joins nothing; the last step keeps one table per shape
+    layer = {((0,) * len(bound), len(bound), False): {0: 1}}
+    for i in range(n):
         step = (n - i if use_comaj else i) * base
+        last = i == n - 1
         nxt: dict = {}
         while layer:
             (mu, row, barred), table = layer.popitem()
-            for r, nu in _moves(lam, mu):
+            for r, nu in _moves(bound, mu):
                 lower = r > row
                 for barred_next in (False, True):
                     joins = (lower and not barred_next) or (barred and not lower)
                     shift = step * joins + barred_next
-                    target = nxt.setdefault((nu, r, barred_next), {})
+                    target = nxt.setdefault(nu if last else (nu, r, barred_next), {})
                     get = target.get
                     for key, c in table.items():
                         key += shift
                         target[key] = get(key, 0) + c
         layer = nxt
-    return QTPoly(
-        collect((divmod(key, base), c) for table in layer.values() for key, c in table.items())
-    )
+    return {
+        tuple(part for part in mu if part): QTPoly({divmod(key, base): c for key, c in table.items()})
+        for mu, table in layer.items()
+    }
 
 
 def maj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^maj t^negg over all signed standard tableaux of the shape."""
-    return _sign_generating_poly(check_partition(lam), use_comaj=False)
+    lam = check_partition(lam)
+    return _sign_generating_polys(lam, sum(lam), False)[lam]
 
 
 def comaj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^comaj t^negg over all signed standard tableaux of the shape."""
-    return _sign_generating_poly(check_partition(lam), use_comaj=True)
+    lam = check_partition(lam)
+    return _sign_generating_polys(lam, sum(lam), True)[lam]
+
+
+def _every_shape(n: int) -> Partition:
+    """(n, n//2, n//3, ..., 1): the smallest shape holding every shape of n,
+    as the k-th part of a shape of n is at most n/k."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return tuple(n // k for k in range(1, n + 1))
+
+
+def maj_neg_generating_polys(n: int) -> dict[Partition, QTPoly]:
+    """:func:`maj_neg_generating_poly` of every shape of n, from one DP."""
+    return dict(_sign_generating_polys(_every_shape(n), n, False))
+
+
+def comaj_neg_generating_polys(n: int) -> dict[Partition, QTPoly]:
+    """:func:`comaj_neg_generating_poly` of every shape of n, from one DP."""
+    return dict(_sign_generating_polys(_every_shape(n), n, True))
 
 
 def count_super_tableaux(lam: Partition, modulus: int, residue: int, m: int) -> int:

@@ -284,15 +284,13 @@ def suite_hook(max_n: int) -> list[CheckReport]:
     and its t = 0 slice is the classical maj generating polynomial."""
     reports = []
     for n in range(1, max_n + 1):
+        gens = tableau.maj_neg_generating_polys(n)
         for lam in partitions_of(n):
             product = specialization.hook_product(lam)
-            gen = tableau.maj_neg_generating_poly(lam)
             reports.append(
-                _equality("hook-formula", {"partition": format_partition(lam)}, gen, product)
+                _equality("hook-formula", {"partition": format_partition(lam)}, gens[lam], product)
             )
-            classical = QTPoly(
-                collect(((tableau.maj(t), 0), 1) for t in tableau.syt_enumerate(lam))
-            )
+            classical = QTPoly(collect(((sum(d), 0), 1) for d in tableau.syt_descent_sets(lam)))
             t0_slice = QTPoly({k: c for k, c in product.items() if k[1] == 0})
             reports.append(
                 _equality(

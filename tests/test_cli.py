@@ -61,6 +61,13 @@ def test_char_bilie_and_higher(capsys):
     assert "bidegree: [2, 2]" in out
 
 
+def test_char_bilie_schur_terms_in_canonical_order(capsys):
+    # degree, then reverse lexicographic, in each alphabet: (2) before (1,1)
+    code, out, _ = run(capsys, "char", "bilie", "2", "1")
+    assert code == cli.EXIT_OK
+    assert "  s_expansion: [(2)|(1)] + [(1,1)|(1)]\n" in out
+
+
 def test_char_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "char", "lie", "0", "0")
     assert code == cli.EXIT_DOMAIN
@@ -370,12 +377,12 @@ GOLDEN_DIGESTS = {
         "4e213c457d39b6728dcc7b2f1f55e2cf466aebd8ecd4a4f0f3daee28b8b0f732",
     ),
     "char bilie 3 2": (
-        "1ffa80a8200ffaeb94607bc84cb20512de9894bd8dcef060d7cdd4c86afddf1d",
-        "4644980132a54967babb425629a14b2c889693215a62508f4f23e37b425dc13c",
+        "cd1083717ed7d977cf3399a30f11dcb12b951d4e8adf8b786e58e44285f8fbcd",
+        "e71694394ad03b1186c5046e940e91d4a3395f55fb7c682ad77c1c822f47d099",
     ),
     "char higher --matrix [[1,1,2],[2,0,1]]": (
-        "424a84d84e2f7ad737212f91b75b0ca6252a784a6762a743649da034a56abcae",
-        "b913f283fdd20b69700c19140017145dda135b803727f2b09fa4dacbfd311916",
+        "23d5aa8c8c59c3a7049ef906a60546bbf06be78edb8e36c3001e0456d8ea17d9",
+        "a0113fb52f8e63444b4f9281d1c3974d0d2eeab65382373ad4ede8e1cfc4882f",
     ),
     "count (3,2) --gf": (
         "a9dea921810568e426bbc0b3f3dd3f44bed14bf785a12ba136905960db15ff87",

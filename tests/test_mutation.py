@@ -116,7 +116,7 @@ MUTANTS = {
     "induction-vs-oracle": ("klyachko", symfunc, "frobenius_characteristic", value_of),
     "subset-rotation-character": ("klyachko", cyclic, "chi_cyc_oracle", value_of),
     "super-klyachko": ("super-klyachko", cyclic, "super_klyachko_char", value_of),
-    "hook-formula": ("hook", tableau, "maj_neg_generating_poly", value_of),
+    "hook-formula": ("hook", tableau, "maj_neg_generating_polys", value_of),
     "hook-classical-slice": ("hook", specialization, "hook_product", value_of),
     "qsym-principal-specialization": ("qps", specialization, "qps_routes", second_route),
     "schur-principal-specialization": ("sps", specialization, "s_ps_routes", second_route),

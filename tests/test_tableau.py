@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freelie import tableau
+from freelie import specialization, tableau, verify
 from freelie.exactalg import QTPoly, ResourceLimitError
 from freelie.partition import partitions_of
 from freelie.tableau import (
@@ -13,10 +13,12 @@ from freelie.tableau import (
     SuperTableau,
     comaj,
     comaj_neg_generating_poly,
+    comaj_neg_generating_polys,
     count_super_tableaux,
     descent_set,
     maj,
     maj_neg_generating_poly,
+    maj_neg_generating_polys,
     negg,
     relative_comaj,
     relative_maj,
@@ -24,7 +26,9 @@ from freelie.tableau import (
     super_descent_set,
     super_maj,
     syt_count,
+    syt_descent_sets,
     syt_enumerate,
+    syt_row_words,
 )
 
 EXAMPLE = StandardTableau([(1, 3, 4, 6), (2, 5), (7,)])
@@ -69,6 +73,23 @@ def test_syt_enumerate_entries_valid():
         assert len(set(t.rows for t in tableaux)) == len(tableaux)
         for t in tableaux:
             assert t.shape == lam
+
+
+def test_row_words_are_the_tableaux_in_order():
+    # each word lists the row of 1..n; the walk is depth-first, so the words
+    # are distinct and increasing
+    for n in range(9):
+        for lam in partitions_of(n):
+            words = list(syt_row_words(lam))
+            assert words == sorted(set(words))
+            assert [tuple(t.row_of(e) - 1 for e in range(1, n + 1)) for t in syt_enumerate(lam)] == words
+
+
+def test_descent_sets_read_off_the_row_words():
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert list(syt_descent_sets(lam)) == [descent_set(t) for t in syt_enumerate(lam)], lam
+    assert list(syt_descent_sets(())) == [frozenset()]
 
 
 def test_descent_set_worked_example():
@@ -273,10 +294,105 @@ def test_dp_matches_signed_filling_definition():
             assert comaj_neg_generating_poly(lam) == QTPoly(by_comaj), lam
 
 
+def test_all_shapes_dp_matches_enumeration():
+    for n in range(0, 8):
+        majs, comajs = maj_neg_generating_polys(n), comaj_neg_generating_polys(n)
+        assert set(majs) == set(comajs) == set(partitions_of(n))
+        for lam in partitions_of(n):
+            assert majs[lam] == _enumerated_sign_poly(lam, False), lam
+            assert comajs[lam] == _enumerated_sign_poly(lam, True), lam
+
+
+def test_all_shapes_dp_matches_single_shape_dp():
+    for n in range(0, 11):
+        majs, comajs = maj_neg_generating_polys(n), comaj_neg_generating_polys(n)
+        assert set(majs) == set(comajs) == set(partitions_of(n))
+        for lam in partitions_of(n):
+            assert majs[lam] == maj_neg_generating_poly(lam), lam
+            assert comajs[lam] == comaj_neg_generating_poly(lam), lam
+
+
+def test_all_shapes_result_is_a_copy():
+    polys = maj_neg_generating_polys(3)
+    polys.clear()
+    assert set(maj_neg_generating_polys(3)) == set(partitions_of(3))
+
+
+def test_sweeps_compute_each_size_and_statistic_once(monkeypatch):
+    real = tableau._sign_generating_polys
+    for suite in ("hook", "kw", "symmetry", "sps"):
+        real.cache_clear()
+        for value in vars(specialization).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        calls = []
+
+        def counted(bound, n, use_comaj):
+            calls.append((bound, n, use_comaj))
+            return real(bound, n, use_comaj)
+
+        monkeypatch.setattr(tableau, "_sign_generating_polys", counted)
+        verify.run_suite(suite, "quick")
+        assert calls, suite
+        computed = set(calls)
+        # one table per (n, statistic), over every shape of n at once
+        assert real.cache_info().misses == len(computed) == len({(n, c) for _, n, c in computed}), suite
+        assert all(bound == tableau._every_shape(n) for bound, n, _ in computed), suite
+
+
+def _reference_budget_bound(lam):
+    """The bound of the per-shape DP on its table-entry updates, summed over
+    the shapes inside lam, layer by layer."""
+    n = sum(lam)
+    bound = 0
+    layer = {(1,) + (0,) * (len(lam) - 1)} if n else set()
+    for i in range(1, n):
+        table = i * ((i - 1) * (2 * n - i) // 2 + 1)
+        nxt = set()
+        for mu in layer:
+            corners = sum(1 for a, b in zip(mu, mu[1:] + (0,)) if a > b)
+            moves = [nu for _, nu in tableau._moves(lam, mu)]
+            nxt.update(moves)
+            bound += 4 * corners * len(moves) * table
+        layer = nxt
+    return bound
+
+
+def _admitted(bound, n):
+    try:
+        tableau._check_budget(bound, n)
+    except ResourceLimitError:
+        return False
+    return True
+
+
+def test_budget_admits_all_shapes_exactly_when_each_shape_alone(monkeypatch):
+    for n in range(2, 9):
+        bounds = {lam: _reference_budget_bound(lam) for lam in partitions_of(n)}
+        for lam, bound in bounds.items():
+            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", bound)
+            assert _admitted(lam, n), lam
+            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", bound - 1)
+            assert not _admitted(lam, n) or bound == 0, lam
+        largest = max(bounds.values())
+        monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", largest)
+        assert _admitted(tableau._every_shape(n), n), n
+        monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", largest - 1)
+        assert not _admitted(tableau._every_shape(n), n), n
+
+
 def test_default_budget_admits_every_shape_to_18():
     for n in range(1, 19):
         for lam in partitions_of(n):
-            tableau._check_budget(lam)
+            tableau._check_budget(lam, n)
+
+
+def test_default_budget_admits_every_size_to_18():
+    # the all-shapes call, admission only: the DP is not run
+    for n in range(1, 19):
+        tableau._check_budget(tableau._every_shape(n), n)
+    with pytest.raises(ResourceLimitError):
+        tableau._check_budget(tableau._every_shape(19), 19)
 
 
 def test_budget_refuses_before_computing():
@@ -287,7 +403,7 @@ def test_budget_refuses_before_computing():
 
 
 def test_budget_errors(monkeypatch):
-    tableau._sign_generating_poly.cache_clear()
+    tableau._sign_generating_polys.cache_clear()
     monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", 10)
     with pytest.raises(ResourceLimitError):
         maj_neg_generating_poly((3, 2, 1))
