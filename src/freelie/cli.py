@@ -113,7 +113,7 @@ def cmd_char(args) -> RunReport:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read matrix file: {exc}") from None
     try:
         data = json.loads(text)

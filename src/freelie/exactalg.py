@@ -290,13 +290,16 @@ class TermMap:
     truncation cap, a basis); any other slot of a subclass is carried along.
     Public constructors validate outside input through :meth:`_fill`; results
     of ring operations are canonical already and are built by :meth:`_with`
-    without re-validation.
+    without re-validation.  A value is false exactly when it is zero; ``*``
+    by a scalar scales, by a value calls :meth:`_times`; ``str`` renders the
+    terms through the subclass's ``_name`` of a key.
     """
 
     __slots__ = ("_terms",)
     _layout: tuple[str, ...] = ()
     _zero: object = Fraction(0)
     _sort_key = None  # order of items() by key; None is the natural order
+    _combine = None  # key of the product of two keys; None: no product
 
     def _fill(self, terms: Mapping | None, key, coeff=exact) -> None:
         """Set the terms from outside input: ``key`` validates and normalizes
@@ -352,9 +355,8 @@ class TermMap:
     def coefficient(self, *key):
         return self._terms.get(self._key(*key), self._zero)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -383,11 +385,29 @@ class TermMap:
         self._check(other)
         return self._with(collect(other._terms.items(), self._terms))
 
+    __radd__ = __add__
+
     def __neg__(self):
         return self._with({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._times(other)
+
+    __rmul__ = __mul__
+
+    def _times(self, other):
+        """The term-by-term product through ``_combine``, if there is one."""
+        if self._combine is None:
+            return NotImplemented
+        return self._product(other, self._combine)
 
     def scale(self, factor):
         """Multiply every coefficient by ``factor``."""
@@ -410,6 +430,16 @@ class TermMap:
             ),
             **changes,
         )
+
+    # -- rendering
+
+    def __str__(self) -> str:
+        return render_terms((self._name(k), c) for k, c in self.items())
+
+    def __repr__(self) -> str:
+        layout = ",".join(str(getattr(self, name)) for name in self._layout)
+        name = type(self).__name__ + (f"[{layout}]" if layout else "")
+        return f"{name}({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +467,8 @@ class QTPoly(TermMap):
 
     __slots__ = ()
     _sort_key = staticmethod(lambda k: (k[0] + k[1], k))
+    _combine = staticmethod(add_pairs)
+    _name = staticmethod(lambda k: _monomial_name("qt", k))
 
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] | None = None):
         self._fill(terms, _qt_key)
@@ -445,10 +477,6 @@ class QTPoly(TermMap):
         return other if isinstance(other, QTPoly) else QTPoly.const(other)
 
     # -- constructors
-
-    @classmethod
-    def zero(cls) -> QTPoly:
-        return cls()
 
     @classmethod
     def one(cls) -> QTPoly:
@@ -488,19 +516,7 @@ class QTPoly(TermMap):
     def t_degree(self) -> int:
         return max((b for _, b in self._terms), default=0)
 
-    # -- ring operations
-
-    __radd__ = TermMap.__add__
-
-    def __rsub__(self, other: QTPoly | RatLike) -> QTPoly:
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other: QTPoly | RatLike) -> QTPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other, add_pairs)
-
-    __rmul__ = __mul__
+    # -- comparison
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -508,9 +524,6 @@ class QTPoly(TermMap):
         return TermMap.__eq__(self, other)
 
     __hash__ = TermMap.__hash__
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     # -- structural operations
 
@@ -532,12 +545,6 @@ class QTPoly(TermMap):
         return self._with(collect(((0, b), c) for (_, b), c in self._terms.items()))
 
     # -- rendering
-
-    def __str__(self) -> str:
-        return render_terms((_monomial_name("qt", k), c) for k, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"QTPoly({self})"
 
     def to_json(self) -> list[list]:
         """Canonical JSON form: [[a, b, "num/den"], ...] in term order."""
@@ -569,6 +576,7 @@ class CycloElem(TermMap):
     __slots__ = ("modulus",)
     _layout = ("modulus",)
     _zero = 0
+    _name = staticmethod(lambda a: _monomial_name("w", [a]))
 
     def __init__(self, modulus: int, terms: Mapping[int, RatLike] | None = None):
         if modulus < 1:
@@ -596,13 +604,9 @@ class CycloElem(TermMap):
             out[a] = c
         return out
 
-    def __mul__(self, other: CycloElem | RatLike) -> CycloElem:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def _times(self, other: CycloElem) -> CycloElem:
         self._check(other)
         return cyclo_reduce(_poly_mul(self._dense(), other._dense()), self.modulus)
-
-    __rmul__ = __mul__
 
     @property
     def is_rational(self) -> bool:
@@ -613,12 +617,6 @@ class CycloElem(TermMap):
         if not self.is_rational:
             raise ValueError(f"not a rational element: {self}")
         return self._terms.get(0, 0)
-
-    def __str__(self) -> str:
-        return render_terms((_monomial_name("w", [a]), c) for a, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"CycloElem[{self.modulus}]({self})"
 
 
 def cyclo_reduce(p: Iterable[RatLike], d: int) -> CycloElem:
@@ -649,6 +647,7 @@ class MultiPoly(TermMap):
 
     __slots__ = ("nx", "ny")
     _layout = ("nx", "ny")
+    _combine = staticmethod(_add_vectors)
 
     def __init__(
         self, nx: int, ny: int = 0, terms: Mapping[tuple[int, ...], RatLike] | None = None
@@ -671,10 +670,6 @@ class MultiPoly(TermMap):
         return tuple(exp)
 
     @classmethod
-    def zero(cls, nx: int, ny: int = 0) -> MultiPoly:
-        return cls(nx, ny)
-
-    @classmethod
     def const(cls, nx: int, ny: int, c: RatLike) -> MultiPoly:
         return cls(nx, ny, {(0,) * (nx + ny): c})
 
@@ -682,23 +677,13 @@ class MultiPoly(TermMap):
     def monomial(cls, nx: int, ny: int, exp: tuple[int, ...], c: RatLike = 1) -> MultiPoly:
         return cls(nx, ny, {exp: c})
 
-    def __mul__(self, other: MultiPoly | RatLike) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._product(other, _add_vectors)
-
-    __rmul__ = __mul__
-
     def eval_all_ones(self) -> Fraction:
         """Value with every variable set to 1 (the sum of all coefficients)."""
         return sum(self._terms.values(), Fraction(0))
 
-    def __str__(self) -> str:
+    def _name(self, exp: tuple[int, ...]) -> str:
         names = [f"x{i + 1}" for i in range(self.nx)] + [f"y{i + 1}" for i in range(self.ny)]
-        return render_terms((_monomial_name(names, e), c) for e, c in self.items())
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self})"
+        return _monomial_name(names, exp)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ top of cyclotomic arithmetic so the two can be checked against each other.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .exactalg import (
     MultiPoly,
     QTPoly,
     TermMap,
+    _qt_key,
     add_pairs,
     collect,
     cyclo_reduce,
@@ -94,10 +94,8 @@ class SpecSeries(TermMap):
         self._fill(terms, self._capped_key)
 
     def _capped_key(self, key) -> tuple[int, int] | None:
-        a, b = map(operator.index, key)
-        if a < 0 or b < 0:
-            raise ValueError(f"negative exponent pair ({a}, {b})")
-        return (a, b) if a <= self.q_cap else None
+        key = _qt_key(key)
+        return key if key[0] <= self.q_cap else None
 
     @classmethod
     def from_qtpoly(cls, p: QTPoly, q_cap: int) -> SpecSeries:
@@ -109,20 +107,13 @@ class SpecSeries(TermMap):
         of k into parts <= n (memoized per (n, q_cap))."""
         return cls(q_cap, {(k, 0): c for k, c in enumerate(_partition_counts(n, q_cap))})
 
-    def __mul__(self, other: SpecSeries | QTPoly | int | Fraction) -> SpecSeries:
+    def _times(self, other: SpecSeries | QTPoly) -> SpecSeries:
         if isinstance(other, QTPoly):
             other = SpecSeries.from_qtpoly(other, self.q_cap)
-        elif isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return self._product(other, add_pairs, lambda k: k[0] <= self.q_cap)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return str(QTPoly(self._terms)) + f" + O(q^{self.q_cap + 1})"
-
-    def __repr__(self) -> str:
-        return f"SpecSeries({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,7 @@ def super_schur_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     polynomials over the descent sets of standard tableaux of the shape."""
     lam = check_partition(lam)
     n = sum(lam)
-    out = MultiPoly.zero(N, M)
+    out = MultiPoly(N, M)
     for d in syt_descent_sets(lam):
         out = out + super_qsym_truncated(n, d, N, M)
     return out
@@ -201,11 +192,11 @@ def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
     variables: sum_lam s_lam(x) stilde_lam and sum_lam p_lam(x) ptilde_lam / z_lam."""
     if n < 1:
         raise ValueError("need n >= 1")
-    lhs = MultiPoly.zero(N, M)
-    rhs = MultiPoly.zero(N, M)
+    lhs = MultiPoly(N, M)
+    rhs = MultiPoly(N, M)
     for lam in partitions_of(n):
         s_poly = expand_truncated(SymFunc.term("s", lam), N, M)
-        if not s_poly.is_zero:
+        if s_poly:
             lhs = lhs + s_poly * super_schur_truncated(lam, N, M)
         p_poly = expand_truncated(SymFunc.term("p", lam), N, M)
         rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Fraction(
@@ -471,7 +462,7 @@ def degree_two_routes(d: int) -> tuple[tuple[SymFunc, ...], tuple[SymFunc, ...]]
     )
 
     lhs_c = e_pleth(d, super_brandt_char(1, 1))
-    rhs_c = SymFunc.zero("p")
+    rhs_c = SymFunc("p")
     for k in range(d + 1):
         rhs_c = rhs_c + multiply(e_pleth(k, symm), e_pleth(d - k, anti))
     return (got_a, got_b, lhs_c), (want_a, want_b, rhs_c)

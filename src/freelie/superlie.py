@@ -167,7 +167,7 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
             )
         )
 
-    series = BiSymFunc.zero()
+    series = BiSymFunc()
     for d in range(1, bound + 1):
         mu_d = mobius(d)
         if mu_d == 0:
@@ -181,7 +181,7 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
         )
         power = truncate(u)
         s = 1
-        while d * s <= bound and not power.is_zero:
+        while d * s <= bound and power:
             series = series + power.scale(Fraction(mu_d, d * s))
             power = truncate(multiply(power, u))
             s += 1
@@ -261,7 +261,7 @@ def thrall_routes(n: int, m: int) -> tuple[BiSymFunc, BiSymFunc]:
     """The two sides of the super Thrall decomposition in bidegree (n, m):
     the sum of the higher super Lie module characters, and the tensor-space
     character C(n+m, m) p_1(x)^n p_1(y)^m."""
-    lhs = BiSymFunc.zero()
+    lhs = BiSymFunc()
     for matrix in enumerate_bidegree_matrices(n, m):
         lhs = lhs + super_lie_module_char(matrix)
     return lhs, BiSymFunc.term((1,) * n, (1,) * m, binom(n + m, m))

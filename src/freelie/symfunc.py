@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect, render_terms
+from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect
 from .partition import (
     Partition,
     check_partition,
@@ -60,11 +60,11 @@ class SymTerms(TermMap):
     Subclasses fix the key: ``_union`` multiplies two keys, ``_scaled`` is
     the key of p_d plethysm, ``_unit`` is the key of 1, ``_alphabets``
     splits a key into one partition per alphabet and ``_name`` renders a
-    key.
+    key.  A scalar scales; two values multiply only through :func:`multiply`.
     """
 
     __slots__ = ()
-    _zero = QTPoly.zero()
+    _zero = QTPoly()
 
     def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> SymTerms:
         return self._with({k: v for k, c in self._terms.items() if (v := fn(c))})
@@ -78,9 +78,6 @@ class SymTerms(TermMap):
         return self._with(
             {self._scaled(k, d): c.substitute_powers(d) for k, c in self._terms.items()}
         )
-
-    def __str__(self) -> str:
-        return render_terms((self._name(k), c) for k, c in self.items())
 
 
 class SymFunc(SymTerms):
@@ -101,10 +98,6 @@ class SymFunc(SymTerms):
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
         self.basis = basis
         self._fill(terms, check_partition, _as_qt)
-
-    @classmethod
-    def zero(cls, basis: str = "p") -> SymFunc:
-        return cls(basis)
 
     @classmethod
     def one(cls, basis: str = "p") -> SymFunc:
@@ -131,9 +124,6 @@ class SymFunc(SymTerms):
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self._terms})
 
-    def __repr__(self) -> str:
-        return f"SymFunc[{self.basis}]({self})"
-
 
 def _check_pair(key) -> tuple[Partition, Partition]:
     lam, mu = key
@@ -152,10 +142,6 @@ class BiSymFunc(SymTerms):
 
     def __init__(self, terms: Mapping[tuple[Partition, Partition], QTPoly | RatLike] | None = None):
         self._fill(terms, _check_pair, _as_qt)
-
-    @classmethod
-    def zero(cls) -> BiSymFunc:
-        return cls()
 
     @classmethod
     def one(cls) -> BiSymFunc:
@@ -181,14 +167,12 @@ class BiSymFunc(SymTerms):
         """``[lambda|mu]`` for p_lambda(x) * p_mu(y), e.g. ``[(2,1)|()]``."""
         return f"[{format_partition(key[0])}|{format_partition(key[1])}]"
 
-    def __repr__(self) -> str:
-        return f"BiSymFunc({self})"
-
 
 class ClassFunctionSn(Record):
     """A class function on the symmetric group: one rational value per cycle type."""
 
     __slots__ = ("n", "values")
+    __hash__ = None  # it holds a dict
 
     def __init__(self, n: int, values: Mapping[Partition, RatLike]):
         vals = {check_partition(mu): Fraction(v) for mu, v in values.items()}
@@ -288,7 +272,7 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
     coeffs: dict = {}
     for key, v in layer.items():
         coeffs.setdefault(key[1:], {})[key[0]] = Fraction(v, den)
-    zero = QTPoly.zero()
+    zero = QTPoly()
     return {key: zero._with(poly) for key, poly in coeffs.items()}
 
 
@@ -387,7 +371,7 @@ def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
     expansion can be combined with two-alphabet ones; by default M = 0.
     Coefficients must be rational constants (no free q or t).
     """
-    out = MultiPoly.zero(N, M)
+    out = MultiPoly(N, M)
     for key, coeff in to_p(f).terms.items():
         piece = MultiPoly.const(N, M, coeff.constant_value())
         for (offset, count), parts in zip(((0, N), (N, M)), f._alphabets(key)):
@@ -426,7 +410,7 @@ def first_bad_multiplicity(f: SymFunc) -> Partition | None:
 def diagonal(f: BiSymFunc) -> SymFunc:
     """Set the second alphabet equal to the first:
     p_lambda(x) p_mu(y) -> p_{lambda union mu}(x)."""
-    return SymFunc.zero("p")._with(
+    return SymFunc("p")._with(
         collect((_union_parts(lam, mu), c) for (lam, mu), c in f.terms.items())
     )
 

@@ -400,7 +400,7 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int, seed: int) -> 
                     for _ in range(rng.randint(1, 6))
                 }
             )
-            if not coeff.is_zero:
+            if coeff:
                 terms[parts] = coeff
         f = SymFunc("p", terms)
         r = rng.randint(1, omega_max_r)

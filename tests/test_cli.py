@@ -299,6 +299,27 @@ def test_repeated_matrix_cell_is_usage_error(capsys):
     assert "twice" in err
 
 
+def test_matrix_file_reads_like_the_inline_matrix(capsys, tmp_path):
+    inline = "[[1,1,2],[2,0,1]]"
+    path = tmp_path / "matrix.json"
+    path.write_text(inline, encoding="utf-8")
+    code, expected, _ = run(capsys, "char", "higher", "--matrix", inline)
+    assert code == cli.EXIT_OK
+    for form in (f"@{path}", str(path)):
+        assert run(capsys, "char", "higher", "--matrix", form) == (cli.EXIT_OK, expected, "")
+    code, _, err = run(capsys, "char", "higher", "--matrix", f"@{tmp_path / 'missing.json'}")
+    assert code == cli.EXIT_USAGE
+    assert "cannot read matrix file" in err
+
+
+def test_undecodable_matrix_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_bytes(b"\xff\xfe[[1,1,2]]")
+    code, out, err = run(capsys, "char", "higher", "--matrix", f"@{path}")
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "cannot read matrix file" in err
+
+
 def test_empty_support_matrix_is_domain_error(capsys):
     code, _, err = run(capsys, "char", "higher", "--matrix", "[[0,0,0]]")
     assert code == cli.EXIT_DOMAIN

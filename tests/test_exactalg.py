@@ -101,7 +101,7 @@ def test_cyclotomic_degree_is_phi():
 def test_q_int(q_int):
     assert q_int(1) == QTPoly.one()
     assert q_int(3) == QTPoly({(0, 0): 1, (1, 0): 1, (2, 0): 1})
-    assert q_int(0) == QTPoly.zero()
+    assert q_int(0) == QTPoly()
 
 
 def test_q_pochhammer_two():
@@ -190,6 +190,35 @@ def test_cyclo_elem_is_a_value():
     assert not w.is_rational
     with pytest.raises(ValueError):
         w.rational_value()
+
+
+def test_zero_values_are_false():
+    from freelie.symfunc import BiSymFunc
+
+    zeros = [QTPoly(), CycloElem(3), MultiPoly(1), SpecSeries(4), SymFunc("p"), BiSymFunc()]
+    assert [bool(z) for z in zeros] == [False] * len(zeros)
+    # terms that cancel leave a false value too
+    w = CycloElem.root_power(3, 1)
+    assert not (w - w) and not (SymFunc.term("s", (2,)) - SymFunc.term("s", (2,)))
+    nonzero = [QTPoly.q(), w, MultiPoly.const(1, 0, 2), SpecSeries(4, {(1, 0): 1}),
+               SymFunc.term("p", (1,)), BiSymFunc.one()]
+    assert all(nonzero)
+
+
+def test_shared_products_and_renderings():
+    # every term map scales by a scalar from either side; only the term maps
+    # with a product of keys multiply two values
+    x = MultiPoly.monomial(1, 1, (1, 0))
+    assert 2 * x == x * 2 == x + x
+    f = SymFunc.term("p", (2,))
+    assert 2 * f == f * Fraction(2) == f + f
+    with pytest.raises(TypeError):
+        f * f
+    assert 1 - QTPoly.q() == QTPoly({(0, 0): 1, (1, 0): -1})
+    # repr is the class, its layout and the rendered terms
+    assert repr(QTPoly.q() + 1) == "QTPoly(1 + q)"
+    assert repr(MultiPoly(2, 1, {(1, 0, 2): 3})) == "MultiPoly[2,1](3*x1*y1^2)"
+    assert repr(SpecSeries(4, {(0, 1): 1})) == "SpecSeries[4](t + O(q^5))"
 
 
 def test_cyclo_elem_rejects_bad_input():
@@ -315,8 +344,8 @@ def _ring(make, one, zero):
 
 
 rings = st.one_of(
-    _ring(QTPoly, QTPoly.one(), QTPoly.zero()),
-    _ring(lambda t: MultiPoly(1, 1, t), MultiPoly.const(1, 1, 1), MultiPoly.zero(1, 1)),
+    _ring(QTPoly, QTPoly.one(), QTPoly()),
+    _ring(lambda t: MultiPoly(1, 1, t), MultiPoly.const(1, 1, 1), MultiPoly(1, 1)),
     _ring(lambda t: SpecSeries(3, t), SpecSeries(3, {(0, 0): 1}), SpecSeries(3)),
     _ring(_cyclo6, CycloElem.from_rational(6, 1), CycloElem(6)),
 )
@@ -355,11 +384,11 @@ def test_qtpoly_json_roundtrip():
 
 def test_qtpoly_rendering():
     assert str(QTPoly({(0, 0): 1, (1, 1): 1, (1, 2): 1, (0, 1): 1})) == "1 + t + q*t + q*t^2"
-    assert str(QTPoly.zero()) == "0"
+    assert str(QTPoly()) == "0"
 
 
 def test_qtpoly_scalar_compare_builds_no_polynomial(monkeypatch):
-    values = [QTPoly.zero(), QTPoly.one(), QTPoly.const(-1), QTPoly.const(Fraction(1, 2)),
+    values = [QTPoly(), QTPoly.one(), QTPoly.const(-1), QTPoly.const(Fraction(1, 2)),
               QTPoly.q(), QTPoly({(0, 0): 1, (1, 0): 1})]
     scalars = [0, 1, -1, Fraction(1, 2), Fraction(2), True]
     # the reference: equality with the constant polynomial of the scalar

@@ -137,6 +137,13 @@ def test_frobenius_characteristic_small():
     assert frobenius_characteristic(regular) == p(1, 1, 1)
 
 
+def test_class_function_is_not_hashable():
+    # it holds a dict, so it claims no hash (Record's rule for a mutable record)
+    assert ClassFunctionSn.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable type: 'ClassFunctionSn'"):
+        hash(ClassFunctionSn(1, {(1,): 1}))
+
+
 def test_frobenius_of_irreducible_characters():
     for n in range(1, 8):
         for lam in partitions_of(n):
@@ -227,7 +234,7 @@ def _ssyt_monomials(lam, N):
 
 def test_expand_truncated_examples():
     assert expand_truncated(p(2), 2) == MultiPoly(2, 0, {(2, 0): 1, (0, 2): 1})
-    assert expand_truncated(SymFunc.term("s", (1, 1)), 1).is_zero
+    assert not expand_truncated(SymFunc.term("s", (1, 1)), 1)
     s21 = expand_truncated(SymFunc.term("s", (2, 1)), 2)
     assert s21 == MultiPoly(2, 0, {(2, 1): 1, (1, 2): 1})
 
@@ -245,7 +252,7 @@ def test_expand_schur_zero_iff_too_few_variables():
         for lam in partitions_of(n):
             for N in range(0, 5):
                 poly = expand_truncated(SymFunc.term("s", lam), N)
-                assert poly.is_zero == (len(lam) > N)
+                assert (not poly) == (len(lam) > N)
 
 
 def test_expand_requires_constant_coefficients():
@@ -328,7 +335,7 @@ def test_one_alphabet_operations_take_a_bi_sym_func():
 def test_diagonal():
     f = BiSymFunc({((1,), (1,)): 1})
     assert diagonal(f) == p(1, 1)
-    assert diagonal(BiSymFunc.zero()) == SymFunc.zero("p")
+    assert diagonal(BiSymFunc()) == SymFunc("p")
 
 
 def test_bi_expand_matches_diagonal_expand():
@@ -366,7 +373,7 @@ def _p_to_s_reference(f):
     out = {}
     for mu, c in f.terms.items():
         for lam in partitions_of(sum(mu)):
-            out[lam] = out.get(lam, QTPoly.zero()) + c * mn_character(lam, mu)
+            out[lam] = out.get(lam, QTPoly()) + c * mn_character(lam, mu)
     return SymFunc("s", out)
 
 
@@ -376,7 +383,7 @@ def _bi_schur_reference(f):
         for alpha in partitions_of(sum(lam)):
             for beta in partitions_of(sum(mu)):
                 chi = mn_character(alpha, lam) * mn_character(beta, mu)
-                out[(alpha, beta)] = out.get((alpha, beta), QTPoly.zero()) + c * chi
+                out[(alpha, beta)] = out.get((alpha, beta), QTPoly()) + c * chi
     return {key: c for key, c in out.items() if c}
 
 
@@ -395,7 +402,7 @@ def test_p_to_s_matches_per_pair_loop():
         },
     )
     assert schur_expand(mixed) == _p_to_s_reference(mixed)
-    assert schur_expand(SymFunc.zero("p")) == SymFunc.zero("s")
+    assert schur_expand(SymFunc("p")) == SymFunc("s")
     assert schur_expand(SymFunc.one("p")) == SymFunc.one("s")
 
 
@@ -418,7 +425,7 @@ def test_bi_schur_expand_matches_per_pair_loop():
                 )
                 assert bi_schur_expand(f) == _bi_schur_reference(f), matrix.entries
     assert fractional
-    assert bi_schur_expand(BiSymFunc.zero()) == {}
+    assert bi_schur_expand(BiSymFunc()) == {}
     assert bi_schur_expand(BiSymFunc.one()) == {((), ()): QTPoly.one()}
     assert bi_schur_expand(BiSymFunc.term((), (), Fraction(-2, 3))) == {
         ((), ()): QTPoly.const(Fraction(-2, 3))

@@ -188,7 +188,7 @@ def test_generating_poly_t_zero_slice_is_classical_maj():
     for n in range(1, 8):
         for lam in partitions_of(n):
             poly = maj_neg_generating_poly(lam)
-            classical = QTPoly.zero()
+            classical = QTPoly()
             for t in syt_enumerate(lam):
                 classical = classical + QTPoly.monomial(maj(t), 0)
             slice0 = QTPoly({(a, 0): c for (a, b), c in poly.items() if b == 0})
