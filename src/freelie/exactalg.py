@@ -10,7 +10,10 @@ module provides
   accumulate-and-drop-zero loop :func:`collect` and the term renderer
   :func:`render_terms`; every polynomial, series, cyclotomic element and
   symmetric function in the package is a thin subclass of it,
-* sparse two-variable polynomials in q and t (:class:`QTPoly`),
+* sparse two-variable polynomials in q and t (:class:`QTPoly`), and their
+  Kronecker packing: a table of nonnegative integer coefficients as one
+  ``int`` with a fixed-width slot per exponent pair, so that shifting and
+  adding whole tables runs as big-integer operations,
 * products of dense coefficient lists (constant term first) and
   subtract-only division by monic integer polynomials,
 * cyclotomic polynomials and the quotient rings Q[q]/(Phi_d(q))
@@ -30,9 +33,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, product
 
 RatLike = int | Fraction
 
@@ -473,7 +478,8 @@ class QTPoly(TermMap):
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] | None = None):
         self._fill(terms, _qt_key)
 
-    def _coerce(self, other: QTPoly | RatLike) -> QTPoly:
+    @staticmethod
+    def _coerce(other: QTPoly | RatLike) -> QTPoly:
         return other if isinstance(other, QTPoly) else QTPoly.const(other)
 
     # -- constructors
@@ -549,6 +555,57 @@ class QTPoly(TermMap):
     def to_json(self) -> list[list]:
         """Canonical JSON form: [[a, b, "num/den"], ...] in term order."""
         return [[a, b, str(c)] for (a, b), c in self.items()]
+
+    # -- Kronecker packing
+
+    def pack(self, base: int, width: int) -> int:
+        """The terms as one ``int``: the coefficient of q^a t^b fills the
+        ``width``-bit slot a * base + b.  Every coefficient must be an ``int``
+        in 0 .. 2^width - 1 and every t-exponent below ``base``; anything
+        else raises ValueError, as its borrow or carry would spill silently
+        into the next slot."""
+        packed = 0
+        for (a, b), c in self._terms.items():
+            if type(c) is not int or c < 0 or c >> width or b >= base:
+                raise ValueError(
+                    f"cannot pack {c}*q^{a}*t^{b} into {width}-bit slots of base {base}"
+                )
+            packed += c << (a * base + b) * width
+        return packed
+
+    @classmethod
+    def unpack(cls, packed: int, base: int, width: int, total: int) -> QTPoly:
+        """The polynomial whose :meth:`pack` is ``packed``, given ``total``,
+        the sum of its coefficients.  The slots are read back in one pass
+        over the bytes of the ``int``, 64 bits at a time when ``width`` is a
+        multiple of 64 (a byte at a time otherwise).  A count that outgrew
+        its slot carried into the next one, and each carry lowers the sum of
+        the slots by 2^width - 1, so the slots sum to ``total`` exactly when
+        none overflowed; otherwise OverflowError is raised.  The terms are
+        canonical by construction, so they are not re-validated."""
+        unit, fmt = (64, "Q") if width % 64 == 0 else (8, "B")
+        words = width // unit
+        size = -(-packed.bit_length() // width) * width // 8
+        order = sys.byteorder
+        data = memoryview(packed.to_bytes(size, order)).cast(fmt).tolist()
+        if order == "big":
+            data.reverse()
+        values = data[::words]
+        for j in range(1, words):
+            values = [v | w << unit * j for v, w in zip(values, data[j::words])]
+        if sum(values) != total:
+            raise OverflowError(
+                f"{width}-bit slots summing to {sum(values)} cannot hold counts summing to {total}"
+            )
+        keys = product(range(-(-len(values) // base)), range(base))  # divmod(slot, base)
+        return cls()._with(dict(compress(zip(keys, values), values)))
+
+
+def slot_width(bound: int) -> int:
+    """The width of a packed slot that holds every count 0 .. bound: the
+    bit length of ``bound``, rounded up to a multiple of 64."""
+    return max(1, -(-bound.bit_length() // 64)) * 64
+
 
 # ---------------------------------------------------------------------------
 # q-series primitives

@@ -31,6 +31,7 @@ from .exactalg import (
     cyclo_reduce,
     q_pochhammer,
     q_pochhammer_quotient,
+    slot_width,
 )
 from .partition import (
     Partition,
@@ -276,15 +277,22 @@ def qps_routes(n: int, d, q_cap: int) -> tuple[SpecSeries, SpecSeries]:
 def hook_product(lam: Partition) -> QTPoly:
     """[n]_q! * prod over cells (q^(row-1) + t q^(col-1)) / [hook]_q, as an
     exact polynomial.  [n]_q! / prod [hook]_q = (q;q)_n / prod (1 - q^hook)
-    is a product of cyclotomic polynomials, so nothing is divided."""
+    is a product of cyclotomic polynomials, so nothing is divided.  That
+    quotient is the maj generating polynomial of the standard tableaux of
+    lam up to a power of q, so its coefficients are nonnegative and sum to
+    f^lam, and the product's sum to f^lam * 2^n.  The product therefore runs
+    on one packed ``int`` (:meth:`~freelie.exactalg.QTPoly.pack`) with slots
+    of that many bits, and each cell is two shifts and an add."""
     lam = check_partition(lam)
-    quotient = q_pochhammer_quotient(sum(lam), (hook_length(lam, r, c) for r, c in cells(lam)))
-    terms = {(a, 0): v for a, v in enumerate(quotient) if v}
+    n = sum(lam)
+    quotient = q_pochhammer_quotient(n, (hook_length(lam, r, c) for r, c in cells(lam)))
+    total = sum(quotient) << n
+    base, width = n + 1, slot_width(total)
+    acc = QTPoly({(a, 0): v for a, v in enumerate(quotient)}).pack(base, width)
+    q_shift = base * width
     for r, c in cells(lam):
-        terms = collect(
-            (key, v) for (a, b), v in terms.items() for key in ((a + r - 1, b), (a + c - 1, b + 1))
-        )
-    return QTPoly(terms)
+        acc = (acc << (r - 1) * q_shift) + (acc << (c - 1) * q_shift + width)
+    return QTPoly.unpack(acc, base, width, total)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect
+from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect, exact
 from .partition import (
     Partition,
     check_partition,
@@ -47,10 +47,6 @@ def _partition_sort_key(lam: Partition):
 
 def _union_parts(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
-
-
-def _as_qt(coeff: QTPoly | RatLike) -> QTPoly:
-    return coeff if isinstance(coeff, QTPoly) else QTPoly.const(coeff)
 
 
 class SymTerms(TermMap):
@@ -97,7 +93,7 @@ class SymFunc(SymTerms):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
         self.basis = basis
-        self._fill(terms, check_partition, _as_qt)
+        self._fill(terms, check_partition, QTPoly._coerce)
 
     @classmethod
     def one(cls, basis: str = "p") -> SymFunc:
@@ -141,7 +137,7 @@ class BiSymFunc(SymTerms):
     _unit = ((), ())
 
     def __init__(self, terms: Mapping[tuple[Partition, Partition], QTPoly | RatLike] | None = None):
-        self._fill(terms, _check_pair, _as_qt)
+        self._fill(terms, _check_pair, QTPoly._coerce)
 
     @classmethod
     def one(cls) -> BiSymFunc:
@@ -175,7 +171,7 @@ class ClassFunctionSn(Record):
     __hash__ = None  # it holds a dict
 
     def __init__(self, n: int, values: Mapping[Partition, RatLike]):
-        vals = {check_partition(mu): Fraction(v) for mu, v in values.items()}
+        vals = {check_partition(mu): exact(v) for mu, v in values.items()}
         expected = set(partitions_of(n))
         if set(vals) != expected:
             missing = sorted(expected - set(vals))

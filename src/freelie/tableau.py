@@ -7,6 +7,9 @@ generating polynomials are computed by a forward DP over the shapes inside a
 bounding shape, never by listing the signed tableaux: one DP yields every
 shape of n inside the bound, so a single shape is the DP bounded by itself,
 and every shape of n at once is the DP bounded by (n, n//2, n//3, ...).
+Each state's table of counts is one Kronecker-packed ``int``, a fixed-width
+slot per (statistic, bar count) pair, so a move shifts and adds a whole
+table in one big-integer operation.
 Standard tableaux are walked once, as their row words, for the tableaux
 themselves and for their descent sets.
 
@@ -21,15 +24,18 @@ import operator
 from functools import lru_cache
 from itertools import combinations, compress
 
-from .exactalg import QTPoly, Record, ResourceLimitError
+from .exactalg import QTPoly, Record, ResourceLimitError, slot_width
 from .partition import Partition, cells, check_partition, hook_length
 
 # The signed-tableau DP refuses, before it starts, a shape whose bound on
-# table-entry updates exceeds this many, rather than hanging; an update costs
-# a few tenths of a microsecond.  The DP of every shape of n at once is
-# admitted exactly when each of its shapes would be alone, so it does at most
-# p(n) times this much work.  Every shape with n <= 18 is admitted, and so is
-# every all-shapes call with n <= 18.
+# table-entry updates exceeds this many, rather than hanging.  The bound
+# overcounts the work: measured against it, the packed DP spends 7-10 ns per
+# update on the largest shapes of 12..18 (shared 2-vCPU x86-64 host, Python
+# 3.11; 40-60 ns with one dict per table), so a shape at the budget takes
+# about 0.2 s.  The DP of every shape of n at once is admitted exactly when
+# each of its shapes would be alone, so it does at most p(n) times this much
+# work.  Every shape with n <= 18 is admitted, and so is every all-shapes
+# call with n <= 18.
 DEFAULT_PAIR_BUDGET = 20_000_000
 
 
@@ -323,42 +329,48 @@ def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Pa
     shape of n inside ``bound``, from one DP over the shapes inside it.
 
     Entries 1..n are placed in order.  A state after placing i is (shape mu,
-    row of i, whether i is barred); its table maps stat * (n+1) + bar count
-    to the number of signed fillings of mu reaching it.  Placing i+1 in row
-    r, barred or not, puts i in the index set of :func:`relative_maj` when r
-    is strictly lower than the row of i and i+1 is unbarred, or r is not
-    strictly lower and i is barred; i then adds i to maj, or n - i to comaj.
-    A state's table does not depend on the shape it grows into, so each shape
-    inside ``bound`` is walked once for all the shapes of n above it.
+    row of i, whether i is barred); its table is one ``int`` packed by
+    :meth:`~freelie.exactalg.QTPoly.pack`, whose slot stat * (n+1) + bar
+    count holds the number of signed fillings of mu reaching it.  Placing
+    i+1 in row r, barred or not, puts i in the index set of
+    :func:`relative_maj` when r is strictly lower than the row of i and i+1
+    is unbarred, or r is not strictly lower and i is barred; i then adds i to
+    maj, or n - i to comaj.  Either way the move shifts every slot of the
+    table by the same amount, so it adds the whole table, shifted, to the
+    target's in one big-integer operation.  The counts of a shape lam of n
+    sum to f^lam * 2^n, and f^lam <= sqrt(n!) as the squares of the f^lam
+    sum to n!, so slots of that many bits never overflow; unpacking checks
+    each shape's sum.  A state's table does not depend on the shape it grows
+    into, so each shape inside ``bound`` is walked once for all the shapes
+    of n above it.
     """
     _check_budget(bound, n)
     if n == 0:
         return {(): QTPoly.one()}
     base = n + 1
+    width = slot_width(math.isqrt(math.factorial(n)) << n)
     # before 1 is placed: the empty shape, and a "row of 0" below every row,
     # so that placing 1 joins nothing; the last step keeps one table per shape
-    layer = {((0,) * len(bound), len(bound), False): {0: 1}}
+    layer = {((0,) * len(bound), len(bound), False): 1}
     for i in range(n):
         step = (n - i if use_comaj else i) * base
         last = i == n - 1
         nxt: dict = {}
+        get = nxt.get
         while layer:
             (mu, row, barred), table = layer.popitem()
             for r, nu in _moves(bound, mu):
                 lower = r > row
                 for barred_next in (False, True):
                     joins = (lower and not barred_next) or (barred and not lower)
-                    shift = step * joins + barred_next
-                    target = nxt.setdefault(nu if last else (nu, r, barred_next), {})
-                    get = target.get
-                    for key, c in table.items():
-                        key += shift
-                        target[key] = get(key, 0) + c
+                    target = nu if last else (nu, r, barred_next)
+                    nxt[target] = get(target, 0) + (table << (step * joins + barred_next) * width)
         layer = nxt
-    return {
-        tuple(part for part in mu if part): QTPoly({divmod(key, base): c for key, c in table.items()})
-        for mu, table in layer.items()
-    }
+    out = {}
+    for mu, table in layer.items():
+        lam = tuple(part for part in mu if part)
+        out[lam] = QTPoly.unpack(table, base, width, syt_count(lam) << n)
+    return out
 
 
 def maj_neg_generating_poly(lam: Partition) -> QTPoly:

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import compress
+from operator import gt
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import QTPoly, Record, TermMap, collect
+from .exactalg import QTPoly, Record, TermMap
 from .partition import format_partition, partitions_of
 from .symfunc import SymFunc
 
@@ -279,9 +282,19 @@ def suite_super_klyachko(max_total: int) -> list[CheckReport]:
     ]
 
 
+def _admit_sign_polys(max_n: int) -> None:
+    """Refuse, before any DP runs, a sweep that needs the signed-tableau DP
+    of every shape of some n <= max_n and would be refused at max_n: the
+    budget admits every shape of n whenever it admits every shape of max_n."""
+    tableau._check_budget(tableau._every_shape(max_n), max_n)
+
+
 def suite_hook(max_n: int) -> list[CheckReport]:
     """q,t-hook product equals the (maj, bar count) generating polynomial,
-    and its t = 0 slice is the classical maj generating polynomial."""
+    and its t = 0 slice is the classical maj generating polynomial, counted
+    over the standard tableaux themselves (i is a descent of a row word w
+    when w[i] > w[i-1])."""
+    _admit_sign_polys(max_n)
     reports = []
     for n in range(1, max_n + 1):
         gens = tableau.maj_neg_generating_polys(n)
@@ -290,7 +303,10 @@ def suite_hook(max_n: int) -> list[CheckReport]:
             reports.append(
                 _equality("hook-formula", {"partition": format_partition(lam)}, gens[lam], product)
             )
-            classical = QTPoly(collect(((sum(d), 0), 1) for d in tableau.syt_descent_sets(lam)))
+            majs = Counter(
+                sum(compress(range(1, n), map(gt, w[1:], w))) for w in tableau.syt_row_words(lam)
+            )
+            classical = QTPoly({(a, 0): c for a, c in majs.items()})
             t0_slice = QTPoly({k: c for k, c in product.items() if k[1] == 0})
             reports.append(
                 _equality(
@@ -324,6 +340,7 @@ def suite_sps(max_n: int, q_cap: int, qt_hook_max_n: int) -> list[CheckReport]:
     """Principal specialization of the two-alphabet Schur functions: maj and
     comaj equidistribution plus the series identity, and the numerical check
     of the closed hook-product specialization."""
+    _admit_sign_polys(max_n)
     reports = []
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
@@ -377,6 +394,7 @@ def suite_reu(max_n: int) -> list[CheckReport]:
 def suite_kw(max_total: int, omega_trials: int, omega_max_r: int, seed: int) -> list[CheckReport]:
     """Multiplicity formula for all bidegrees, plus agreement of the two
     implementations of residue extraction on random polynomials."""
+    _admit_sign_polys(max_total)
     reports = [
         _equality("kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m))
         for n, m in _bidegrees(max_total)
@@ -430,6 +448,7 @@ def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int) ->
     bars over shapes of n+m when gcd(r + h, n+m) = gcd(s + h, n+m), where
     h = half_if_even(m) (signed); and for odd n and m, bar counts m and n are
     equidistributed within every maj residue class mod n+m (odd)."""
+    _admit_sign_polys(max(sym1_max_n, sym2_max_total, sym3_max_total))
     reports = []
     for n in range(2, sym1_max_n + 1):
         pairs = _equal_gcd_pairs(n, 0)

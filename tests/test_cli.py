@@ -9,8 +9,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from freelie import cli, symfunc, verify
-from freelie.exactalg import MultiPoly
+from freelie import cli, specialization, symfunc, tableau, verify
+from freelie.exactalg import MultiPoly, ResourceLimitError
 from freelie.partition import parse_partition
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -165,6 +165,46 @@ def test_count_budget_resource_error(capsys):
     # the DP's update bound for (12,12,12) is far beyond the default budget
     code, _, err = run(capsys, "count", "(12,12,12)")
     assert code == cli.EXIT_RESOURCE
+
+
+def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
+    # each sweep over the all-shapes DP is priced at n = 40 before the DP of
+    # n = 1 runs, not after computing every n <= 18; a DP call fails the
+    # test at once
+    calls = []
+
+    def refuse(bound, n, use_comaj):
+        calls.append(n)
+        raise AssertionError(f"the DP of size {n} ran before the sweep was priced")
+
+    monkeypatch.setattr(tableau, "_sign_generating_polys", refuse)
+    for argv in (("hook", "--max-n", "40"), ("kw", "--max-total", "40"), ("sps", "--max-n", "40")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == cli.EXIT_RESOURCE, argv
+        assert "resource limit" in err and "shapes of 40" in err, err
+        assert out == ""
+    # symmetry takes no override; its profile bounds are priced the same way
+    with pytest.raises(ResourceLimitError, match="shapes of 40"):
+        verify.suite_symmetry(2, 2, 40)
+    assert calls == []
+
+
+@pytest.mark.parametrize("routes", [(tableau,), (specialization,), (tableau, specialization)])
+def test_overflowed_slots_never_pass(routes, capsys, monkeypatch):
+    # 8-bit slots cannot hold the counts of shapes of 9; whether the DP, the
+    # hook product or both get them, the run refuses instead of passing
+    for module in routes:
+        monkeypatch.setattr(module, "slot_width", lambda bound: 8)
+    tableau._sign_generating_polys.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "hook", "--max-n", "9")
+    finally:
+        tableau._sign_generating_polys.cache_clear()
+    assert code == cli.EXIT_DOMAIN
+    assert "8-bit slots" in err
+    assert "[pass]" not in out
 
 
 def test_verify_suite_pass(capsys):

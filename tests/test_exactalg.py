@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from freelie.exactalg import (
     monic_divmod,
     q_pochhammer,
     q_pochhammer_quotient,
+    slot_width,
 )
 from freelie.specialization import SpecSeries, qsym_principal_spec, s_ps_routes
 from freelie.symfunc import SymFunc
@@ -467,6 +469,54 @@ def test_integer_products_keep_int_coefficients():
     # a Fraction stays a Fraction
     half = p * Fraction(1, 2)
     assert all(type(c) is Fraction for c in (half * p).terms.values())
+
+
+# -- Kronecker packing
+
+def test_packing_round_trips_at_the_slot_extremes():
+    # every width the unpacker reads differently: bytes, one 64-bit word and
+    # several; each table mixes empty slots, 1 and 2^width - 1
+    rng = random.Random(7)
+    for width in (8, 16, 64, 128, 192):
+        top = (1 << width) - 1
+        for base in (1, 3, 5):
+            terms = {(0, 0): 1, (0, base - 1): top, (3, 0): top, (4, base - 1): 1}
+            for _ in range(10):
+                terms[(rng.randrange(8), rng.randrange(base))] = rng.choice((1, top))
+            packed = QTPoly(terms).pack(base, width)
+            back = QTPoly.unpack(packed, base, width, sum(terms.values()))
+            assert back.terms == terms, (width, base)
+            assert all(type(c) is int for c in back.terms.values())
+    # slot a * base + b holds the coefficient of q^a t^b
+    assert QTPoly({(1, 0): 5, (0, 2): 1}).pack(3, 64) == 5 << 3 * 64 | 1 << 2 * 64
+    assert QTPoly().pack(3, 64) == 0
+    assert QTPoly.unpack(0, 3, 64, 0) == QTPoly()
+
+
+def test_packing_refuses_what_would_spill_into_the_next_slot():
+    for bad in (
+        {(0, 0): -1},  # a borrow
+        {(2, 1): 1 << 64},  # a carry
+        {(0, 3): 1},  # a t-exponent past the slots of one q-exponent
+        {(0, 0): Fraction(1, 2)},
+    ):
+        with pytest.raises(ValueError):
+            QTPoly(bad).pack(3, 64)
+
+
+def test_unpacking_detects_an_overflowed_slot():
+    # the count 256 in an 8-bit slot reads back as a 1 carried into the next
+    # slot; the slots sum to 1, not 256
+    packed = 256
+    with pytest.raises(OverflowError):
+        QTPoly.unpack(packed, 3, 8, 256)
+    assert QTPoly.unpack(packed, 3, 8, 1) == QTPoly.monomial(0, 1)
+
+
+def test_slot_width_is_the_bit_length_rounded_up_to_64():
+    assert slot_width(0) == slot_width(1) == slot_width((1 << 64) - 1) == 64
+    assert slot_width(1 << 64) == 128
+    assert slot_width(math.factorial(18) << 18) == 128
 
 
 # -- MultiPoly

@@ -144,6 +144,14 @@ def test_class_function_is_not_hashable():
         hash(ClassFunctionSn(1, {(1,): 1}))
 
 
+def test_class_function_refuses_floats():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        ClassFunctionSn(2, {(2,): 0.1, (1, 1): 1})
+    chi = ClassFunctionSn(2, {(2,): Fraction(1, 10), (1, 1): 1})
+    assert chi.values == {(2,): Fraction(1, 10), (1, 1): 1}
+
+
 def test_frobenius_of_irreducible_characters():
     for n in range(1, 8):
         for lam in partitions_of(n):

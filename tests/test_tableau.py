@@ -312,6 +312,48 @@ def test_all_shapes_dp_matches_single_shape_dp():
             assert comajs[lam] == comaj_neg_generating_poly(lam), lam
 
 
+def _dict_sign_generating_polys(bound, n, use_comaj):
+    """The signed-tableau DP with one dict per state's table instead of a
+    packed int: the reference for the packed tables."""
+    if n == 0:
+        return {(): QTPoly.one()}
+    base = n + 1
+    layer = {((0,) * len(bound), len(bound), False): {0: 1}}
+    for i in range(n):
+        step = (n - i if use_comaj else i) * base
+        nxt = {}
+        for (mu, row, barred), table in layer.items():
+            for r, nu in tableau._moves(bound, mu):
+                for barred_next in (False, True):
+                    joins = (r > row and not barred_next) or (barred and not r > row)
+                    target = nxt.setdefault(nu if i == n - 1 else (nu, r, barred_next), {})
+                    for key, c in table.items():
+                        key += step * joins + barred_next
+                        target[key] = target.get(key, 0) + c
+        layer = nxt
+    return {
+        tuple(part for part in mu if part): QTPoly({divmod(key, base): c for key, c in table.items()})
+        for mu, table in layer.items()
+    }
+
+
+def test_packed_dp_matches_the_dict_dp():
+    for n in range(0, 10):
+        for use_comaj in (False, True):
+            bound = tableau._every_shape(n)
+            packed = tableau._sign_generating_polys(bound, n, use_comaj)
+            assert packed == _dict_sign_generating_polys(bound, n, use_comaj), (n, use_comaj)
+            assert all(type(c) is int for p in packed.values() for c in p.terms.values())
+
+
+def test_packed_dp_at_n_17():
+    # a count of a shape of 17 can pass 2^64 only if n! * 2^n bounds it;
+    # f^lam <= sqrt(n!) keeps it inside one 64-bit slot
+    assert math.factorial(17) << 17 >= 1 << 64 > math.isqrt(math.factorial(17)) << 17
+    lam = (5, 4, 3, 2, 2, 1)
+    assert maj_neg_generating_poly(lam) == specialization.hook_product(lam)
+
+
 def test_all_shapes_result_is_a_copy():
     polys = maj_neg_generating_polys(3)
     polys.clear()
