@@ -132,11 +132,17 @@ def cmd_dim(args) -> RunReport:
     payload: dict = {"dim": value}
     status = "pass"
     if args.oracle:
-        rank, discrepancy = verify._bracket_oracle(args.n, args.m, args.N, value)
-        payload["oracle"] = rank
-        payload["match"] = discrepancy is None
-        if discrepancy is not None:
-            payload["first_discrepancy"] = discrepancy
+        ranks, formula = verify._bracket_oracle(args.n, args.m, args.N)
+        payload["oracle"] = ranks["dimension"]
+        where = verify._first_difference(ranks, formula)
+        payload["match"] = where is None
+        if where is not None:
+            rank, other = ranks[where], formula[where]
+            payload["first_discrepancy"] = (
+                f"rank {rank}, dimension formula {other}"
+                if where == "dimension"
+                else f"{where}: rank {rank}, character coefficient {other}"
+            )
             status = "fail"
     return RunReport(
         "dim",

@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from freelie import cli, specialization, symfunc, tableau, verify
+from freelie import cli, specialization, superlie, symfunc, tableau, verify
 from freelie.exactalg import MultiPoly, ResourceLimitError
 from freelie.partition import parse_partition
 
@@ -127,7 +127,23 @@ def test_oracle_names_mismatched_weight(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "verify", "witt-oracle", "--profile", "quick")
     assert code == cli.EXIT_IDENTITY_FAILURE
-    assert "discrepancy: weight (1,1)|(1):" in out
+    assert "discrepancy: weight (1,1)|(1)\n" in out
+
+
+def test_oracle_names_mismatched_dimension(capsys, monkeypatch):
+    # the dimension formula is off by one; every weight block still agrees
+    real = superlie.super_witt_dim
+    monkeypatch.setattr(superlie, "super_witt_dim", lambda n, m, N: real(n, m, N) + 1)
+    code, out, _ = run(capsys, "dim", "2", "1", "2", "--oracle", "--format", "json")
+    assert code == cli.EXIT_IDENTITY_FAILURE
+    payload = json.loads(out)["payload"]
+    assert payload["match"] is False
+    expected = f"rank {payload['oracle']}, dimension formula {payload['dim']}"
+    assert payload["first_discrepancy"] == expected
+
+    code, out, _ = run(capsys, "verify", "witt-oracle", "--profile", "quick")
+    assert code == cli.EXIT_IDENTITY_FAILURE
+    assert "discrepancy: dimension\n" in out
 
 
 def test_count_command(capsys):
@@ -168,9 +184,9 @@ def test_count_budget_resource_error(capsys):
 
 
 def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
-    # each sweep over the all-shapes DP is priced at n = 40 before the DP of
-    # n = 1 runs, not after computing every n <= 18; a DP call fails the
-    # test at once
+    # each sweep over the all-shapes DP is priced at its bound before the DP
+    # of n = 1 runs, not after computing every n <= 18, and without building
+    # the bound's n parts; a DP call fails the test at once
     calls = []
 
     def refuse(bound, n, use_comaj):
@@ -178,17 +194,37 @@ def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
         raise AssertionError(f"the DP of size {n} ran before the sweep was priced")
 
     monkeypatch.setattr(tableau, "_sign_generating_polys", refuse)
-    for argv in (("hook", "--max-n", "40"), ("kw", "--max-total", "40"), ("sps", "--max-n", "40")):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify", *argv)
-        assert time.perf_counter() - start < 1, argv
-        assert code == cli.EXIT_RESOURCE, argv
-        assert "resource limit" in err and "shapes of 40" in err, err
-        assert out == ""
+    for flag in (("hook", "--max-n"), ("kw", "--max-total"), ("sps", "--max-n")):
+        for n in ("40", "1000000000"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", *flag, n)
+            assert time.perf_counter() - start < 1, (flag, n)
+            assert code == cli.EXIT_RESOURCE, (flag, n)
+            assert "resource limit" in err and f"shapes of {n}" in err, err
+            assert out == ""
     # symmetry takes no override; its profile bounds are priced the same way
     with pytest.raises(ResourceLimitError, match="shapes of 40"):
-        verify.suite_symmetry(2, 2, 40)
+        list(verify.suite_symmetry(2, 2, 40))
     assert calls == []
+
+
+def test_sweep_admission_agrees_with_the_whole_bound(monkeypatch):
+    # pricing the first rows of the bound refuses exactly the sizes that
+    # pricing the whole bound refuses, at the default budget and a smaller one
+    for budget in (tableau.DEFAULT_PAIR_BUDGET, 200_000):
+        monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", budget)
+        for n in range(0, 41):
+            try:
+                tableau._check_budget(tableau._every_shape(n), n)
+                whole = True
+            except ResourceLimitError:
+                whole = False
+            try:
+                verify._admit_sign_polys(n)
+                rows = True
+            except ResourceLimitError:
+                rows = False
+            assert rows == whole, (budget, n)
 
 
 @pytest.mark.parametrize("routes", [(tableau,), (specialization,), (tableau, specialization)])
@@ -286,7 +322,7 @@ def test_override_bounds_every_check_of_its_suite(capsys):
 
 
 def test_verify_empty_run_is_usage_error(capsys):
-    for argv in (["hook", "--max-n", "0"], ["reu", "--max-n", "-3"]):
+    for argv in (["hook", "--max-n", "0"], ["hook", "--max-n", "-3"], ["reu", "--max-n", "-3"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == cli.EXIT_USAGE
         assert "pass" not in out and "no checks" in err
@@ -387,7 +423,7 @@ GOLDEN_DIGESTS = {
     ),
     "verify witt-oracle --profile quick": (
         "c730e2b16c31acdd97abe783fdfca33523ff20a34989752157ab07652e7378ac",
-        "f87d0343a01e8e912b05404eca55e76e651887cb20d41a668e7b674cd7926420",
+        "05fff3f3394e9fa179fa19941e1abaa5a4d553289c331e0c84c5398d0937e0d9",
     ),
     "verify thrall --profile quick": (
         "0556c1ed244de68428852a88e77e27dcf166342d1ffd2de352db5c159d7e2682",
@@ -395,7 +431,7 @@ GOLDEN_DIGESTS = {
     ),
     "verify klyachko --profile quick": (
         "a9c22f0944a7c00cc40cfd361f41effc9f241bd83cffbad2a67e742428bf82e3",
-        "5e1b3bf93d5e998f47424207f93505ed4784fafc35ce3c4ee06dc939ced67dce",
+        "c66a3bc30144fbb81fc9526c846c7f9570a75e236dd755bb5a00d90c154e4678",
     ),
     "verify super-klyachko --profile quick": (
         "ff6dd08997102fe54883a95529543f6e8bee26941fffd65a345df189d1d98d77",
@@ -470,3 +506,12 @@ def test_golden_output_digests():
             with redirect_stdout(buf):
                 cli._print_report(report, fmt)
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (command, fmt)
+
+
+def test_passing_checks_show_no_routes(capsys):
+    # routes and the first discrepancy are shown for a failed check only
+    code, out, _ = run(capsys, "verify", "all", "--profile", "quick", "--format", "json")
+    assert code == cli.EXIT_OK
+    checks = json.loads(out)["payload"]["checks"]
+    shown = [c for c in checks if c.keys() & {"lhs", "rhs", "first_discrepancy"}]
+    assert checks and shown == []

@@ -97,3 +97,47 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+class _CheckReportCalls(ast.NodeVisitor):
+    """The qualified name of the innermost function or class around each
+    call of CheckReport in a module."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.callers = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "CheckReport":
+            self.callers.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_the_route_comparison_builds_a_check_report():
+    # every check is two routes compared by verify._equality; a CheckReport
+    # built anywhere else is a check that decides its own outcome
+    package = pathlib.Path(freelie.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        visitor = _CheckReportCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        callers.update(visitor.callers)
+    assert callers == {"verify._equality"}
+
+
+def test_every_suite_yields_its_routes():
+    # a suite yields (check, parameters, lhs, rhs) and run_suite alone
+    # compares them: a suite that returns reports has its own check loop
+    from freelie import verify
+
+    offenders = [
+        name for name, suite in verify.SUITES.items() if not inspect.isgeneratorfunction(suite.run)
+    ]
+    assert offenders == []
