@@ -2,6 +2,11 @@
 ``dim``, ``count``, ``verify``) and the rendering of their reports.  The
 suites that ``verify`` runs, and their bounds, live in :mod:`freelie.verify`.
 
+Each run is one short process, so a command loads only what it runs: the
+parser gets the arguments of the command named first (of every command when
+none is), and only ``verify`` imports :mod:`freelie.verify`, with the suites'
+modules behind it.
+
 Exit codes: 0 success, 1 a verified identity failed, 2 usage error, 3 domain
 error, 4 resource budget exceeded.
 
@@ -19,11 +24,10 @@ import os
 import sys
 import time
 
-from . import superlie, symfunc, tableau, verify
-from .exactalg import Record, ResourceLimitError, render_terms
+from . import superlie, symfunc, tableau
+from .exactalg import Record, ResourceLimitError, UsageError, first_difference, render_terms
 from .partition import format_partition, parse_partition
 from .symfunc import BiSymFunc, SymFunc
-from .verify import UsageError
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -132,9 +136,9 @@ def cmd_dim(args) -> RunReport:
     payload: dict = {"dim": value}
     status = "pass"
     if args.oracle:
-        ranks, formula = verify._bracket_oracle(args.n, args.m, args.N)
+        ranks, formula = superlie.bracket_oracle_routes(args.n, args.m, args.N)
         payload["oracle"] = ranks["dimension"]
-        where = verify._first_difference(ranks, formula)
+        where = first_difference(ranks, formula)
         payload["match"] = where is None
         if where is not None:
             rank, other = ranks[where], formula[where]
@@ -186,6 +190,8 @@ VERIFY_FLAGS = {
 
 
 def cmd_verify(args) -> RunReport:
+    from . import verify
+
     overrides = {
         name: getattr(args, name)
         for name in VERIFY_FLAGS.values()
@@ -220,46 +226,94 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter at the width argparse picks, found without
+    ``shutil``, whose import (with zlib, bz2, lzma and fnmatch behind it)
+    costs more than building the whole parser: ``COLUMNS`` if it is a
+    positive integer, else the width of the terminal on stdout, else 80,
+    less 2."""
+
+    def __init__(self, prog):
+        try:
+            width = int(os.environ["COLUMNS"])
+        except (KeyError, ValueError):
+            width = 0
+        if width <= 0:
+            try:
+                width = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+            except (AttributeError, ValueError, OSError):
+                width = 80
+        super().__init__(prog, width=width - 2)
+
+
+def _char_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=("lie", "bilie", "higher"))
+    p.add_argument("args", nargs="*")
+    p.add_argument("--matrix", help="JSON [[i,j,a],...] for 'higher'")
+    p.set_defaults(func=cmd_char)
+
+
+def _dim_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("m", type=int)
+    p.add_argument("N", type=int)
+    p.add_argument("--oracle", action="store_true")
+    p.set_defaults(func=cmd_dim)
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("partition", help='partition, e.g. "(2,1)"')
+    p.add_argument("--mod", type=int, default=None)
+    p.add_argument("--res", type=int, default=None, help="residue (default 1)")
+    p.add_argument("--neg", type=int, default=None, help="bar count (default 0)")
+    p.add_argument("--gf", action="store_true")
+    p.set_defaults(func=cmd_count)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from . import verify
+
+    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("--profile", choices=verify.PROFILES, default="full")
+    for flag, name in VERIFY_FLAGS.items():
+        p.add_argument(flag, dest=name, type=int, default=None, action=_StoreOnce)
+    p.set_defaults(func=cmd_verify)
+
+
+# command -> (its help line, the function that adds its arguments)
+COMMANDS = {
+    "char": ("print a character", _char_arguments),
+    "dim": ("bigraded dimension", _dim_arguments),
+    "count": ("signed tableau counts", _count_arguments),
+    "verify": ("run identity suites", _verify_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.  Every command is listed,
+    but when ``argv`` begins with a command's name, only that command gets
+    its arguments: argparse hands the rest of the line to it alone.  Without
+    ``argv``, or when it begins with anything else (``--help``, a misspelt
+    command), every command gets them, so that every help and error text is
+    the full one."""
     parser = argparse.ArgumentParser(
         prog="freelie",
         description="Exact free Lie superalgebra characters and identity verification",
+        formatter_class=_HelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_HelpFormatter)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(
         "--timing", action="store_true", help="include elapsed_ms in the report"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_char = sub.add_parser("char", parents=[common], help="print a character")
-    p_char.add_argument("kind", choices=("lie", "bilie", "higher"))
-    p_char.add_argument("args", nargs="*")
-    p_char.add_argument("--matrix", help="JSON [[i,j,a],...] for 'higher'")
-    p_char.set_defaults(func=cmd_char)
-
-    p_dim = sub.add_parser("dim", parents=[common], help="bigraded dimension")
-    p_dim.add_argument("n", type=int)
-    p_dim.add_argument("m", type=int)
-    p_dim.add_argument("N", type=int)
-    p_dim.add_argument("--oracle", action="store_true")
-    p_dim.set_defaults(func=cmd_dim)
-
-    p_count = sub.add_parser("count", parents=[common], help="signed tableau counts")
-    p_count.add_argument("partition", help='partition, e.g. "(2,1)"')
-    p_count.add_argument("--mod", type=int, default=None)
-    p_count.add_argument("--res", type=int, default=None, help="residue (default 1)")
-    p_count.add_argument("--neg", type=int, default=None, help="bar count (default 0)")
-    p_count.add_argument("--gf", action="store_true")
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run identity suites")
-    p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_verify.add_argument("--profile", choices=verify.PROFILES, default="full")
-    for flag, name in VERIFY_FLAGS.items():
-        p_verify.add_argument(flag, dest=name, type=int, default=None, action=_StoreOnce)
-    p_verify.set_defaults(func=cmd_verify)
-
+    chosen = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(
+            name, parents=[common], help=help_line, formatter_class=_HelpFormatter
+        )
+        if chosen in (None, name):
+            add_arguments(p)
     return parser
 
 
@@ -289,8 +343,9 @@ def _print_report(report: RunReport, fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         report = args.func(args)

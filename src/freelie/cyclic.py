@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 
 from .exactalg import CycloElem, Record, ResourceLimitError, binom, divisors
 from .partition import Partition, partitions_of
+from .superlie import check_bidegree
 from .symfunc import ClassFunctionSn, SymFunc
 
 _INDUCE_ORACLE_MAX = 7
@@ -58,8 +59,7 @@ def chi_cyc(n: int, m: int) -> CyclicClassFunction:
     """Character of C_{n+m} rotating m-element subsets of {1..n+m}: the value
     at the k-th generator power is C((n+m)/d, m/d) when d | m and 0 otherwise,
     where d = (n+m)/gcd(k, n+m) is the cycle length of that power."""
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError(f"need n + m > 0: ({n}, {m})")
+    check_bidegree(n, m)
     r = n + m
     values = []
     for k in range(1, r + 1):
@@ -72,8 +72,7 @@ def chi_cyc(n: int, m: int) -> CyclicClassFunction:
 def chi_cyc_oracle(n: int, m: int) -> CyclicClassFunction:
     """Same character by direct orbit counting: enumerate all m-subsets and
     count the ones fixed by each rotation."""
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError(f"need n + m > 0: ({n}, {m})")
+    check_bidegree(n, m)
     r = n + m
     if r > _CHI_CYC_ORACLE_MAX:
         raise ResourceLimitError(f"subset oracle capped at n + m <= {_CHI_CYC_ORACLE_MAX}")
@@ -179,8 +178,7 @@ def super_klyachko_char(n: int, m: int) -> SymFunc:
     """Induced-character description of the (n, m) bidegree character: twist
     the subset-rotation character by the first root-of-unity power when m is
     odd, by the (m/2 + 1)-st when m is even, then induce up to S_{n+m}."""
-    if n < 0 or m < 0 or (n, m) == (0, 0):
-        raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
+    check_bidegree(n, m)
     r = n + m
     exponent = 1 if m % 2 == 1 else m // 2 + 1
     twisted = pointwise_product(chi_cyc(n, m), chi_power(r, exponent))

@@ -10,6 +10,9 @@ module provides
   accumulate-and-drop-zero loop :func:`collect` and the term renderer
   :func:`render_terms`; every polynomial, series, cyclotomic element and
   symmetric function in the package is a thin subclass of it,
+* :func:`first_difference`, where two unequal routes of a check first
+  differ, and the package's :class:`UsageError` and
+  :class:`ResourceLimitError`,
 * sparse two-variable polynomials in q and t (:class:`QTPoly`), and their
   Kronecker packing: a table of nonnegative integer coefficients as one
   ``int`` with a fixed-width slot per exponent pair, so that shifting and
@@ -40,6 +43,11 @@ from functools import lru_cache
 from itertools import compress, product
 
 RatLike = int | Fraction
+
+
+class UsageError(Exception):
+    """The request itself is malformed: an unknown name, a flag that does not
+    apply, or bounds that select nothing."""
 
 
 class ResourceLimitError(Exception):
@@ -445,6 +453,24 @@ class TermMap:
         layout = ",".join(str(getattr(self, name)) for name in self._layout)
         name = type(self).__name__ + (f"[{layout}]" if layout else "")
         return f"{name}({self})"
+
+
+def first_difference(lhs, rhs):
+    """Where two unequal routes first differ, or None if that cannot be named:
+    the first key of two term maps (in their canonical order) or of two dicts
+    (in their own order), and for two tuples the index of the first unequal
+    pair, with where that pair differs."""
+    if isinstance(lhs, TermMap) and type(rhs) is type(lhs):
+        return lhs.first_difference(rhs)
+    if isinstance(lhs, dict) and isinstance(rhs, dict):
+        keys = [*lhs, *(k for k in rhs if k not in lhs)]
+        return next((k for k in keys if lhs.get(k) != rhs.get(k)), None)
+    if isinstance(lhs, tuple) and isinstance(rhs, tuple):
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            if a != b:
+                where = first_difference(a, b)
+                return i if where is None else (i, where)
+    return None
 
 
 # ---------------------------------------------------------------------------

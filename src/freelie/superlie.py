@@ -29,7 +29,8 @@ from .exactalg import (
     divisors,
     mobius,
 )
-from .partition import partitions_of
+from . import symfunc
+from .partition import format_partition, partitions_of
 from .symfunc import BiSymFunc, SymFunc, e_pleth, h_pleth, multiply
 
 
@@ -88,6 +89,12 @@ class SupportMatrix:
         return f"SupportMatrix({self.to_json()})"
 
 
+def check_bidegree(n: int, m: int) -> None:
+    """Refuse a bidegree (n, m) unless both are nonnegative and not both zero."""
+    if n < 0 or m < 0 or (n, m) == (0, 0):
+        raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
+
+
 def _common_divisors(n: int, m: int) -> list[int]:
     return divisors(math.gcd(n, m))
 
@@ -96,8 +103,7 @@ def super_brandt_char(n: int, m: int) -> SymFunc:
     """One-alphabet character of the (n, m) bidegree piece:
     1/(n+m) * sum over d | gcd(n,m) of (-1)^(m + m/d) mu(d) C((n+m)/d, m/d) p_d^((n+m)/d).
     """
-    if n < 0 or m < 0 or (n, m) == (0, 0):
-        raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
+    check_bidegree(n, m)
     total = n + m
     terms: dict[tuple[int, ...], Fraction] = {}
     for d in _common_divisors(n, m):
@@ -113,8 +119,7 @@ def super_bi_brandt_char(n: int, m: int) -> BiSymFunc:
     1/(n+m) * sum over d | gcd(n,m) of (-1)^(m/d) mu(d) C((n+m)/d, m/d)
     p_d(x)^(n/d) p_d(-y)^(m/d), with p_d(-y) = (-1)^d p_d(y).
     """
-    if n < 0 or m < 0 or (n, m) == (0, 0):
-        raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
+    check_bidegree(n, m)
     total = n + m
     terms: dict[tuple, Fraction] = {}
     for d in _common_divisors(n, m):
@@ -128,8 +133,7 @@ def super_bi_brandt_char(n: int, m: int) -> BiSymFunc:
 
 def super_witt_dim(n: int, m: int, N: int) -> int:
     """Dimension of the (n, m) piece when both generating spaces have dim N."""
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError(f"need n + m > 0: ({n}, {m})")
+    check_bidegree(n, m)
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
     total = n + m
@@ -224,8 +228,7 @@ def super_lie_module_char(matrix: SupportMatrix) -> BiSymFunc:
 def enumerate_bidegree_matrices(n: int, m: int) -> list[SupportMatrix]:
     """All support matrices of bidegree exactly (n, m), in the deterministic
     order given by lexicographic sorted support."""
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError(f"need n + m > 0: ({n}, {m})")
+    check_bidegree(n, m)
     cells = [
         (i, j)
         for i in range(n + 1)
@@ -361,8 +364,7 @@ def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
       combinations a * row - b * pivot row with a != 0, each invertible over
       Q, so its rank is the rank over Q.
     """
-    if n < 0 or m < 0 or n + m <= 0:
-        raise ValueError(f"need n + m > 0: ({n}, {m})")
+    check_bidegree(n, m)
     # every word's bracket has 2^(n+m-1) terms, so a degree whose single
     # word is over the budget is refused before its partitions are listed,
     # even when it has no weight block at all
@@ -403,3 +405,22 @@ def brute_force_lie_dim(n: int, m: int, N: int, M: int) -> tuple[int, dict]:
         ranks[(alpha, beta)] = echelon.rank
         total += echelon.rank * _orbit(alpha, N) * _orbit(beta, M)
     return total, ranks
+
+
+def bracket_oracle_routes(n: int, m: int, N: int) -> tuple[dict, dict]:
+    """The two routes of the bracket oracle of the (n, m) piece with N even
+    and N odd generators, each a dict with one key "weight alpha|beta" per
+    weight block, then "dimension": the bracket ranks of the blocks and
+    their total, and the coefficients of x^alpha y^beta in the truncated
+    character and the dimension formula."""
+    total, blocks = brute_force_lie_dim(n, m, N, N)
+    # through the module, so that a substitute installed there reaches it
+    char = symfunc.expand_truncated(super_bi_brandt_char(n, m), N, N)
+    ranks, formula = {}, {}
+    for (alpha, beta), rank in blocks.items():
+        weight = f"weight {format_partition(alpha)}|{format_partition(beta)}"
+        ranks[weight] = rank
+        formula[weight] = char.coefficient(weight_exponents(alpha, beta, N, N))
+    ranks["dimension"] = total
+    formula["dimension"] = super_witt_dim(n, m, N)
+    return ranks, formula

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from freelie import cli, specialization, superlie, symfunc, tableau, verify
+from freelie import cli, cyclic, specialization, superlie, symfunc, tableau, verify
 from freelie.exactalg import MultiPoly, ResourceLimitError
 from freelie.partition import parse_partition
 
@@ -227,6 +228,32 @@ def test_sweep_admission_agrees_with_the_whole_bound(monkeypatch):
             assert rows == whole, (budget, n)
 
 
+def test_classical_slice_refused_before_any_tableau(capsys, monkeypatch):
+    # the DP admits every shape of 15, but the slice would walk the
+    # 13,497,599 standard tableaux of sizes up to 15; it is priced before
+    # any DP runs or any tableau is walked
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("syt_row_words", "_sign_generating_polys"):
+        monkeypatch.setattr(tableau, name, counted(getattr(tableau, name)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "hook", "--max-n", "15")
+    assert time.perf_counter() - start < 1
+    assert code == cli.EXIT_RESOURCE
+    assert "resource limit" in err and "hook-classical-slice up to n = 15" in err, err
+    assert "13497599 standard tableaux" in err
+    assert out == "" and calls == []
+    # the 3,148,063 tableaux of sizes up to 14 are admitted
+    verify._admit_slice(14)
+
+
 @pytest.mark.parametrize("routes", [(tableau,), (specialization,), (tableau, specialization)])
 def test_overflowed_slots_never_pass(routes, capsys, monkeypatch):
     # 8-bit slots cannot hold the counts of shapes of 9; whether the DP, the
@@ -353,11 +380,17 @@ def test_closed_stdout_keeps_exit_code():
     assert proc.stderr == b""
 
 
-def test_cli_import_leaves_out_heavy_modules():
-    # a one-shot query pays for every module the import loads; these come in
-    # only through dataclasses and typing
-    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
-    code = f"import sys, freelie.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+def _modules_loaded(heavy, *argvs):
+    """Which of the heavy modules a fresh ``python -S`` process holds after
+    importing the CLI and running ``cli.main`` on each command line."""
+    code = (
+        "import io, sys\n"
+        "import freelie.cli as cli\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+        "sys.stdout = out\n"
+        f"print(codes, sorted(set({heavy!r}) & set(sys.modules)))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
@@ -366,7 +399,73 @@ def test_cli_import_leaves_out_heavy_modules():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # a one-shot query pays for every module the import loads; these come in
+    # only through dataclasses and typing
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    assert _modules_loaded(heavy) == "[] []"
+    # argparse's own formatter imports shutil (with zlib, bz2 and lzma) for
+    # the terminal width, and only verify needs the suites and their modules
+    heavy = ("shutil", "random", "freelie.verify", "freelie.cyclic", "freelie.specialization")
+    queries = (
+        ["char", "lie", "2", "1"],
+        ["char", "higher", "--matrix", "[[1,1,1]]"],
+        ["count", "(2,1)", "--gf"],
+        ["dim", "2", "1", "2", "--oracle"],
+    )
+    assert _modules_loaded(heavy, *queries) == "[0, 0, 0, 0] []"
+    verified = _modules_loaded(heavy, ["verify", "hook", "--max-n", "3"])
+    assert verified == "[0] ['freelie.cyclic', 'freelie.specialization', 'freelie.verify']"
+
+
+def _exit_texts(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("columns", [None, "40", "100", "abc", "-5"])
+def test_help_and_usage_texts_are_argparse_own(columns, capsys, monkeypatch):
+    # the parsers find the width without shutil, and build only the named
+    # command's arguments; each help and usage error must read byte for
+    # byte as the stock formatter writes it
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    argvs = [[*command, "--help"] for command in ([], ["char"], ["dim"], ["count"], ["verify"])]
+    argvs += [[], ["bogus"], ["verify", "nosuch"], ["dim", "1"]]
+    ours = [_exit_texts(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    assert [_exit_texts(capsys, argv) for argv in argvs] == ours
+    assert [code for code, _, _ in ours] == [0] * 5 + [cli.EXIT_USAGE] * 4
+
+
+def test_one_bidegree_message(capsys):
+    # n + m = 1 here, so "need n + m > 0" was no reason; every bidegree
+    # check gives the same one
+    code, out, err = run(capsys, "dim", "-1", "2", "2")
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == "domain error: bidegree must be nonzero and nonnegative: (-1, 2)\n"
+    checks = (
+        superlie.super_brandt_char,
+        superlie.super_bi_brandt_char,
+        lambda n, m: superlie.super_witt_dim(n, m, 2),
+        superlie.enumerate_bidegree_matrices,
+        lambda n, m: superlie.brute_force_lie_dim(n, m, 1, 1),
+        cyclic.chi_cyc,
+        cyclic.chi_cyc_oracle,
+        cyclic.super_klyachko_char,
+    )
+    for n, m in ((-1, 2), (0, 0), (3, -3)):
+        for check in checks:
+            with pytest.raises(ValueError) as exc:
+                check(n, m)
+            assert str(exc.value) == f"bidegree must be nonzero and nonnegative: ({n}, {m})"
 
 
 def test_repeated_matrix_cell_is_usage_error(capsys):

@@ -3,8 +3,11 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import freelie
 from freelie.exactalg import TermMap
@@ -88,15 +91,33 @@ def test_unused_import_guard_sees_stale_names():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # no linter runs on the package, so this is the check for stale imports;
-    # __init__.py imports to re-export
+    # no linter runs on the package, so this is the check for stale imports
     package = pathlib.Path(freelie.__file__).parent
     unused = {
         path.name: names
         for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+        if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def test_package_names_load_on_first_use():
+    # importing the package loads no submodule; each re-exported name is
+    # the object its module defines, and each submodule is an attribute
+    src = str(pathlib.Path(freelie.__file__).parents[1])
+    code = "import sys, freelie; print(sorted(m for m in sys.modules if m.startswith('freelie.')))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+    for name, module in freelie._EXPORTS.items():
+        assert getattr(freelie, name) is getattr(importlib.import_module(f"freelie.{module}"), name)
+    for info in pkgutil.iter_modules(freelie.__path__):
+        assert freelie.__getattr__(info.name) is importlib.import_module(f"freelie.{info.name}")
 
 
 class _CheckReportCalls(ast.NodeVisitor):
