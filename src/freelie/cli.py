@@ -101,9 +101,12 @@ def cmd_char(args) -> RunReport:
             n, m = int(args.args[0]), int(args.args[1])
         except ValueError:
             raise UsageError(f"cannot parse bidegree from {args.args!r}") from None
+        superlie.check_bidegree(n, m)  # a bad bidegree is a domain error, not priced
         if args.kind == "lie":
+            symfunc.admit_schur(n + m)
             payload = _sym_payload(superlie.super_brandt_char(n, m))
         else:
+            symfunc.admit_schur(n, m)
             payload = _bi_payload(superlie.super_bi_brandt_char(n, m))
         return RunReport("char", {"kind": args.kind, "n": n, "m": m}, "pass", payload)
 
@@ -124,6 +127,7 @@ def cmd_char(args) -> RunReport:
         matrix = superlie.SupportMatrix.from_json(data)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse support matrix: {exc}") from None
+    symfunc.admit_schur(*matrix.bidegree())
     payload = _bi_payload(superlie.super_lie_module_char(matrix))
     payload["bidegree"] = list(matrix.bidegree())
     return RunReport(

@@ -13,10 +13,16 @@ exception is :func:`bi_schur_expand`: no container holds an s-basis
 expansion keyed by pairs of partitions, so it returns a plain dict.
 
 Schur <-> power-sum conversion goes through the symmetric group character
-table, computed by Murnaghan-Nakayama border-strip recursion and memoized in
-a module-level table (the only shared mutable state here: a single-writer,
-multi-reader table of integers with deterministic values).  It lives only as
-long as the process; recomputing it is cheaper than reading it from disk.
+table, one column {lambda: chi^lambda(mu)} per cycle type mu at a time.  A
+column is one Murnaghan-Nakayama dynamic program over bead bitmasks (each
+border strip is one bead move) and is memoized per mu in a module-level
+table (the only shared mutable state here: a single-writer, multi-reader
+table of integers with deterministic values).  It lives only as long as the
+process; recomputing it is cheaper than reading it from disk.  A Schur
+expansion is priced before any column is built (:func:`admit_schur`): p(d)
+terms for each alphabet of degree d, against :data:`SCHUR_TERM_CEILING`.
+The table imports nothing from the tableau side, so the Schur route of a
+check stays independent of the signed-tableau route it is compared with.
 
 The symbol p_d(-y) is never stored: it is normalized at construction via
 p_d(-y) = (-1)^d p_d(y), so the two-alphabet term map stays a true basis.
@@ -27,8 +33,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from itertools import accumulate
 
-from .exactalg import MultiPoly, QTPoly, RatLike, Record, TermMap, collect, exact
+from .exactalg import MultiPoly, QTPoly, RatLike, Record, ResourceLimitError, TermMap, collect, exact
 from .partition import (
     Partition,
     check_partition,
@@ -183,48 +190,108 @@ class ClassFunctionSn(Record):
 # ---------------------------------------------------------------------------
 # symmetric group characters (Murnaghan-Nakayama)
 
-_character_cache: dict[tuple[Partition, Partition], int] = {}
+# The most terms a Schur expansion may have: prod p(d) over the degrees d of
+# its alphabets.  It admits degree 49 (p(49) = 173,525): `char lie 25 24`
+# took 8-9 s at 225 MB as one process on a 2-vCPU Xeon host, and
+# `char lie 25 25` (p(50) = 204,226) 12-13 s at 270 MB.
+SCHUR_TERM_CEILING = 200_000
+
+
+def _partition_counts(ceiling: int) -> tuple[int, ...]:
+    """p(0), p(1), ... up to the first value above ``ceiling``, by Euler's
+    pentagonal recurrence."""
+    counts = [1]
+    while counts[-1] <= ceiling:
+        n, k, total = len(counts), 1, 0
+        while (g := k * (3 * k - 1) // 2) <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * (counts[n - g] + (counts[n - g - k] if g + k <= n else 0))
+            k += 1
+        counts.append(total)
+    return tuple(counts)
+
+
+_PARTITION_COUNTS = _partition_counts(SCHUR_TERM_CEILING)
+
+
+def admit_schur(*degrees: int) -> None:
+    """Refuse a Schur expansion in alphabets of these degrees whose term
+    count, the product of p(d), is above :data:`SCHUR_TERM_CEILING`.  Every
+    degree past the counts held is above it, so pricing a huge degree costs
+    nothing."""
+    counts = _PARTITION_COUNTS
+    terms = 1
+    for d in degrees:
+        terms *= counts[min(d, len(counts) - 1)]
+    if terms > SCHUR_TERM_CEILING:
+        shown = f"degree {degrees[0]}" if len(degrees) == 1 else f"degrees {degrees}"
+        raise ResourceLimitError(
+            f"a Schur expansion in {shown} has more than"
+            f" {SCHUR_TERM_CEILING} terms (the ceiling)"
+        )
+
+
+# cycle type mu -> its column {lambda: chi^lambda(mu)}, the nonzero entries only
+_character_cache: dict[Partition, dict[Partition, int]] = {}
 
 
 def mn_character(lam, mu) -> int:
     """Irreducible character chi^lam evaluated on cycle type mu (|lam| = |mu|),
-    by border-strip removal on beta-sets, memoized."""
+    read from the column of mu (see :func:`_column`), memoized per mu."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
-    return _mn(lam, mu)
+    return _column(mu).get(lam, 0)
 
 
-def _mn(lam: Partition, mu: Partition) -> int:
-    if not lam:
-        return 1
-    key = (lam, mu)
-    cached = _character_cache.get(key)
-    if cached is not None:
-        return cached
-    k = mu[0]
-    rest = mu[1:]
-    ell = len(lam)
-    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        c = b - k
-        if c < 0 or c in beta_set:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(c)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(
-            part
-            for i, x in enumerate(new_beta)
-            if (part := x - (ell - 1 - i)) > 0
-        )
-        total += (-1) ** height * _mn(new_lam, rest)
-    _character_cache[key] = total
-    return total
+def _column(mu: Partition) -> dict[Partition, int]:
+    """The nonzero chi^lambda(mu) over lambda |- |mu|, in the canonical order,
+    by the Murnaghan-Nakayama rule on beads (James-Kerber, 2.7).
+
+    A state is a bitmask of n = |mu| beads, the beta-set of a partition; the
+    empty partition is beads 0..n-1.  Adding a border strip of size k moves
+    one bead b up to an empty b + k, with the sign of the number of beads
+    strictly between.  One layer per part of mu, smallest first (the fewest
+    states early), sums the signed paths from the empty partition."""
+    column = _character_cache.get(mu)
+    if column is not None:
+        return column
+    n = sum(mu)
+    admit_schur(n)
+    layer = {(1 << n) - 1: 1}
+    for k in reversed(mu):
+        moved: dict[int, int] = {}
+        get = moved.get
+        for mask, chi in layer.items():
+            free = mask & ~(mask >> k)  # the beads b whose b + k is empty
+            while free:
+                low = free & -free
+                free ^= low
+                top = low << k
+                key = mask ^ low ^ top
+                if (mask & (top - (low << 1))).bit_count() & 1:
+                    moved[key] = get(key, 0) - chi
+                else:
+                    moved[key] = get(key, 0) + chi
+        layer = {mask: chi for mask, chi in moved.items() if chi}
+    # with n beads, masks compare as their partitions do, top bead first
+    column = _character_cache[mu] = {
+        _beads_to_partition(mask): layer[mask] for mask in sorted(layer, reverse=True)
+    }
+    return column
+
+
+def _beads_to_partition(mask: int) -> Partition:
+    """The partition whose beta-set is the set bits of mask: each bead's part
+    is the number of empty slots below it."""
+    mask >>= (~mask & (mask + 1)).bit_length() - 1  # beads with no gap below
+    if not mask:
+        return ()
+    # runs[i]: the empty slots between bead i and the next bead down, top
+    # bead first, so bead i's part is the sum of runs[i:]
+    runs = bin(mask)[3:].split("1")
+    return tuple(accumulate(map(len, reversed(runs))))[::-1]
 
 
 def clear_character_cache() -> None:
@@ -252,16 +319,9 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
     width = len(next(iter(terms), ()))  # alphabets per key
     for slot in range(1, width + 1):
         merged: dict = {}
-        columns: dict = {}  # mu -> the nonzero (lambda, chi^lambda(mu))
         for key, v in layer.items():
-            mu = key[slot]
-            column = columns.get(mu)
-            if column is None:
-                column = columns[mu] = [
-                    (lam, chi) for lam in partitions_of(sum(mu)) if (chi := _mn(lam, mu))
-                ]
             head, tail = key[:slot], key[slot + 1 :]
-            for lam, chi in column:
+            for lam, chi in _column(key[slot]).items():
                 k = head + (lam,) + tail
                 merged[k] = merged.get(k, 0) + chi * v
         layer = {key: v for key, v in merged.items() if v}
@@ -286,7 +346,7 @@ def to_p(f: SymTerms) -> SymTerms:
             (mu, c * Fraction(chi, z_lambda(mu)))
             for lam, c in f.terms.items()
             for mu in partitions_of(sum(lam))
-            if (chi := mn_character(lam, mu))
+            if (chi := _column(mu).get(lam))
         ),
         basis="p",
     )

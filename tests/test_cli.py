@@ -109,6 +109,36 @@ def test_dim_oracle_refuses_high_degree_at_once(capsys):
         assert "resource limit" in err
 
 
+def test_char_refused_before_any_character_column(capsys, monkeypatch):
+    # a Schur expansion is priced by p(d) for each alphabet's degree d before
+    # the character is built: no column of the character table is computed,
+    # and a degree beyond any index-sized integer is refused the same way
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        raise AssertionError(f"the column of {mu} was computed before the price")
+
+    monkeypatch.setattr(symfunc, "_column", counted)
+    for argv, degree in (
+        (("lie", "40", "40"), "degree 80"),
+        (("bilie", "40", "40"), "degrees (40, 40)"),
+        (("lie", "99999999999999999999", "1"), "degree 100000000000000000000"),
+        (("higher", "--matrix", "[[1,1,100]]"), "degrees (100, 100)"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "char", *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == cli.EXIT_RESOURCE, argv
+        assert f"resource limit: a Schur expansion in {degree}" in err, err
+        assert "more than 200000 terms" in err and out == ""
+    # a bad bidegree stays a domain error, whatever its price would be
+    for argv in (("bilie", "-1", "2"), ("lie", "99999999999999999999", "-1")):
+        code, _, err = run(capsys, "char", *argv)
+        assert code == cli.EXIT_DOMAIN and "bidegree must be nonzero" in err, argv
+    assert calls == []
+
+
 def test_oracle_names_mismatched_weight(capsys, monkeypatch):
     # one weight's character coefficient is off by one; the total rank and
     # the dimension formula still agree, so only the per-weight check sees it
@@ -579,6 +609,14 @@ GOLDEN_DIGESTS = {
     "char higher --matrix [[1,1,2],[2,0,1]]": (
         "23d5aa8c8c59c3a7049ef906a60546bbf06be78edb8e36c3001e0456d8ea17d9",
         "a0113fb52f8e63444b4f9281d1c3974d0d2eeab65382373ad4ede8e1cfc4882f",
+    ),
+    "char lie 11 9": (
+        "54cb6dfaaec36c5ea8c9d952f25c7c77464659a212e53e089cfc93c666972ecd",
+        "bd08fa0a622424d0f7b1572a4a5a346877f6c9c99bccde11b6173ef1f36ae072",
+    ),
+    "char bilie 7 8": (
+        "854fbd96b27d65c713cfda4c03321ddbad894bc12ec9876980c755ec650a37ee",
+        "03dbf25c5bb18aebd5d89dc6bb5b5e3be1f35c5b5a12dbeaf4796a830222ef82",
     ),
     "count (3,2) --gf": (
         "a9dea921810568e426bbc0b3f3dd3f44bed14bf785a12ba136905960db15ff87",

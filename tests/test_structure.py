@@ -62,6 +62,21 @@ def test_one_alphabet_operations_serve_both_containers():
     assert twins == ["bi_schur_expand"]
 
 
+def test_character_table_stands_apart_from_the_tableau_routes():
+    # the Schur side of kw and hook is the character table; if symfunc
+    # imported the signed-tableau DP, the principal specializations or the
+    # cyclic characters, the two routes of those checks could share a fault
+    source = (pathlib.Path(freelie.__file__).parent / "symfunc.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").removeprefix("freelie."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("freelie.") for alias in node.names)
+    assert imported & {"tableau", "specialization", "cyclic"} == set()
+
+
 def _unused_imports(source: str) -> list[str]:
     """The names a module imports and never references; a name in an
     annotation is a reference."""

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from freelie.exactalg import MultiPoly, QTPoly
+from freelie import symfunc
+from freelie.exactalg import MultiPoly, QTPoly, ResourceLimitError
 from freelie.partition import partitions_of, z_lambda
 from freelie.symfunc import (
     BiSymFunc,
@@ -79,6 +80,70 @@ def test_mn_orthogonality():
 def test_mn_size_mismatch():
     with pytest.raises(ValueError):
         mn_character((2,), (1, 1, 1))
+
+
+def _reference_mn(lam, mu, memo):
+    """chi^lam(mu) by removing one border strip of size mu[0] from the
+    beta-set of lam at a time, memoized on (lam, mu): the recursion that the
+    column DP replaced, kept as its reference."""
+    if not lam:
+        return 1
+    key = (lam, mu)
+    if key in memo:
+        return memo[key]
+    k, rest, ell = mu[0], mu[1:], len(lam)
+    beta = [lam[i] + (ell - 1 - i) for i in range(ell)]
+    total = 0
+    for b in beta:
+        c = b - k
+        if c < 0 or c in beta:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        new_beta = sorted([x for x in beta if x != b] + [c], reverse=True)
+        new_lam = tuple(
+            part for i, x in enumerate(new_beta) if (part := x - (ell - 1 - i)) > 0
+        )
+        total += (-1) ** height * _reference_mn(new_lam, rest, memo)
+    memo[key] = total
+    return total
+
+
+def test_character_columns_equal_the_border_strip_recursion():
+    # every entry of every character table up to n = 12; a column holds
+    # exactly the nonzero entries, in the canonical order
+    memo = {}
+    for n in range(13):
+        shapes = partitions_of(n)
+        for mu in shapes:
+            expected = {lam: chi for lam in shapes if (chi := _reference_mn(lam, mu, memo))}
+            column = symfunc._column(mu)
+            assert column == expected, mu
+            assert list(column) == list(expected), mu
+            for lam in shapes:
+                assert mn_character(lam, mu) == expected.get(lam, 0)
+
+
+def test_identity_column_counts_standard_tableaux():
+    from freelie.tableau import syt_count
+
+    column = symfunc._column((1,) * 20)
+    assert len(column) == len(partitions_of(20))
+    for lam in partitions_of(20):
+        assert column[lam] == syt_count(lam), lam
+
+
+def test_schur_price_counts_partitions_without_listing_them():
+    # the ceiling admits degree 49 and refuses 50, for one alphabet, and
+    # prices two alphabets by the product of their p(d); p(d) comes from the
+    # pentagonal recurrence, which agrees with the listing
+    symfunc.admit_schur(49)
+    symfunc.admit_schur(0)
+    symfunc.admit_schur(16, 16)
+    for degrees in ((50,), (10**20,), (20, 20), (40, 40), (0, 10**20)):
+        with pytest.raises(ResourceLimitError, match="more than 200000 terms"):
+            symfunc.admit_schur(*degrees)
+    assert symfunc._PARTITION_COUNTS[:31] == tuple(len(partitions_of(d)) for d in range(31))
+    assert symfunc._PARTITION_COUNTS[49:] == (173525, 204226)
 
 
 # -- basis conversions
