@@ -263,25 +263,17 @@ def collect(pairs: Iterable[tuple[Hashable, object]], start: Mapping | None = No
 def render_terms(pairs: Iterable[tuple[str, object]]) -> str:
     """Render (monomial name, coefficient) pairs as a signed sum; "0" if empty.
 
-    An empty name is the unit monomial.  A coefficient of 1 is left implicit,
-    and so is a rational -1.  A q,t-polynomial coefficient is written as its
-    value when it is constant and in parentheses otherwise.
+    An empty name is the unit monomial.  A coefficient of 1 is left implicit;
+    every other one prints as ``c*name``.
     """
     parts = []
     for name, c in pairs:
-        poly = isinstance(c, QTPoly)
-        if poly:
-            text = str(c.constant_value()) if c.is_constant else f"({c})"
-        else:
-            text = str(c)
         if not name:
-            parts.append(text)
+            parts.append(str(c))
         elif c == 1:
             parts.append(name)
-        elif c == -1 and not poly:
-            parts.append("-" + name)
         else:
-            parts.append(f"{text}*{name}")
+            parts.append(f"{c}*{name}")
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
@@ -304,8 +296,10 @@ class TermMap:
     Public constructors validate outside input through :meth:`_fill`; results
     of ring operations are canonical already and are built by :meth:`_with`
     without re-validation.  A value is false exactly when it is zero; ``*``
-    by a scalar scales, by a value calls :meth:`_times`; ``str`` renders the
-    terms through the subclass's ``_name`` of a key.
+    by a scalar scales, by a value calls :meth:`_times`; ``+``, ``-`` and
+    ``==`` take only a value of the same type, never a number, so equal
+    values hash equal; ``str`` renders the terms through the subclass's
+    ``_name`` of a key.
     """
 
     __slots__ = ("_terms",)
@@ -342,10 +336,6 @@ class TermMap:
             mine, theirs = getattr(self, name), getattr(other, name)
             if mine != theirs:
                 raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
-
-    def _coerce(self, other):
-        """Turn a scalar operand into a value; subclasses that allow it override."""
-        return other
 
     def _key(self, *key):
         """The stored key for the arguments of :meth:`coefficient`."""
@@ -394,20 +384,14 @@ class TermMap:
     # -- linear structure and products
 
     def __add__(self, other):
-        other = self._coerce(other)
         self._check(other)
         return self._with(collect(other._terms.items(), self._terms))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return self._with({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -504,19 +488,11 @@ class QTPoly(TermMap):
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] | None = None):
         self._fill(terms, _qt_key)
 
-    @staticmethod
-    def _coerce(other: QTPoly | RatLike) -> QTPoly:
-        return other if isinstance(other, QTPoly) else QTPoly.const(other)
-
     # -- constructors
 
     @classmethod
     def one(cls) -> QTPoly:
         return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, c: RatLike) -> QTPoly:
-        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, a: int, b: int, c: RatLike = 1) -> QTPoly:
@@ -532,38 +508,13 @@ class QTPoly(TermMap):
 
     # -- inspection
 
-    @property
-    def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0)}
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; raises if q or t actually occurs."""
-        if not self.is_constant:
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((0, 0), Fraction(0))
-
     def q_degree(self) -> int:
         return max((a for a, _ in self._terms), default=0)
 
     def t_degree(self) -> int:
         return max((b for _, b in self._terms), default=0)
 
-    # -- comparison
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({(0, 0): other} if other else {})
-        return TermMap.__eq__(self, other)
-
-    __hash__ = TermMap.__hash__
-
     # -- structural operations
-
-    def substitute_powers(self, d: int) -> QTPoly:
-        """q -> q^d, t -> t^d (the coefficient action of degree-d plethysm)."""
-        if d < 1:
-            raise ValueError(f"substitute_powers requires d >= 1, got {d}")
-        return self._with({(a * d, b * d): c for (a, b), c in self._terms.items()})
 
     def filter_q_residue(self, r: int, s: int) -> QTPoly:
         """Keep only the monomials whose q-exponent is congruent to s mod r."""

@@ -7,9 +7,12 @@ characters: each ``*_routes`` function returns an identity's two sides, and
 Infinite principal-specialization series are compared by truncation at a
 configurable q-cap (default 12) with exact coefficients; every comparison is
 made per fixed q-degree, so truncation loses nothing at the compared degrees.
-The coefficient-residue extraction operator is implemented as exact exponent
-filtering; the equivalent root-of-unity average is implemented separately on
-top of cyclotomic arithmetic so the two can be checked against each other.
+The Kraskiewicz-Weyman generating function, the one symmetric function
+here with q,t-coefficients, is the dict {lambda: QTPoly} of its Schur
+coefficients, and the coefficient-residue extraction operator acts on such
+dicts.  It is implemented as exact exponent filtering; the equivalent
+root-of-unity average is implemented separately on top of cyclotomic
+arithmetic so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -356,15 +359,16 @@ def pi_root_routes(lam: Partition, d: int) -> tuple[CycloElem, CycloElem]:
     return cyclo_reduce(pi_lambda(lam), d), CycloElem.from_rational(d, expected)
 
 
-def omega_extract(f: SymFunc, r: int, s: int = 1) -> SymFunc:
-    """Keep the coefficient monomials whose q-exponent is congruent to s mod
-    r, then set q = 1 (exact exponent filtering)."""
+def omega_extract(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[Partition, QTPoly]:
+    """Keep the monomials of every q,t-coefficient of ``f``, a dict
+    {lambda: QTPoly}, whose q-exponent is congruent to s mod r, then set
+    q = 1 (exact exponent filtering); coefficients that vanish are dropped."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return f.map_coefficients(lambda c: c.filter_q_residue(r, s).eval_q_one())
+    return {lam: v for lam, c in f.items() if (v := c.filter_q_residue(r, s).eval_q_one())}
 
 
-def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
+def omega_extract_roots(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[Partition, QTPoly]:
     """The same operator as a root-of-unity average, (1/r) sum over r-th
     roots zeta of zeta^(-s) f(q=zeta), computed with exact cyclotomic
     arithmetic; every averaged sum is asserted rational."""
@@ -382,23 +386,24 @@ def omega_extract_roots(f: SymFunc, r: int, s: int = 1) -> SymFunc:
             pairs.append(((0, b), Fraction(total.rational_value() * v, r)))
         return QTPoly(collect(pairs))
 
-    return f.map_coefficients(average)
+    return {lam: v for lam, c in f.items() if (v := average(c))}
 
 
 # ---------------------------------------------------------------------------
 # the multiplicity pipeline
 
 
-def kw_generating_function(n_total: int) -> SymFunc:
-    """Schur-basis generating function whose coefficient at each shape of
-    n_total is that shape's (maj, bar count) generating polynomial."""
+def kw_generating_function(n_total: int) -> dict[Partition, QTPoly]:
+    """The Kraskiewicz-Weyman generating function sum over shapes lambda of
+    n_total of (sum over signed standard tableaux T of q^maj t^negg) s_lambda,
+    as the dict {lambda: that (maj, bar count) generating polynomial}."""
     if n_total < 1:
         raise ValueError("need n_total >= 1")
-    return SymFunc("s", maj_neg_generating_polys(n_total))
+    return maj_neg_generating_polys(n_total)
 
 
 @lru_cache(maxsize=None)
-def _kw_filtered(total: int) -> SymFunc:
+def _kw_filtered(total: int) -> dict[Partition, QTPoly]:
     """The q-exponents congruent to 1 mod total of the generating function,
     at q = 1: shared by every bidegree of the total."""
     return omega_extract(kw_generating_function(total), total, 1)
@@ -410,7 +415,7 @@ def kw_routes(n: int, m: int) -> tuple[SymFunc, SymFunc]:
     generating function, then the t^m coefficient), and the Schur expansion
     of the character."""
     filtered = _kw_filtered(n + m)
-    counts = {lam: c.coefficient(0, m) for lam, c in filtered.terms.items()}
+    counts = {lam: c.coefficient(0, m) for lam, c in filtered.items()}
     return SymFunc("s", counts), schur_expand(super_brandt_char(n, m))
 
 

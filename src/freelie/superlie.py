@@ -8,6 +8,9 @@ Conventions fixed here:
   ``math.gcd`` computes and it makes the m = 0 case reduce to the classical
   power-sum formula for free Lie algebra characters.
 * p_d(-y) is normalized to (-1)^d p_d(y) at construction (see symfunc).
+* Characters have exact rational coefficients.  The bigraded series of the
+  whole algebra needs no formal q, t to mark bidegrees: p_lambda(x) p_mu(y)
+  has bidegree (|lambda|, |mu|), read off its key.
 * Exterior powers of formal characters never vanish for large exponents: the
   formal ring corresponds to infinitely many variables.  Vanishing in a fixed
   finite dimension emerges on its own under truncated expansion.
@@ -21,7 +24,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .exactalg import (
-    QTPoly,
     ResourceLimitError,
     SparseEchelon,
     binom,
@@ -150,25 +152,20 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
     """Bigraded character series of the whole free Lie superalgebra, expanded
     independently of the closed per-bidegree formula.
 
-    Expands -sum_d (mu(d)/d) ln(1 - (q^d p_d(x) - t^d p_d(-y))) via
+    Expands -sum_d (mu(d)/d) ln(1 - (p_d(x) - p_d(-y))) via
     ln(1-u) = -sum_{s>=1} u^s / s, multiplying the series out with generic
-    two-alphabet arithmetic and collecting the coefficient of q^n t^m for all
-    n <= max_n, m <= max_m.  Only finitely many d and s contribute per
-    bidegree.
+    two-alphabet arithmetic.  A term p_lambda(x) p_mu(y) has bidegree
+    (|lambda|, |mu|), so the series is truncated to n <= max_n, m <= max_m
+    and split into its bidegree components by its keys.  Only finitely many
+    d and s contribute per bidegree.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError("caps must be >= 0")
     bound = max_n + max_m
 
     def truncate(f: BiSymFunc) -> BiSymFunc:
-        return f.map_coefficients(
-            lambda c: QTPoly(
-                {
-                    (a, b): v
-                    for (a, b), v in c.items()
-                    if a <= max_n and b <= max_m
-                }
-            )
+        return f._with(
+            {k: c for k, c in f.terms.items() if sum(k[0]) <= max_n and sum(k[1]) <= max_m}
         )
 
     series = BiSymFunc()
@@ -176,13 +173,8 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
         mu_d = mobius(d)
         if mu_d == 0:
             continue
-        # u_d = q^d p_d(x) - t^d p_d(-y) = q^d p_d(x) + (-1)^(d+1) t^d p_d(y)
-        u = BiSymFunc(
-            {
-                ((d,), ()): QTPoly.monomial(d, 0),
-                ((), (d,)): QTPoly.monomial(0, d, (-1) ** (d + 1)),
-            }
-        )
+        # u_d = p_d(x) - p_d(-y) = p_d(x) + (-1)^(d+1) p_d(y)
+        u = BiSymFunc({((d,), ()): 1, ((), (d,)): (-1) ** (d + 1)})
         power = truncate(u)
         s = 1
         while d * s <= bound and power:
@@ -190,19 +182,12 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
             power = truncate(multiply(power, u))
             s += 1
 
-    out: dict[tuple[int, int], BiSymFunc] = {}
-    for n in range(0, max_n + 1):
-        for m in range(0, max_m + 1):
-            if (n, m) == (0, 0):
-                continue
-            component = BiSymFunc(
-                {
-                    key: coeff.coefficient(n, m)
-                    for key, coeff in series.terms.items()
-                }
-            )
-            out[(n, m)] = component
-    return out
+    components: dict[tuple[int, int], dict] = {
+        (n, m): {} for n in range(max_n + 1) for m in range(max_m + 1) if (n, m) != (0, 0)
+    }
+    for key, c in series.terms.items():
+        components[(sum(key[0]), sum(key[1]))][key] = c
+    return {nm: series._with(terms) for nm, terms in components.items()}
 
 
 def gamma_char(j: int, a: int, f: BiSymFunc) -> BiSymFunc:

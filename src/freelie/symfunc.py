@@ -1,16 +1,19 @@
-"""Symmetric functions in one and two alphabets, over exact q,t-coefficients.
+"""Symmetric functions in one and two alphabets, over exact rational coefficients.
 
 The internal canonical basis is the power sums: every formula this package
 verifies is native to p, so the Schur basis s is a conversion layer on top.
-Both containers are :class:`SymTerms`, a term map from index keys to
-:class:`~freelie.exactalg.QTPoly` coefficients: a :class:`SymFunc` is a basis
+Both containers are :class:`SymTerms`, a term map from index keys to exact
+rational coefficients (``int`` or ``Fraction``): a :class:`SymFunc` is a basis
 tag plus partition keys; a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
 monomials by pairs of partitions and is always read in the power-sum sense
 (its ``basis`` is the class constant "p").  One set of public operations
 serves both: :func:`multiply`, :func:`plethysm_p`, :func:`h_pleth`,
 :func:`e_pleth` and :func:`expand_truncated` take either container.  The one
 exception is :func:`bi_schur_expand`: no container holds an s-basis
-expansion keyed by pairs of partitions, so it returns a plain dict.
+expansion keyed by pairs of partitions, so it returns a plain dict.  The one
+q,t-valued symmetric function of the package, the Kraskiewicz-Weyman
+generating function, is a plain dict of q,t-polynomials too (see
+:mod:`freelie.specialization`).
 
 Schur <-> power-sum conversion goes through the symmetric group character
 table, one column {lambda: chi^lambda(mu)} per cycle type mu at a time.  A
@@ -19,8 +22,10 @@ border strip is one bead move) and is memoized per mu in a module-level
 table (the only shared mutable state here: a single-writer, multi-reader
 table of integers with deterministic values).  It lives only as long as the
 process; recomputing it is cheaper than reading it from disk.  A Schur
-expansion is priced before any column is built (:func:`admit_schur`): p(d)
-terms for each alphabet of degree d, against :data:`SCHUR_TERM_CEILING`.
+expansion is priced twice before any column is built: by its terms, p(d)
+for each alphabet of degree d, against :data:`SCHUR_TERM_CEILING`
+(:func:`admit_schur`), and by its columns, p(|mu|) for each cycle type mu
+whose column is not yet held, against :data:`COLUMN_CEILING`.
 The table imports nothing from the tableau side, so the Schur route of a
 check stays independent of the signed-tableau route it is compared with.
 
@@ -31,11 +36,11 @@ p_d(-y) = (-1)^d p_d(y), so the two-alphabet term map stays a true basis.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactalg import MultiPoly, QTPoly, RatLike, Record, ResourceLimitError, TermMap, collect, exact
+from .exactalg import MultiPoly, RatLike, Record, ResourceLimitError, TermMap, collect, exact
 from .partition import (
     Partition,
     check_partition,
@@ -58,7 +63,7 @@ def _union_parts(a: Partition, b: Partition) -> Partition:
 
 class SymTerms(TermMap):
     """Sparse symmetric function: a term map from index keys (products of
-    power sums) to nonzero QTPoly coefficients.
+    power sums) to nonzero rational coefficients.
 
     Subclasses fix the key: ``_union`` multiplies two keys, ``_scaled`` is
     the key of p_d plethysm, ``_unit`` is the key of 1, ``_alphabets``
@@ -67,24 +72,18 @@ class SymTerms(TermMap):
     """
 
     __slots__ = ()
-    _zero = QTPoly()
-
-    def map_coefficients(self, fn: Callable[[QTPoly], QTPoly]) -> SymTerms:
-        return self._with({k: v for k, c in self._terms.items() if (v := fn(c))})
 
     def _unite(self, other: SymTerms) -> SymTerms:
         """Product in the power-sum sense: keys multiply by ``_union``."""
         return self._product(other, self._union)
 
     def _pleth_p(self, d: int) -> SymTerms:
-        """p_d plethysm: every part times d, coefficients q -> q^d, t -> t^d."""
-        return self._with(
-            {self._scaled(k, d): c.substitute_powers(d) for k, c in self._terms.items()}
-        )
+        """p_d plethysm: every part times d."""
+        return self._with({self._scaled(k, d): c for k, c in self._terms.items()})
 
 
 class SymFunc(SymTerms):
-    """Basis-tagged sparse symmetric function with QTPoly coefficients.
+    """Basis-tagged sparse symmetric function with rational coefficients.
 
     Terms need not share a degree; each index partition carries its own.
     Zero coefficients are never stored.
@@ -96,18 +95,18 @@ class SymFunc(SymTerms):
     _union = staticmethod(_union_parts)
     _unit: Partition = ()
 
-    def __init__(self, basis: str, terms: Mapping[Partition, QTPoly | RatLike] | None = None):
+    def __init__(self, basis: str, terms: Mapping[Partition, RatLike] | None = None):
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
         self.basis = basis
-        self._fill(terms, check_partition, QTPoly._coerce)
+        self._fill(terms, check_partition)
 
     @classmethod
     def one(cls, basis: str = "p") -> SymFunc:
-        return cls(basis, {(): QTPoly.one()})
+        return cls(basis, {(): 1})
 
     @classmethod
-    def term(cls, basis: str, lam, coeff: QTPoly | RatLike = 1) -> SymFunc:
+    def term(cls, basis: str, lam, coeff: RatLike = 1) -> SymFunc:
         return cls(basis, {check_partition(lam): coeff})
 
     def _key(self, lam) -> Partition:
@@ -143,15 +142,15 @@ class BiSymFunc(SymTerms):
     _union = staticmethod(lambda a, b: (_union_parts(a[0], b[0]), _union_parts(a[1], b[1])))
     _unit = ((), ())
 
-    def __init__(self, terms: Mapping[tuple[Partition, Partition], QTPoly | RatLike] | None = None):
-        self._fill(terms, _check_pair, QTPoly._coerce)
+    def __init__(self, terms: Mapping[tuple[Partition, Partition], RatLike] | None = None):
+        self._fill(terms, _check_pair)
 
     @classmethod
     def one(cls) -> BiSymFunc:
-        return cls({((), ()): QTPoly.one()})
+        return cls({((), ()): 1})
 
     @classmethod
-    def term(cls, lam, mu, coeff: QTPoly | RatLike = 1) -> BiSymFunc:
+    def term(cls, lam, mu, coeff: RatLike = 1) -> BiSymFunc:
         return cls({(lam, mu): coeff})
 
     def _key(self, lam, mu) -> tuple[Partition, Partition]:
@@ -214,20 +213,45 @@ def _partition_counts(ceiling: int) -> tuple[int, ...]:
 _PARTITION_COUNTS = _partition_counts(SCHUR_TERM_CEILING)
 
 
+def _partition_count(d: int) -> int:
+    """p(d); past the counts held, the last one, which is above
+    :data:`SCHUR_TERM_CEILING`, so :func:`admit_schur` refuses such a d."""
+    return _PARTITION_COUNTS[min(d, len(_PARTITION_COUNTS) - 1)]
+
+
 def admit_schur(*degrees: int) -> None:
     """Refuse a Schur expansion in alphabets of these degrees whose term
     count, the product of p(d), is above :data:`SCHUR_TERM_CEILING`.  Every
     degree past the counts held is above it, so pricing a huge degree costs
     nothing."""
-    counts = _PARTITION_COUNTS
-    terms = 1
-    for d in degrees:
-        terms *= counts[min(d, len(counts) - 1)]
+    terms = math.prod(map(_partition_count, degrees))
     if terms > SCHUR_TERM_CEILING:
         shown = f"degree {degrees[0]}" if len(degrees) == 1 else f"degrees {degrees}"
         raise ResourceLimitError(
             f"a Schur expansion in {shown} has more than"
             f" {SCHUR_TERM_CEILING} terms (the ceiling)"
+        )
+
+
+# The most entries that the character-table columns one Schur expansion
+# builds may hold in all, counted as p(|mu|) per column.  On a 2-vCPU Xeon
+# host, one process: `char lie 24 24` (4 columns of p(48), 589,092) took
+# 8.9 s at 182 MB and `char higher --matrix [[1,0,24]]` (1,575 columns of
+# p(24) and the empty one, 2,480,626) 8.9 s at 262 MB; [[1,0,25]]
+# (3,833,765) is refused.
+COLUMN_CEILING = 2_500_000
+
+
+def _admit_columns(mus) -> None:
+    """Refuse, before any is built, the columns of the cycle types ``mus``
+    that are not held yet, when their price, p(|mu|) summed over them, is
+    above :data:`COLUMN_CEILING`."""
+    new = [mu for mu in mus if mu not in _character_cache]
+    price = sum(_partition_count(sum(mu)) for mu in new)
+    if price > COLUMN_CEILING:
+        raise ResourceLimitError(
+            f"a Schur expansion needs {len(new)} character-table columns of up to"
+            f" {price} entries in all, more than {COLUMN_CEILING} (the ceiling)"
         )
 
 
@@ -298,26 +322,24 @@ def clear_character_cache() -> None:
     _character_cache.clear()
 
 
-def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
+def _character_transform(terms: Mapping[tuple[Partition, ...], RatLike]) -> dict:
     """Replace every power sum by its Schur expansion, one alphabet at a time.
 
     ``terms`` maps tuples (mu_1, ..., mu_k) of canonical partitions to the
     coefficient of p_{mu_1}(x_1) ... p_{mu_k}(x_k); the result maps tuples
     (lambda_1, ..., lambda_k) to the nonzero coefficients of
     s_{lambda_1}(x_1) ... s_{lambda_k}(x_k), using
-    p_mu = sum over lambda of chi^lambda(mu) s_lambda.  Coefficients are
-    cleared to integer numerators over one common denominator, and slot j
-    is replaced only after the terms that agree on slots up to j have merged.
+    p_mu = sum over lambda of chi^lambda(mu) s_lambda.  The columns it needs
+    are priced before any is built (:func:`_admit_columns`).  Coefficients
+    are cleared to integer numerators over one common denominator, and slot
+    j is replaced only after the terms that agree on slots before j have
+    merged.
     """
-    den = math.lcm(*(c.denominator for poly in terms.values() for c in poly.terms.values()))
-    # one integer numerator per (q,t exponent, mu_1, ..., mu_k)
-    layer = {
-        (e, *key): c.numerator * (den // c.denominator)
-        for key, poly in terms.items()
-        for e, c in poly.terms.items()
-    }
     width = len(next(iter(terms), ()))  # alphabets per key
-    for slot in range(1, width + 1):
+    _admit_columns({key[slot] for key in terms for slot in range(width)})
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    layer = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+    for slot in range(width):
         merged: dict = {}
         for key, v in layer.items():
             head, tail = key[:slot], key[slot + 1 :]
@@ -325,11 +347,7 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], QTPoly]) -> dict:
                 k = head + (lam,) + tail
                 merged[k] = merged.get(k, 0) + chi * v
         layer = {key: v for key, v in merged.items() if v}
-    coeffs: dict = {}
-    for key, v in layer.items():
-        coeffs.setdefault(key[1:], {})[key[0]] = Fraction(v, den)
-    zero = QTPoly()
-    return {key: zero._with(poly) for key, poly in coeffs.items()}
+    return {key: Fraction(v, den) for key, v in layer.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +388,7 @@ def frobenius_characteristic(chi: ClassFunctionSn) -> SymFunc:
 
 
 def plethysm_p(d: int, f: SymTerms) -> SymTerms:
-    """Plethysm by p_d: each p_k becomes p_{dk}, in every alphabet, and
-    coefficients map q -> q^d, t -> t^d (the standard lambda-ring convention
-    on q,t)."""
+    """Plethysm by p_d: each p_k becomes p_{dk}, in every alphabet."""
     if d < 1:
         raise ValueError(f"plethysm_p requires d >= 1, got {d}")
     if f.basis != "p":
@@ -385,14 +401,15 @@ def _pleth_sum(a: int, f: SymTerms, signed: bool) -> SymTerms:
     ``signed`` each term also gets (-1)^(a - length(mu)), giving e_a[f]."""
     if a < 0:
         raise ValueError(f"plethysm degree must be >= 0, got {a}")
-    out = f._with({})
+    scaled = {part: f._pleth_p(part) for part in range(1, a + 1)}
+    pairs: list = []
     for mu in partitions_of(a):
-        piece = f._with({f._unit: QTPoly.one()})
+        piece = f._with({f._unit: 1})
         for part in mu:
-            piece = piece._unite(f._pleth_p(part))
+            piece = piece._unite(scaled[part])
         sign = (-1) ** (a - len(mu)) if signed else 1
-        out = out + piece.scale(Fraction(sign, z_lambda(mu)))
-    return out
+        pairs += piece.scale(Fraction(sign, z_lambda(mu))).terms.items()
+    return f._with(collect(pairs))
 
 
 def h_pleth(a: int, f: SymTerms) -> SymTerms:
@@ -425,11 +442,10 @@ def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
 
     The result lives in the (N, M)-variable layout, so a one-alphabet
     expansion can be combined with two-alphabet ones; by default M = 0.
-    Coefficients must be rational constants (no free q or t).
     """
     out = MultiPoly(N, M)
     for key, coeff in to_p(f).terms.items():
-        piece = MultiPoly.const(N, M, coeff.constant_value())
+        piece = MultiPoly.const(N, M, coeff)
         for (offset, count), parts in zip(((0, N), (N, M)), f._alphabets(key)):
             for part in parts:
                 piece = piece * _power_sum_poly(part, N, M, offset, count)
@@ -450,13 +466,9 @@ def schur_expand(f: SymFunc) -> SymFunc:
 
 def first_bad_multiplicity(f: SymFunc) -> Partition | None:
     """The first partition, in the canonical order, whose coefficient is not a
-    polynomial in q, t with nonnegative integer coefficients, or None.  A
-    character's Schur expansion has none; one found flags a bug or a
-    non-character input, it is not an error by itself."""
-    for lam, coeff in f.items():
-        if any(c.denominator != 1 or c < 0 for _, c in coeff.items()):
-            return lam
-    return None
+    nonnegative integer, or None.  A character's Schur expansion has none; one
+    found flags a bug or a non-character input, it is not an error by itself."""
+    return next((lam for lam, c in f.items() if c.denominator != 1 or c < 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +483,7 @@ def diagonal(f: BiSymFunc) -> SymFunc:
     )
 
 
-def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], QTPoly]:
+def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], RatLike]:
     """Expansion in products s_alpha(x) s_beta(y), via the character table on
     each alphabet in turn.  The one two-alphabet-only operation: its result,
     an s-basis expansion keyed by pairs, has no container."""
@@ -488,7 +500,7 @@ def sym_to_json(f: SymFunc) -> dict:
     return {
         "basis": f.basis,
         "terms": [
-            {"partition": list(lam), "coeff": coeff.to_json()} for lam, coeff in f.items()
+            {"partition": list(lam), "coeff": [[0, 0, str(coeff)]]} for lam, coeff in f.items()
         ],
     }
 

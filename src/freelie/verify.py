@@ -27,7 +27,6 @@ from operator import gt
 from . import cyclic, specialization, superlie, symfunc, tableau
 from .exactalg import QTPoly, Record, ResourceLimitError, UsageError, first_difference
 from .partition import format_partition, partitions_of
-from .symfunc import SymFunc
 
 
 class CheckReport(Record):
@@ -283,7 +282,7 @@ def suite_reu(max_n: int):
 
 def suite_kw(max_total: int, omega_trials: int, omega_max_r: int):
     """Multiplicity formula for all bidegrees, plus agreement of the two
-    implementations of residue extraction on random polynomials."""
+    implementations of residue extraction on random dicts {lambda: QTPoly}."""
     _admit_sign_polys(max_total)
     for n, m in _bidegrees(max_total):
         yield "kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m)
@@ -311,13 +310,12 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int):
             )
             if coeff:
                 terms[parts] = coeff
-        f = SymFunc("p", terms)
         r = rng.randint(1, omega_max_r)
         s = rng.randint(0, r)
-        by_filter = specialization.omega_extract(f, r, s)
-        by_roots = specialization.omega_extract_roots(f, r, s)
+        by_filter = specialization.omega_extract(terms, r, s)
+        by_roots = specialization.omega_extract_roots(terms, r, s)
         if by_filter != by_roots:
-            case = f"trial {trial}: r = {r}, s = {s}, f = {f}"
+            case = f"trial {trial}: r = {r}, s = {s}, f = {_render(terms)}"
             break
     parameters = {"trials": omega_trials, "max_r": omega_max_r, "seed": seed}
     yield "omega-filter-vs-roots", parameters, by_filter, by_roots, case

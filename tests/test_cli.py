@@ -120,18 +120,26 @@ def test_char_refused_before_any_character_column(capsys, monkeypatch):
         raise AssertionError(f"the column of {mu} was computed before the price")
 
     monkeypatch.setattr(symfunc, "_column", counted)
-    for argv, degree in (
-        (("lie", "40", "40"), "degree 80"),
-        (("bilie", "40", "40"), "degrees (40, 40)"),
-        (("lie", "99999999999999999999", "1"), "degree 100000000000000000000"),
-        (("higher", "--matrix", "[[1,1,100]]"), "degrees (100, 100)"),
+    symfunc.clear_character_cache()
+    terms = "has more than 200000 terms"
+    for argv, refusal in (
+        (("lie", "40", "40"), f"in degree 80 {terms}"),
+        (("bilie", "40", "40"), f"in degrees (40, 40) {terms}"),
+        (("lie", "99999999999999999999", "1"), f"in degree 100000000000000000000 {terms}"),
+        (("higher", "--matrix", "[[1,1,100]]"), f"in degrees (100, 100) {terms}"),
+        # h_30[p_1] has p(30) = 5,604 terms, under the term ceiling, and needs
+        # a column for each: the columns are priced, p(|mu|) each, too
+        (
+            ("higher", "--matrix", "[[1,0,30]]"),
+            "needs 5605 character-table columns of up to 31404817 entries in all,"
+            " more than 2500000",
+        ),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "char", *argv)
         assert time.perf_counter() - start < 1, argv
         assert code == cli.EXIT_RESOURCE, argv
-        assert f"resource limit: a Schur expansion in {degree}" in err, err
-        assert "more than 200000 terms" in err and out == ""
+        assert f"resource limit: a Schur expansion {refusal}" in err and out == "", err
     # a bad bidegree stays a domain error, whatever its price would be
     for argv in (("bilie", "-1", "2"), ("lie", "99999999999999999999", "-1")):
         code, _, err = run(capsys, "char", *argv)
@@ -601,6 +609,11 @@ GOLDEN_DIGESTS = {
     "char lie 4 2": (
         "9c4b91fe729dc454f283035c4685be5b8bde67d4d9c90ee15decb1e4337ee205",
         "4e213c457d39b6728dcc7b2f1f55e2cf466aebd8ecd4a4f0f3daee28b8b0f732",
+    ),
+    # the smallest char lie whose p-expansion has a -1 coefficient
+    "char lie 6 4": (
+        "dc234ee76956359c4f31c667f8d0ec5d78c31d227ecd1b99c20d88adf03e6a95",
+        "e5b835dec5d88f7cada7a8cba375a72dab6c169a990f61969d1043932ce4269b",
     ),
     "char bilie 3 2": (
         "cd1083717ed7d977cf3399a30f11dcb12b951d4e8adf8b786e58e44285f8fbcd",

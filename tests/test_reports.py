@@ -71,24 +71,24 @@ def test_multiplicity_pipeline_distinguishes_residues():
     mismatches = [
         lam
         for lam in partitions_of(4)
-        if wrong.coefficient(lam).coefficient(0, 0) != expansion.coefficient(lam).constant_value()
+        if wrong.get(lam, QTPoly()).coefficient(0, 0) != expansion.coefficient(lam)
     ]
     assert mismatches == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
 def test_sym_func_degree_queries():
-    f = SymFunc("p", {(2, 1): 1, (1,): QTPoly.t(), (4,): 2})
+    f = SymFunc("p", {(2, 1): 1, (1,): Fraction(1, 2), (4,): 2})
     assert f.degrees() == [1, 3, 4]
-    assert f.coefficient((2, 1)) == QTPoly.one()
-    assert f.coefficient((3,)) == QTPoly()
+    assert f.coefficient((2, 1)) == 1
+    assert f.coefficient((3,)) == 0
 
 
 def test_bi_sym_func_coefficient():
     from freelie.symfunc import BiSymFunc
 
     f = BiSymFunc({((2,), (1,)): 3})
-    assert f.coefficient((2,), (1,)) == QTPoly.const(3)
-    assert f.coefficient((1,), (2,)) == QTPoly()
+    assert f.coefficient((2,), (1,)) == 3
+    assert f.coefficient((1,), (2,)) == 0
 
 
 
@@ -155,7 +155,7 @@ def test_omega_check_names_its_first_failing_trial(monkeypatch):
     def late(f, r, s):
         calls.append((f, r, s))
         out = real(f, r, s)
-        return out + SymFunc.term("p", (1,)) if len(calls) > 2 else out
+        return {**out, (9,): QTPoly.t()} if len(calls) > 2 else out
 
     monkeypatch.setattr(specialization, "omega_extract_roots", late)
     report = verify.run_suite("kw", "quick", {"max_total": 1})[-1]
@@ -163,8 +163,8 @@ def test_omega_check_names_its_first_failing_trial(monkeypatch):
     assert len(calls) == 3
     assert report.check == "omega-filter-vs-roots" and not report.ok
     assert report.first_discrepancy == (
-        f"trial 2: r = {r}, s = {s}, f = {f}, at (1,)"
+        f"trial 2: r = {r}, s = {s}, f = {verify._render(f)}, at (9,)"
     )
     by_filter = specialization.omega_extract(f, r, s)
-    assert report.lhs == str(by_filter)
-    assert report.rhs == str(by_filter + SymFunc.term("p", (1,)))
+    assert report.lhs == verify._render(by_filter)
+    assert report.rhs == verify._render({**by_filter, (9,): QTPoly.t()})

@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import freelie
 from freelie.exactalg import TermMap
 
@@ -75,6 +77,26 @@ def test_character_table_stands_apart_from_the_tableau_routes():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.removeprefix("freelie.") for alias in node.names)
     assert imported & {"tableau", "specialization", "cyclic"} == set()
+
+
+def test_symmetric_functions_take_rational_coefficients_only():
+    # q and t enter only through the Kraskiewicz-Weyman generating function,
+    # a dict of q,t-polynomials: symfunc imports no QTPoly, and a symmetric
+    # function refuses one as a coefficient
+    from freelie.exactalg import QTPoly
+    from freelie.symfunc import BiSymFunc, SymFunc
+
+    source = (pathlib.Path(freelie.__file__).parent / "symfunc.py").read_text()
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "QTPoly" not in imported
+    for make in (lambda c: SymFunc("p", {(1,): c}), lambda c: BiSymFunc.term((1,), (), c)):
+        with pytest.raises(TypeError):
+            make(QTPoly.q())
 
 
 def _unused_imports(source: str) -> list[str]:
