@@ -380,4 +380,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The report is out and flushed: skip the interpreter's teardown, which
+    # frees every memo table object by object.  An exception or argparse's
+    # SystemExit leaves main the usual way.
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .exactalg import CycloElem, Record, ResourceLimitError, binom, divisors
@@ -70,18 +71,18 @@ def chi_cyc(n: int, m: int) -> CyclicClassFunction:
 
 
 def chi_cyc_oracle(n: int, m: int) -> CyclicClassFunction:
-    """Same character by direct orbit counting: enumerate all m-subsets and
-    count the ones fixed by each rotation."""
+    """Same character by direct orbit counting: enumerate all m-subsets, each
+    as a bitmask, and count the ones fixed by each rotation."""
     check_bidegree(n, m)
     r = n + m
     if r > _CHI_CYC_ORACLE_MAX:
         raise ResourceLimitError(f"subset oracle capped at n + m <= {_CHI_CYC_ORACLE_MAX}")
-    subsets = [frozenset(s) for s in combinations(range(r), m)]
+    full = (1 << r) - 1
+    subsets = [sum(1 << x for x in s) for s in combinations(range(r), m)]
     values = []
     for k in range(1, r + 1):
-        fixed = sum(
-            1 for s in subsets if frozenset((x + k) % r for x in s) == s
-        )
+        # x -> x + k mod r: bits past r - 1 come round to the bottom
+        fixed = sum(1 for s in subsets if ((s << k) | (s >> (r - k))) & full == s)
         values.append(CycloElem.from_rational(r, fixed))
     return CyclicClassFunction(r, tuple(values))
 
@@ -135,14 +136,12 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
-    """Textbook induced character: for one representative sigma of each cycle
-    type, chi_up(sigma) = (1/r) sum over x in S_r with x^-1 sigma x in C_r of
-    chi(x^-1 sigma x).  Independent of the power-sum shortcut above."""
-    r = chi.order
-    if r > _INDUCE_ORACLE_MAX:
-        raise ResourceLimitError(f"induction oracle capped at r <= {_INDUCE_ORACLE_MAX}")
-
+@lru_cache(maxsize=None)
+def _conjugation_counts(r: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
+    """The part of the induced character that depends only on r: for one
+    representative sigma of each cycle type mu, the counts N[k - 1] =
+    #{x in S_r : x^-1 sigma x = g^k} for k = 1..r, where g is the r-cycle
+    x -> x + 1, found by conjugating sigma by every x in S_r."""
     generator = tuple((i + 1) % r for i in range(r))
     power_of: dict[tuple[int, ...], int] = {}
     g = generator
@@ -159,15 +158,33 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
         return tuple(out)
 
     everyone = [(x, _inverse(x)) for x in permutations(range(r))]
-    values: dict[Partition, Fraction] = {}
+    table = []
     for mu in partitions_of(r):
         sigma = representative(mu)
-        acc = CycloElem.from_rational(r, 0)
+        counts = [0] * r
         for x, xinv in everyone:
             conj = tuple(xinv[sigma[y]] for y in x)  # x^-1 sigma x
             k = power_of.get(conj)
             if k is not None:
-                acc = acc + chi.at_power(k)
+                counts[k - 1] += 1
+        table.append((mu, tuple(counts)))
+    return tuple(table)
+
+
+def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
+    """Textbook induced character: for one representative sigma of each cycle
+    type, chi_up(sigma) = (1/r) sum over x in S_r with x^-1 sigma x in C_r of
+    chi(x^-1 sigma x), with the conjugations counted once per r.  Independent
+    of the power-sum shortcut above."""
+    r = chi.order
+    if r > _INDUCE_ORACLE_MAX:
+        raise ResourceLimitError(f"induction oracle capped at r <= {_INDUCE_ORACLE_MAX}")
+    values: dict[Partition, Fraction] = {}
+    for mu, counts in _conjugation_counts(r):
+        acc = CycloElem.from_rational(r, 0)
+        for k, count in enumerate(counts, 1):
+            if count:
+                acc = acc + chi.at_power(k) * count
         if not acc.is_rational:
             raise ArithmeticError(f"induced character value not rational: {acc}")
         values[mu] = Fraction(acc.rational_value(), r)

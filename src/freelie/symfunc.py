@@ -19,8 +19,8 @@ Schur <-> power-sum conversion goes through the symmetric group character
 table, one column {lambda: chi^lambda(mu)} per cycle type mu at a time.  A
 column is one Murnaghan-Nakayama dynamic program over bead bitmasks (each
 border strip is one bead move) and is memoized per mu in a module-level
-table (the only shared mutable state here: a single-writer, multi-reader
-table of integers with deterministic values).  It lives only as long as the
+table (a single-writer, multi-reader table of integers with deterministic
+values).  It lives only as long as the
 process; recomputing it is cheaper than reading it from disk.  A Schur
 expansion is priced twice before any column is built: by its terms, p(d)
 for each alphabet of degree d, against :data:`SCHUR_TERM_CEILING`
@@ -28,6 +28,9 @@ for each alphabet of degree d, against :data:`SCHUR_TERM_CEILING`
 whose column is not yet held, against :data:`COLUMN_CEILING`.
 The table imports nothing from the tableau side, so the Schur route of a
 check stays independent of the signed-tableau route it is compared with.
+
+The one other memo, of :func:`expand_truncated`, holds each p_lambda(x)
+p_mu(y) in N + M variables; those polynomials are shared and never mutated.
 
 The symbol p_d(-y) is never stored: it is normalized at construction via
 p_d(-y) = (-1)^d p_d(y), so the two-alphabet term map stays a true basis.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .exactalg import MultiPoly, RatLike, Record, ResourceLimitError, TermMap, collect, exact
@@ -436,6 +440,21 @@ def _power_sum_poly(k: int, N: int, M: int, offset: int, count: int) -> MultiPol
     return MultiPoly(N, M, terms)
 
 
+@lru_cache(maxsize=None)
+def _power_sum_product(alphabets: tuple[Partition, ...], N: int, M: int) -> MultiPoly:
+    """p_lambda(x) for ``alphabets`` = (lambda,), p_lambda(x) * p_mu(y) for
+    (lambda, mu), in N + M variables: the value one part shorter, times p of
+    the last part.  Memoized, so every result is shared and never mutated."""
+    for i in reversed(range(len(alphabets))):
+        parts = alphabets[i]
+        if parts:
+            prefix = (*alphabets[:i], parts[:-1], *alphabets[i + 1 :])
+            offset, count = ((0, N), (N, M))[i]
+            last = _power_sum_poly(parts[-1], N, M, offset, count)
+            return _power_sum_product(prefix, N, M) * last
+    return MultiPoly.const(N, M, 1)
+
+
 def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
     """Substitute p_k(x) -> x_1^k + ... + x_N^k and, for a :class:`BiSymFunc`,
     p_k(y) -> y_1^k + ... + y_M^k (finite-variable specialization).
@@ -443,14 +462,13 @@ def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
     The result lives in the (N, M)-variable layout, so a one-alphabet
     expansion can be combined with two-alphabet ones; by default M = 0.
     """
-    out = MultiPoly(N, M)
-    for key, coeff in to_p(f).terms.items():
-        piece = MultiPoly.const(N, M, coeff)
-        for (offset, count), parts in zip(((0, N), (N, M)), f._alphabets(key)):
-            for part in parts:
-                piece = piece * _power_sum_poly(part, N, M, offset, count)
-        out = out + piece
-    return out
+    return MultiPoly(N, M)._with(
+        collect(
+            (exp, coeff * c)
+            for key, coeff in to_p(f).terms.items()
+            for exp, c in _power_sum_product(f._alphabets(key), N, M).terms.items()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,63 @@ def test_closed_stdout_keeps_exit_code():
     assert proc.stderr == b""
 
 
+EXIT_CASES = {
+    "pass": ["verify", "hook", "--max-n", "2"],
+    "usage error from main": ["verify", "hook", "--max-n", "0"],
+    "usage error from argparse": ["verify", "hook", "--max-n", "3", "--max-n", "4"],
+    "domain error": ["char", "lie", "0", "0"],
+    "refusal": ["char", "lie", "40", "40"],
+}
+
+
+def _run_module(argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-S", "-m", "freelie.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_module_run_reports_as_main_does(case, capsys, tmp_path):
+    argv = EXIT_CASES[case]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    expected = (captured.out.encode(), captured.err.encode(), code)
+    assert code == {"pass": 0, "refusal": 4, "domain error": 3}.get(case, 2)
+
+    piped = _run_module(argv, subprocess.PIPE)
+    assert (piped.stdout, piped.stderr, piped.returncode) == expected
+    path = tmp_path / "out"
+    with open(path, "wb") as fh:
+        to_file = _run_module(argv, fh)
+    assert (path.read_bytes(), to_file.stderr, to_file.returncode) == expected
+
+
+def test_module_run_skips_interpreter_teardown():
+    # an exit handler registered before the run never runs after it
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'teardown')\n"
+        "sys.argv = ['freelie', 'char', 'lie', '2', '1']\n"
+        "runpy.run_module('freelie.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("char ") and "teardown" not in proc.stdout
+
+
 def _modules_loaded(heavy, *argvs):
     """Which of the heavy modules a fresh ``python -S`` process holds after
     importing the CLI and running ``cli.main`` on each command line."""

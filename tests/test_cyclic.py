@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from freelie import cyclic
 from freelie.cyclic import (
     CyclicClassFunction,
     chi_cyc,
@@ -55,6 +56,24 @@ def test_chi_cyc_matches_oracle():
         for m in range(total + 1):
             n = total - m
             assert chi_cyc(n, m).values == chi_cyc_oracle(n, m).values, (n, m)
+
+
+def _chi_cyc_by_frozensets(n, m):
+    """Reference orbit count: each m-subset a frozenset, rotated element by
+    element."""
+    r = n + m
+    subsets = [frozenset(s) for s in combinations(range(r), m)]
+    return tuple(
+        CycloElem.from_rational(r, sum(1 for s in subsets if frozenset((x + k) % r for x in s) == s))
+        for k in range(1, r + 1)
+    )
+
+
+def test_chi_cyc_oracle_matches_frozenset_orbit_count():
+    for total in range(1, 13):
+        for m in range(total + 1):
+            n = total - m
+            assert chi_cyc_oracle(n, m).values == _chi_cyc_by_frozensets(n, m), (n, m)
 
 
 def test_chi_cyc_oracle_trivial_for_m_zero():
@@ -169,6 +188,67 @@ def test_induce_oracle_matches_three_tuple_conjugation():
         characters += [pointwise_product(chi_cyc(n, r - n), chi_power(r, 1)) for n in range(r + 1)]
         for chi in characters:
             assert induce_oracle(chi).values == _induce_by_three_tuple_conjugation(chi), (r, chi)
+
+
+def _induce_by_scan_per_character(chi):
+    """Reference oracle: all r! conjugations of each cycle-type
+    representative rescanned for this one character."""
+    r = chi.order
+
+    def compose(a, b):
+        return tuple(a[b[x]] for x in range(len(a)))
+
+    def inverse(a):
+        out = [0] * len(a)
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    generator = tuple((i + 1) % r for i in range(r))
+    power_of = {}
+    g = generator
+    for k in range(1, r + 1):
+        power_of[g] = k
+        g = compose(generator, g)
+    everyone = [(x, inverse(x)) for x in permutations(range(r))]
+    values = {}
+    for mu in partitions_of(r):
+        sigma, base = [], 0
+        for part in mu:
+            sigma.extend(base + (i + 1) % part for i in range(part))
+            base += part
+        acc = CycloElem.from_rational(r, 0)
+        for x, xinv in everyone:
+            k = power_of.get(tuple(xinv[sigma[y]] for y in x))
+            if k is not None:
+                acc = acc + chi.at_power(k)
+        values[mu] = Fraction(acc.rational_value(), r)
+    return values
+
+
+def test_induce_oracle_matches_scan_per_character():
+    # the characters of the klyachko suite and of the three-tuple test above
+    for r in range(1, 7):
+        characters = [chi_power(r, k0) for k0 in range(r + 1)]
+        characters += [chi_cyc(n, r - n) for n in range(r + 1)]
+        characters += [pointwise_product(chi_cyc(n, r - n), chi_power(r, 1)) for n in range(r + 1)]
+        for chi in characters:
+            assert induce_oracle(chi).values == _induce_by_scan_per_character(chi), (r, chi)
+
+
+def test_induce_oracle_scans_the_permutations_once_per_order(monkeypatch):
+    scans = []
+
+    def counting(items):
+        scans.append(len(items))
+        return permutations(items)
+
+    monkeypatch.setattr(cyclic, "permutations", counting)
+    cyclic._conjugation_counts.cache_clear()
+    for r in range(1, 6):
+        for k0 in range(1, r + 1):
+            induce_oracle(chi_power(r, k0))
+    assert scans == [1, 2, 3, 4, 5]
 
 
 def test_induce_oracle_cap():

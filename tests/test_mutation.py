@@ -32,7 +32,7 @@ from freelie.symfunc import BiSymFunc, SymFunc
 
 def _clear_caches():
     symfunc.clear_character_cache()
-    for module in (tableau, partition, exactalg, specialization):
+    for module in (tableau, partition, exactalg, specialization, symfunc, cyclic):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -131,6 +131,15 @@ MUTANTS = {
     "bar-count-symmetry-odd": ("symmetry", specialization, "symmetry_counts", residue_one(1)),
     "degree-two": ("degree-two", specialization, "degree_two_routes", second_route),
 }
+
+
+def test_clear_caches_reaches_the_oracle_tables():
+    cyclic.induce_oracle(cyclic.chi_power(3, 1))
+    symfunc.expand_truncated(SymFunc.term("p", (2, 1)), 2)
+    tables = (cyclic._conjugation_counts, symfunc._power_sum_product)
+    assert all(table.cache_info().currsize for table in tables)
+    _clear_caches()
+    assert not any(table.cache_info().currsize for table in tables)
 
 
 def test_every_emitted_check_has_a_mutant():

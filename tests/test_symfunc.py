@@ -309,6 +309,47 @@ def test_expand_truncated_examples():
     assert s21 == MultiPoly(2, 0, {(2, 1): 1, (1, 2): 1})
 
 
+def _expand_term_by_term(f, N, M=0):
+    """Reference expansion: each p-term's product built from scratch and
+    added into a growing sum."""
+    out = MultiPoly(N, M)
+    for key, coeff in to_p(f).terms.items():
+        piece = MultiPoly.const(N, M, coeff)
+        for (offset, count), parts in zip(((0, N), (N, M)), f._alphabets(key)):
+            for part in parts:
+                exps = [tuple(part if j == i else 0 for j in range(N + M)) for i in range(offset, offset + count)]
+                piece = piece * MultiPoly(N, M, {exp: 1 for exp in exps})
+        out = out + piece
+    return out
+
+
+EXPANSION_INPUTS = [
+    SymFunc("p", {(): 3, (2, 1): Fraction(-1, 2), (1, 1, 1): Fraction(1, 6), (3,): 1}),
+    SymFunc("s", {(2, 1): 1, (1, 1): Fraction(2, 3), (): Fraction(-5, 4)}),
+    BiSymFunc({((), ()): Fraction(1, 3), ((2,), (1,)): -1, ((1, 1), ()): Fraction(1, 2)}),
+    BiSymFunc({((), (2, 1)): 2, ((1,), (1, 1)): Fraction(-3, 7), ((3,), ()): 1}),
+]
+
+
+@pytest.mark.parametrize("f", EXPANSION_INPUTS, ids=str)
+def test_expand_truncated_matches_term_by_term_product(f):
+    for N in range(4):
+        for M in range(3):
+            assert expand_truncated(f, N, M) == _expand_term_by_term(f, N, M), (N, M)
+
+
+def test_expand_truncated_leaves_earlier_results_unchanged():
+    symfunc._power_sum_product.cache_clear()
+    f, g = EXPANSION_INPUTS[2], EXPANSION_INPUTS[3]
+    first = expand_truncated(f, 2, 2)
+    held = dict(first.terms)
+    # g shares the prefixes p_1(x), p_1(y) and the unit with f
+    assert expand_truncated(g, 2, 2) == _expand_term_by_term(g, 2, 2)
+    again = expand_truncated(f, 2, 2)
+    assert again == first and first.terms == held
+    assert again == _expand_term_by_term(f, 2, 2)
+
+
 def test_expand_schur_matches_ssyt_oracle():
     for n in range(1, 6):
         for lam in partitions_of(n):
