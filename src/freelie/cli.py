@@ -1,6 +1,9 @@
 """Command-line surface: argument parsing, the four commands (``char``,
-``dim``, ``count``, ``verify``) and the rendering of their reports.  The
-suites that ``verify`` runs, and their bounds, live in :mod:`freelie.verify`.
+``dim``, ``count``, ``verify``) and the rendering of their reports.  A
+command's report is the dict that ``--format json`` prints (``command``,
+``parameters``, ``status``, ``payload``), and the text format renders the
+same dict; ``verify`` puts the check dicts of :mod:`freelie.verify`, where
+its suites and their bounds live, into its payload as they are.
 
 Each run is one short process, so a command loads only what it runs: the
 parser gets the arguments of the command named first (of every command when
@@ -25,7 +28,7 @@ import sys
 import time
 
 from . import superlie, symfunc, tableau
-from .exactalg import Record, ResourceLimitError, UsageError, first_difference, render_terms
+from .exactalg import ResourceLimitError, UsageError, first_difference, render_terms
 from .partition import format_partition, parse_partition
 from .symfunc import BiSymFunc, SymFunc
 
@@ -36,29 +39,10 @@ EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 
 
-class RunReport(Record):
-    """Envelope for one command invocation, serialized to JSON or text."""
-
-    __slots__ = ("command", "parameters", "status", "payload", "elapsed_ms")
-    __hash__ = None
-
-    def __init__(self, command: str, parameters: dict, status: str, payload: dict):
-        self.command = command
-        self.parameters = parameters
-        self.status = status
-        self.payload = payload
-        self.elapsed_ms = None  # set under --timing
-
-    def to_json(self) -> dict:
-        out = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "status": self.status,
-            "payload": self.payload,
-        }
-        if self.elapsed_ms is not None:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
+def _run(command: str, parameters: dict, status: str, payload: dict) -> dict:
+    """One command's report, the dict that ``--format json`` prints; ``main``
+    adds ``elapsed_ms`` under ``--timing``."""
+    return {"command": command, "parameters": parameters, "status": status, "payload": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +75,7 @@ def _bi_payload(f) -> dict:
 # command implementations
 
 
-def cmd_char(args) -> RunReport:
+def cmd_char(args) -> dict:
     if args.kind in ("lie", "bilie"):
         if args.matrix is not None:
             raise UsageError("--matrix is only valid for 'char higher'")
@@ -108,7 +92,7 @@ def cmd_char(args) -> RunReport:
         else:
             symfunc.admit_schur(n, m)
             payload = _bi_payload(superlie.super_bi_brandt_char(n, m))
-        return RunReport("char", {"kind": args.kind, "n": n, "m": m}, "pass", payload)
+        return _run("char", {"kind": args.kind, "n": n, "m": m}, "pass", payload)
 
     if args.matrix is None:
         raise UsageError("char higher requires --matrix")
@@ -130,12 +114,10 @@ def cmd_char(args) -> RunReport:
     symfunc.admit_schur(*matrix.bidegree())
     payload = _bi_payload(superlie.super_lie_module_char(matrix))
     payload["bidegree"] = list(matrix.bidegree())
-    return RunReport(
-        "char", {"kind": "higher", "matrix": matrix.to_json()}, "pass", payload
-    )
+    return _run("char", {"kind": "higher", "matrix": matrix.to_json()}, "pass", payload)
 
 
-def cmd_dim(args) -> RunReport:
+def cmd_dim(args) -> dict:
     value = superlie.super_witt_dim(args.n, args.m, args.N)
     payload: dict = {"dim": value}
     status = "pass"
@@ -152,7 +134,7 @@ def cmd_dim(args) -> RunReport:
                 else f"{where}: rank {rank}, character coefficient {other}"
             )
             status = "fail"
-    return RunReport(
+    return _run(
         "dim",
         {"n": args.n, "m": args.m, "N": args.N, "oracle": bool(args.oracle)},
         status,
@@ -160,7 +142,7 @@ def cmd_dim(args) -> RunReport:
     )
 
 
-def cmd_count(args) -> RunReport:
+def cmd_count(args) -> dict:
     try:
         lam = parse_partition(args.partition)
     except ValueError as exc:
@@ -180,7 +162,7 @@ def cmd_count(args) -> RunReport:
         neg = 0 if args.neg is None else args.neg
         parameters.update({"mod": modulus, "res": residue, "neg": neg})
         payload["count"] = tableau.count_super_tableaux(lam, modulus, residue, neg)
-    return RunReport("count", parameters, "pass", payload)
+    return _run("count", parameters, "pass", payload)
 
 
 # verify flag -> the override it gives, by the name the registry bounds with
@@ -193,7 +175,7 @@ VERIFY_FLAGS = {
 }
 
 
-def cmd_verify(args) -> RunReport:
+def cmd_verify(args) -> dict:
     from . import verify
 
     overrides = {
@@ -201,18 +183,13 @@ def cmd_verify(args) -> RunReport:
         for name in VERIFY_FLAGS.values()
         if getattr(args, name) is not None
     }
-    reports = verify.run_suite(args.suite, args.profile, overrides)
-    ok = all(r.ok for r in reports)
-    payload = {
-        "total": len(reports),
-        "failed": sum(1 for r in reports if not r.ok),
-        "checks": [r.to_json() for r in reports],
-    }
-    return RunReport(
+    checks = verify.run_suite(args.suite, args.profile, overrides)
+    failed = sum(c["status"] == "fail" for c in checks)
+    return _run(
         "verify",
         {"suite": args.suite, "profile": args.profile, **overrides},
-        "pass" if ok else "fail",
-        payload,
+        "fail" if failed else "pass",
+        {"total": len(checks), "failed": failed, "checks": checks},
     )
 
 
@@ -321,12 +298,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: RunReport, fmt: str) -> None:
+def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True, default=str))
+        print(json.dumps(report, indent=2, sort_keys=True, default=str))
         return
-    print(f"{report.command} {json.dumps(report.parameters, sort_keys=True, default=str)}: {report.status}")
-    for key, value in report.payload.items():
+    print(f"{report['command']} {json.dumps(report['parameters'], sort_keys=True, default=str)}: {report['status']}")
+    for key, value in report["payload"].items():
         if key == "checks":
             for check in value:
                 line = f"  [{check['status']}] {check['check']} {json.dumps(check['parameters'], sort_keys=True, default=str)}"
@@ -342,8 +319,8 @@ def _print_report(report: RunReport, fmt: str) -> None:
             continue
         else:
             print(f"  {key}: {value}")
-    if report.elapsed_ms is not None:
-        print(f"  elapsed_ms: {report.elapsed_ms}")
+    if "elapsed_ms" in report:
+        print(f"  elapsed_ms: {report['elapsed_ms']}")
 
 
 def main(argv=None) -> int:
@@ -363,7 +340,7 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.timing:
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
+        report["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     try:
         _print_report(report, args.format)
         sys.stdout.flush()
@@ -374,7 +351,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    if report.status == "fail":
+    if report["status"] == "fail":
         return EXIT_IDENTITY_FAILURE
     return EXIT_OK
 

@@ -625,7 +625,8 @@ class CycloElem(TermMap):
 
     @classmethod
     def from_rational(cls, d: int, value: RatLike) -> CycloElem:
-        return cyclo_reduce([value], d)
+        """The constant ``value``, already reduced: phi(d) >= 1."""
+        return cls(d, {0: value})
 
     @classmethod
     def root_power(cls, d: int, k: int) -> CycloElem:

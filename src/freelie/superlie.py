@@ -97,55 +97,45 @@ def check_bidegree(n: int, m: int) -> None:
         raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
 
 
-def _common_divisors(n: int, m: int) -> list[int]:
-    return divisors(math.gcd(n, m))
+def _brandt_terms(n: int, m: int) -> list[tuple[int, Fraction]]:
+    """The nonzero terms (d, c) of Brandt's sum at the bidegree (n, m): for
+    each d | gcd(n, m), c = (-1)^(m + m/d) mu(d) C((n+m)/d, m/d) / (n+m).
+    Each caller places c at its own image of the d-th summand."""
+    check_bidegree(n, m)
+    total = n + m
+    terms = (
+        (d, Fraction((-1) ** (m + m // d) * mobius(d) * binom(total // d, m // d), total))
+        for d in divisors(math.gcd(n, m))
+    )
+    return [(d, c) for d, c in terms if c]
 
 
 def super_brandt_char(n: int, m: int) -> SymFunc:
     """One-alphabet character of the (n, m) bidegree piece:
     1/(n+m) * sum over d | gcd(n,m) of (-1)^(m + m/d) mu(d) C((n+m)/d, m/d) p_d^((n+m)/d).
     """
-    check_bidegree(n, m)
-    total = n + m
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for d in _common_divisors(n, m):
-        sign = (-1) ** (m + m // d)
-        c = Fraction(sign * mobius(d) * binom(total // d, m // d), total)
-        if c != 0:
-            terms[(d,) * (total // d)] = c
-    return SymFunc("p", terms)
+    return SymFunc("p", {(d,) * ((n + m) // d): c for d, c in _brandt_terms(n, m)})
 
 
 def super_bi_brandt_char(n: int, m: int) -> BiSymFunc:
     """Two-alphabet character of the (n, m) bidegree piece:
     1/(n+m) * sum over d | gcd(n,m) of (-1)^(m/d) mu(d) C((n+m)/d, m/d)
-    p_d(x)^(n/d) p_d(-y)^(m/d), with p_d(-y) = (-1)^d p_d(y).
+    p_d(x)^(n/d) p_d(-y)^(m/d).  With p_d(-y)^(m/d) = (-1)^m p_d(y)^(m/d),
+    the sign (-1)^(m/d) (-1)^m is the one of Brandt's one-alphabet sum, so
+    each term is c p_d(x)^(n/d) p_d(y)^(m/d) for its (d, c).
     """
-    check_bidegree(n, m)
-    total = n + m
-    terms: dict[tuple, Fraction] = {}
-    for d in _common_divisors(n, m):
-        # (-1)^(m/d) from the formula, (-1)^(d * m/d) from normalizing p_d(-y)
-        sign = (-1) ** (m // d) * (-1) ** m
-        c = Fraction(sign * mobius(d) * binom(total // d, m // d), total)
-        if c != 0:
-            terms[((d,) * (n // d), (d,) * (m // d))] = c
-    return BiSymFunc(terms)
+    return BiSymFunc({((d,) * (n // d), (d,) * (m // d)): c for d, c in _brandt_terms(n, m)})
 
 
 def super_witt_dim(n: int, m: int, N: int) -> int:
     """Dimension of the (n, m) piece when both generating spaces have dim N."""
-    check_bidegree(n, m)
+    terms = _brandt_terms(n, m)
     if N < 0:
         raise ValueError(f"need N >= 0, got {N}")
-    total = n + m
-    acc = Fraction(0)
-    for d in _common_divisors(n, m):
-        sign = (-1) ** (m + m // d)
-        acc += Fraction(sign * mobius(d) * binom(total // d, m // d) * N ** (total // d), total)
-    if acc.denominator != 1:
-        raise ArithmeticError(f"dimension formula gave non-integer {acc} at ({n}, {m}, {N})")
-    return int(acc)
+    dim = sum(c * N ** ((n + m) // d) for d, c in terms)
+    if dim.denominator != 1:
+        raise ArithmeticError(f"dimension formula gave non-integer {dim} at ({n}, {m}, {N})")
+    return int(dim)
 
 
 def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFunc]:

@@ -4,10 +4,11 @@ A check computes one identity along two independent routes.  A suite is a
 generator over bounded parameters that yields each of its checks as
 (check, parameters, lhs, rhs); a check that stands for many cases adds the
 case it stopped at as a fifth item.  :func:`run_suite` alone compares them,
-with ``==`` in :func:`_equality`, the one place a :class:`CheckReport` is
-built, so a passing check shows nothing and a failed one shows both routes
-and where they first differ.  A property with one route, such as Schur
-positivity, yields what breaks it (empty when nothing does) against ``{}``.
+with ``==`` in :func:`_equality`, which returns the check's report as the
+dict that the CLI prints: ``check``, ``parameters`` and ``status``, so a
+passing check shows nothing more and a failed one adds both routes and where
+they first differ.  A property with one route, such as Schur positivity,
+yields what breaks it (empty when nothing does) against ``{}``.
 
 The registry :data:`SUITES` holds every suite's bounds in the two
 reproducible profiles, ``full`` (the acceptance criteria) and ``quick``, and
@@ -27,48 +28,6 @@ from operator import gt
 from . import cyclic, specialization, superlie, symfunc, tableau
 from .exactalg import QTPoly, Record, ResourceLimitError, UsageError, first_difference
 from .partition import format_partition, partitions_of
-
-
-class CheckReport(Record):
-    """Outcome of one verification check, serializable to JSON.
-
-    ``lhs``/``rhs`` carry printable renderings of the two computation routes;
-    ``first_discrepancy`` is populated only when the check failed.
-    """
-
-    __slots__ = ("check", "parameters", "ok", "lhs", "rhs", "first_discrepancy")
-    __hash__ = None
-
-    def __init__(
-        self,
-        check: str,
-        parameters: dict,
-        ok: bool,
-        lhs: object = None,
-        rhs: object = None,
-        first_discrepancy: object = None,
-    ):
-        self.check = check
-        self.parameters = parameters
-        self.ok = ok
-        self.lhs = lhs
-        self.rhs = rhs
-        self.first_discrepancy = first_discrepancy
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.ok else "fail"
-
-    def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "parameters": self.parameters,
-            "status": self.status,
-        }
-        for key in ("lhs", "rhs", "first_discrepancy"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        return out
 
 
 def _bidegrees(max_total: int, min_total: int = 1) -> list[tuple[int, int]]:
@@ -96,14 +55,20 @@ def _render(route) -> str:
     return str(route)
 
 
-def _equality(check: str, parameters: dict, lhs, rhs, case: str | None = None) -> CheckReport:
-    """Compare two routes with ==.  On a failure both are rendered and the
-    first key where they differ is named, after ``case``, which names the
-    failing case when the routes are one case of many."""
+def _equality(check: str, parameters: dict, lhs, rhs, case: str | None = None) -> dict:
+    """Compare two routes with ==; the check's report is the dict it prints.
+    On a failure it holds both routes, rendered, and the first key where they
+    differ, after ``case``, which names the failing case when the routes are
+    one case of many; ``first_discrepancy`` is left out when neither names
+    anything."""
+    report = {"check": check, "parameters": parameters, "status": "pass"}
     if lhs == rhs:
-        return CheckReport(check, parameters, True)
+        return report
+    report.update(status="fail", lhs=_render(lhs), rhs=_render(rhs))
     where = ", at ".join(str(x) for x in (case, first_difference(lhs, rhs)) if x is not None)
-    return CheckReport(check, parameters, False, _render(lhs), _render(rhs), where or None)
+    if where:
+        report["first_discrepancy"] = where
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +445,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, profile: str = "full", overrides: dict | None = None) -> list[CheckReport]:
-    """Run one suite (or "all") and return the list of CheckReports: the
-    one loop that compares the routes every suite yields.
+def run_suite(name: str, profile: str = "full", overrides: dict | None = None) -> list[dict]:
+    """Run one suite (or "all") and return the reports of its checks, as
+    :func:`_equality` builds them: the one loop that compares the routes
+    every suite yields.
 
     An override that none of the selected suites takes, and a run whose
     bounds select no check at all, are usage errors: neither may pass.
@@ -496,7 +462,7 @@ def run_suite(name: str, profile: str = "full", overrides: dict | None = None) -
     unused = set(overrides).difference(*(SUITES[n].flags for n in names))
     if unused:
         raise UsageError(f"{', '.join(sorted(unused))} does not apply to suite {name!r}")
-    reports: list[CheckReport] = []
+    reports: list[dict] = []
     for n in names:
         suite = SUITES[n]
         bounds = dict(suite.profiles[profile])

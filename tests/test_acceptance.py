@@ -46,13 +46,13 @@ def _criterion(criterion: str, budget_s: float, *suites: str) -> None:
     runs = {name: verify.run_suite(name, "full") for name in suites}
     elapsed = time.monotonic() - t0
     reports = [r for name in suites for r in runs[name]]
-    failed = [r for r in reports if not r.ok]
+    failed = [r for r in reports if r["status"] == "fail"]
     status = "PASS" if not failed else "FAIL"
     print(
         f"{status} {criterion} ({elapsed:.1f}s): {len(reports) - len(failed)}/{len(reports)} checks"
     )
     for r in failed[:5]:
-        print(f"   failed: {r.check} {r.parameters} {r.first_discrepancy}")
+        print(f"   failed: {r['check']} {r['parameters']} {r.get('first_discrepancy')}")
     assert not failed, f"{criterion}: {len(failed)} checks failed"
     counts = {name: len(runs[name]) for name in suites}
     assert counts == {name: FULL_CHECKS[name] for name in suites}

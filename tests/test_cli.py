@@ -339,6 +339,20 @@ def test_timing_flag(capsys):
     assert "elapsed_ms" in out
 
 
+def test_timing_adds_only_the_elapsed_time(capsys):
+    argv = ["verify", "degree-two", "--profile", "quick", "--format", "json"]
+    plain = json.loads(run(capsys, *argv)[1])
+    code, out, _ = run(capsys, *argv, "--timing")
+    timed = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert type(timed.pop("elapsed_ms")) is int
+    assert timed == plain
+    code, out, _ = run(capsys, *argv[:-2], "--timing")
+    assert code == cli.EXIT_OK
+    last = out.splitlines()[-1]
+    assert last.startswith("  elapsed_ms: ") and last[len("  elapsed_ms: "):].isdigit(), last
+
+
 def test_run_suite_rejects_unknown_profile():
     with pytest.raises(verify.UsageError):
         verify.run_suite("hook", "fastest")
@@ -353,8 +367,8 @@ def test_verify_inapplicable_override_is_usage_error(capsys):
     assert out == "" and "max_n" in err
     # an override that some of the suites take still applies to those
     reports = verify.run_suite("all", "quick", {"max_n": 2})
-    assert {r.check for r in reports} >= {"hook-formula", "pi-root"}
-    assert len([r for r in reports if r.check == "hook-formula"]) == 3
+    assert {r["check"] for r in reports} >= {"hook-formula", "pi-root"}
+    assert len([r for r in reports if r["check"] == "hook-formula"]) == 3
 
 
 def _degree(parameters: dict) -> int:
@@ -374,16 +388,18 @@ def test_override_bounds_every_check_of_its_suite(capsys):
     ):
         reports = verify.run_suite(suite, "full", {name: value})
         assert len(reports) == total, suite
-        degrees = {_degree(r.parameters) for r in reports if r.check != "omega-filter-vs-roots"}
+        degrees = {
+            _degree(r["parameters"]) for r in reports if r["check"] != "omega-filter-vs-roots"
+        }
         assert max(degrees) == value, suite
     # omega_max_r is a modulus, not a degree: max_total leaves it alone
-    assert reports[-1].parameters == {"trials": 100, "max_r": 12, "seed": 2025}
+    assert reports[-1]["parameters"] == {"trials": 100, "max_r": 12, "seed": 2025}
     code, out, _ = run(capsys, "verify", "klyachko", "--max-n", "3", "--format", "json")
     assert code == cli.EXIT_OK
     assert json.loads(out)["payload"]["total"] == 18
     # an override above a capped bound leaves that bound at its profile value
     reports = verify.run_suite("witt-oracle", "full", {"max_total": 7})
-    assert max(_degree(r.parameters) for r in reports if r.check == "witt-vs-bracket-rank") == 4
+    assert max(_degree(r["parameters"]) for r in reports if r["check"] == "witt-vs-bracket-rank") == 4
 
 
 def test_verify_empty_run_is_usage_error(capsys):

@@ -144,6 +144,15 @@ def test_cyclo_reduce_examples():
     assert cyclo_reduce([0, 1], 1) == CycloElem.from_rational(1, 1)
 
 
+def test_a_rational_constant_is_already_reduced():
+    # phi(d) >= 1, so a constant needs no division by Phi_d
+    for d in range(1, 41):
+        for v in (0, 1, -3, Fraction(5, 7)):
+            assert CycloElem.from_rational(d, v) == cyclo_reduce([v], d)
+    with pytest.raises(TypeError):
+        CycloElem.from_rational(3, 0.5)
+
+
 def test_cyclo_reduce_invariants():
     for d in range(1, 31):
         assert cyclo_reduce(cyclotomic_poly(d), d).rational_value() == 0

@@ -9,6 +9,7 @@ fails ``test_every_emitted_check_has_a_mutant``.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -143,9 +144,11 @@ def test_clear_caches_reaches_the_oracle_tables():
 
 
 def test_every_emitted_check_has_a_mutant():
-    emitted = {r.check: name for name in verify.SUITES for r in verify.run_suite(name, "quick")}
+    emitted = {
+        r["check"]: name for name in verify.SUITES for r in verify.run_suite(name, "quick")
+    }
     assert {check: suite for check, (suite, *_) in MUTANTS.items()} == emitted
-    assert {r.check for r in verify.run_suite("all", "quick")} == set(MUTANTS)
+    assert {r["check"] for r in verify.run_suite("all", "quick")} == set(MUTANTS)
 
 
 @pytest.mark.parametrize("check", sorted(MUTANTS))
@@ -153,10 +156,11 @@ def test_every_check_fails_visibly_under_its_mutant(check, monkeypatch, capsys):
     suite, module, attribute, mutant = MUTANTS[check]
     monkeypatch.setattr(module, attribute, mutant(getattr(module, attribute)))
 
-    failed = [r for r in verify.run_suite(suite, "quick") if r.check == check and not r.ok]
+    reports = verify.run_suite(suite, "quick")
+    failed = [r for r in reports if r["check"] == check and r["status"] == "fail"]
     assert failed, f"{check} still passes under its mutant"
     for r in failed:
-        assert r.lhs is not None and r.rhs is not None or r.first_discrepancy is not None, r
+        assert {"lhs", "rhs"} <= r.keys(), r
 
     argv = ["verify", suite, "--profile", "quick", "--format"]
     assert cli.main([*argv, "json"]) == cli.EXIT_IDENTITY_FAILURE
@@ -172,3 +176,44 @@ def test_every_check_fails_visibly_under_its_mutant(check, monkeypatch, capsys):
     assert len(fail_rows) == len(failed)
     for i in fail_rows:
         assert lines[i + 1].startswith(("    discrepancy: ", "    lhs: ")), lines[i : i + 2]
+
+
+# typo -> the numerator of Brandt's coefficient at (n, m, d) with that typo;
+# the true one is (-1)^(m + m/d) mu(d) C((n+m)/d, m/d)
+BRANDT_TYPOS = {
+    "sign": lambda n, m, d: (-1) ** (m // d) * exactalg.mobius(d) * exactalg.binom(
+        (n + m) // d, m // d
+    ),
+    "binomial": lambda n, m, d: (-1) ** (m + m // d) * exactalg.mobius(d) * exactalg.binom(
+        (n + m) // d, m // d + (m > 0)
+    ),
+    "mobius": lambda n, m, d: (-1) ** (m + m // d) * abs(exactalg.mobius(d)) * exactalg.binom(
+        (n + m) // d, m // d
+    ),
+}
+
+
+@pytest.mark.parametrize("typo", sorted(BRANDT_TYPOS))
+def test_a_typo_in_brandts_sum_fails_checks_beyond_its_restatements(typo, monkeypatch):
+    # brandt-diagonal and witt-vs-specialization compare one placing of the
+    # sum with another; the other routes of the formula must catch a typo
+    numerator = BRANDT_TYPOS[typo]
+
+    def mutant(n, m):
+        superlie.check_bidegree(n, m)
+        terms = (
+            (d, Fraction(numerator(n, m, d), n + m)) for d in exactalg.divisors(math.gcd(n, m))
+        )
+        return [(d, c) for d, c in terms if c]
+
+    monkeypatch.setattr(superlie, "_brandt_terms", mutant)
+    failed = set()
+    for suite in verify.SUITES:
+        try:
+            reports = verify.run_suite(suite, "quick")
+        except ArithmeticError:
+            failed.add(f"{suite} (raised)")
+            continue
+        failed.update(r["check"] for r in reports if r["status"] == "fail")
+    beyond = failed - {"brandt-diagonal", "witt-vs-specialization"}
+    assert len(beyond) >= 2, failed

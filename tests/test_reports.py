@@ -3,37 +3,22 @@ and discrepancy-reporting paths that the true identities never reach."""
 
 from fractions import Fraction
 
-import pytest
-
 from freelie.exactalg import QTPoly
 from freelie.specialization import SpecSeries, symmetry_counts
 from freelie.symfunc import SymFunc
-from freelie.verify import CheckReport, _equality
+from freelie.verify import _equality
 
 
-def test_check_report_is_mutable_and_unhashable():
-    report = CheckReport("demo", {"n": 1}, True)
-    assert report == CheckReport("demo", {"n": 1}, True)
-    assert report != CheckReport("demo", {"n": 1}, True, lhs="a")
-    report.ok = False
-    assert report.status == "fail"
-    with pytest.raises(TypeError):
-        hash(report)
-
-
-def test_check_report_serialization():
-    ok = CheckReport("demo", {"n": 1}, True)
-    assert ok.status == "pass"
-    assert ok.to_json() == {"check": "demo", "parameters": {"n": 1}, "status": "pass"}
-
-    bad = CheckReport(
-        "demo", {"n": 2}, False, lhs="a", rhs="b", first_discrepancy={"at": "x"}
-    )
-    assert bad.status == "fail"
-    data = bad.to_json()
-    assert data["status"] == "fail"
-    assert data["lhs"] == "a" and data["rhs"] == "b"
-    assert data["first_discrepancy"] == {"at": "x"}
+def test_a_check_shows_its_routes_only_when_it_fails():
+    passed = _equality("demo", {"n": 1}, 1, 1)
+    assert passed == {"check": "demo", "parameters": {"n": 1}, "status": "pass"}
+    failed = _equality("demo", {"n": 2}, {"a": 1}, {"a": 2})
+    assert failed["status"] == "fail"
+    assert (failed["lhs"], failed["rhs"]) == ("{a: 1}", "{a: 2}")
+    assert failed["first_discrepancy"] == "a"
+    # routes that differ at no key they can name: both routes, no discrepancy
+    unnamed = _equality("demo", {}, 1, 2)
+    assert unnamed == {"check": "demo", "parameters": {}, "status": "fail", "lhs": "1", "rhs": "2"}
 
 
 def test_spec_series_first_difference():
@@ -53,7 +38,7 @@ def test_sym1_check_can_fail():
     # the suite's two routes for the pair (1, 3) therefore differ, and the
     # report names it
     report = _equality("demo", {}, {(1, 3): counts[1]}, {(1, 3): counts[0]})
-    assert (report.ok, report.first_discrepancy) == (False, "(1, 3)")
+    assert (report["status"], report["first_discrepancy"]) == ("fail", "(1, 3)")
 
 
 def test_multiplicity_pipeline_distinguishes_residues():
@@ -95,10 +80,10 @@ def test_bi_sym_func_coefficient():
 def test_equality_report_shows_both_routes_and_first_difference():
     a = QTPoly({(0, 0): 1, (2, 1): 3})
     b = QTPoly({(0, 0): 1, (1, 0): 2, (2, 1): 3})
-    assert _equality("demo", {"n": 1}, a, a).to_json() == {
+    assert _equality("demo", {"n": 1}, a, a) == {
         "check": "demo", "parameters": {"n": 1}, "status": "pass"
     }
-    assert _equality("demo", {"n": 1}, a, b).to_json() == {
+    assert _equality("demo", {"n": 1}, a, b) == {
         "check": "demo",
         "parameters": {"n": 1},
         "status": "fail",
@@ -133,17 +118,17 @@ def test_equality_names_the_first_differing_key_of_dicts_and_tuples():
     a = {(3,): 1, (1, 1, 1): 2, (2, 1): 3}
     b = {(3,): 1, (1, 1, 1): 5, (2, 1): 4}
     report = _equality("demo", {}, a, b)
-    assert report.first_discrepancy == "(1, 1, 1)"
-    assert report.lhs == "{(3,): 1, (1, 1, 1): 2, (2, 1): 3}"
-    assert _equality("demo", {}, a, {**a, (4,): 1}).first_discrepancy == "(4,)"
+    assert report["first_discrepancy"] == "(1, 1, 1)"
+    assert report["lhs"] == "{(3,): 1, (1, 1, 1): 2, (2, 1): 3}"
+    assert _equality("demo", {}, a, {**a, (4,): 1})["first_discrepancy"] == "(4,)"
     # tuples: the index of the first unequal pair, and where that pair differs
     p = QTPoly({(0, 0): 1})
     report = _equality("demo", {}, (p, p), (p, p + QTPoly.q()))
-    assert report.first_discrepancy == "(1, (1, 0))"
-    assert report.rhs == "1; 1 + q"
+    assert report["first_discrepancy"] == "(1, (1, 0))"
+    assert report["rhs"] == "1; 1 + q"
     # a failing case among many leads the discrepancy
     report = _equality("demo", {}, p, p + QTPoly.t(), case="trial 3")
-    assert report.first_discrepancy == "trial 3, at (0, 1)"
+    assert report["first_discrepancy"] == "trial 3, at (0, 1)"
 
 
 def test_omega_check_names_its_first_failing_trial(monkeypatch):
@@ -161,10 +146,10 @@ def test_omega_check_names_its_first_failing_trial(monkeypatch):
     report = verify.run_suite("kw", "quick", {"max_total": 1})[-1]
     f, r, s = calls[2]
     assert len(calls) == 3
-    assert report.check == "omega-filter-vs-roots" and not report.ok
-    assert report.first_discrepancy == (
+    assert (report["check"], report["status"]) == ("omega-filter-vs-roots", "fail")
+    assert report["first_discrepancy"] == (
         f"trial 2: r = {r}, s = {s}, f = {verify._render(f)}, at (9,)"
     )
     by_filter = specialization.omega_extract(f, r, s)
-    assert report.lhs == verify._render(by_filter)
-    assert report.rhs == verify._render({**by_filter, (9,): QTPoly.t()})
+    assert report["lhs"] == verify._render(by_filter)
+    assert report["rhs"] == verify._render({**by_filter, (9,): QTPoly.t()})

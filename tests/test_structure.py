@@ -157,13 +157,13 @@ def test_package_names_load_on_first_use():
         assert freelie.__getattr__(info.name) is importlib.import_module(f"freelie.{info.name}")
 
 
-class _CheckReportCalls(ast.NodeVisitor):
+class _CheckDicts(ast.NodeVisitor):
     """The qualified name of the innermost function or class around each
-    call of CheckReport in a module."""
+    dict display with a "check" key in a module."""
 
     def __init__(self, module: str):
         self.scope = [module]
-        self.callers = []
+        self.builders = []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -172,22 +172,73 @@ class _CheckReportCalls(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef
 
-    def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "CheckReport":
-            self.callers.append(".".join(self.scope))
+    def visit_Dict(self, node):
+        if any(isinstance(k, ast.Constant) and k.value == "check" for k in node.keys):
+            self.builders.append(".".join(self.scope))
         self.generic_visit(node)
 
 
+def _check_dict_builders(source: str, module: str) -> list[str]:
+    visitor = _CheckDicts(module)
+    visitor.visit(ast.parse(source))
+    return visitor.builders
+
+
+def test_check_dict_guard_sees_a_suite_that_decides_its_own_outcome():
+    source = (
+        "def suite_demo(n):\n"
+        "    yield {'check': 'demo', 'parameters': {'n': n}, 'status': 'pass'}\n"
+    )
+    assert _check_dict_builders(source, "verify") == ["verify.suite_demo"]
+
+
 def test_only_the_route_comparison_builds_a_check_report():
-    # every check is two routes compared by verify._equality; a CheckReport
-    # built anywhere else is a check that decides its own outcome
+    # every check is two routes compared by verify._equality; a check's
+    # report built anywhere else is a check that decides its own outcome
     package = pathlib.Path(freelie.__file__).parent
-    callers = set()
+    builders = set()
     for path in sorted(package.glob("*.py")):
-        visitor = _CheckReportCalls(path.stem)
-        visitor.visit(ast.parse(path.read_text()))
-        callers.update(visitor.callers)
-    assert callers == {"verify._equality"}
+        builders.update(_check_dict_builders(path.read_text(), path.stem))
+    assert builders == {"verify._equality"}
+
+
+def _unreferenced_private_names(sources: list[str]) -> list[str]:
+    """The functions, methods and classes named with one leading underscore
+    that no ``ast.Name`` or ``ast.Attribute`` of the sources refers to."""
+    defined, referenced = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [name for name in defined if name not in referenced]
+
+
+def test_private_code_guard_sees_stale_names():
+    source = (
+        "def _used(n):\n"
+        "    return n\n"
+        "def _stale(n):\n"
+        "    return n\n"
+        "class _Box:\n"
+        "    def _method(self):\n"
+        "        return _used(1)\n"
+        "def __dunder__():\n"
+        "    return _Box()._method()\n"
+    )
+    assert _unreferenced_private_names([source]) == ["_stale"]
+
+
+def test_no_private_code_is_unreferenced():
+    # no linter runs on the package, so this is the check for private code
+    # that nothing calls any more
+    package = pathlib.Path(freelie.__file__).parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert _unreferenced_private_names(sources) == []
 
 
 def test_every_suite_yields_its_routes():
