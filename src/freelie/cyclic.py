@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 
 from .exactalg import CycloElem, Record, ResourceLimitError, binom, divisors
 from .partition import Partition, partitions_of
@@ -141,7 +142,9 @@ def _conjugation_counts(r: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]
     """The part of the induced character that depends only on r: for one
     representative sigma of each cycle type mu, the counts N[k - 1] =
     #{x in S_r : x^-1 sigma x = g^k} for k = 1..r, where g is the r-cycle
-    x -> x + 1, found by conjugating sigma by every x in S_r."""
+    x -> x + 1, found by conjugating sigma by every x in S_r.  Each
+    permutation acts on tuples as an ``itemgetter`` built once, so that
+    x^-1 sigma x is two C-level lookups, (xinv o sigma) read at x."""
     generator = tuple((i + 1) % r for i in range(r))
     power_of: dict[tuple[int, ...], int] = {}
     g = generator
@@ -157,14 +160,18 @@ def _conjugation_counts(r: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]
             base += part
         return tuple(out)
 
-    everyone = [(x, _inverse(x)) for x in permutations(range(r))]
+    def reader(p: tuple[int, ...]):
+        # seq -> (seq[p[0]], ..., seq[p[-1]]); itemgetter of one index
+        # returns the item itself, not a 1-tuple
+        return itemgetter(*p) if len(p) > 1 else lambda seq: (seq[p[0]],)
+
+    everyone = [(reader(x), _inverse(x)) for x in permutations(range(r))]
     table = []
     for mu in partitions_of(r):
-        sigma = representative(mu)
+        at_sigma = reader(representative(mu))
         counts = [0] * r
-        for x, xinv in everyone:
-            conj = tuple(xinv[sigma[y]] for y in x)  # x^-1 sigma x
-            k = power_of.get(conj)
+        for at_x, xinv in everyone:
+            k = power_of.get(at_x(at_sigma(xinv)))  # x^-1 sigma x
             if k is not None:
                 counts[k - 1] += 1
         table.append((mu, tuple(counts)))

@@ -130,24 +130,6 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def euler_phi(d: int) -> int:
-    """Euler totient of d >= 1."""
-    if d < 1:
-        raise ValueError(f"euler_phi requires d >= 1, got {d}")
-    result = d
-    p = 2
-    n = d
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 # ---------------------------------------------------------------------------
 # dense univariate polynomials: coefficient lists, constant term first
 
@@ -559,7 +541,8 @@ class QTPoly(TermMap):
         its slot carried into the next one, and each carry lowers the sum of
         the slots by 2^width - 1, so the slots sum to ``total`` exactly when
         none overflowed; otherwise OverflowError is raised.  The terms are
-        canonical by construction, so they are not re-validated."""
+        canonical by construction, so they are not re-validated, and their
+        keys come from :func:`_slot_keys`."""
         unit, fmt = (64, "Q") if width % 64 == 0 else (8, "B")
         words = width // unit
         size = -(-packed.bit_length() // width) * width // 8
@@ -574,8 +557,16 @@ class QTPoly(TermMap):
             raise OverflowError(
                 f"{width}-bit slots summing to {sum(values)} cannot hold counts summing to {total}"
             )
-        keys = product(range(-(-len(values) // base)), range(base))  # divmod(slot, base)
+        keys = _slot_keys(base, (len(values) // base).bit_length())
         return cls()._with(dict(compress(zip(keys, values), values)))
+
+
+@lru_cache(maxsize=None)
+def _slot_keys(base: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """divmod(slot, base) for every slot below 2^bits * base, which covers
+    every slot of a packed value with fewer than 2^bits rows of ``base``:
+    built once per (base, bits) and shared by every unpack of such a value."""
+    return tuple(product(range(1 << bits), range(base)))
 
 
 def slot_width(bound: int) -> int:
@@ -619,7 +610,7 @@ class CycloElem(TermMap):
         self._fill(terms, self._key)
 
     def _key(self, a: int) -> int:
-        if not 0 <= a < euler_phi(self.modulus):
+        if not 0 <= a < len(cyclotomic_poly(self.modulus)) - 1:
             raise ValueError(f"representative not reduced: q^{a} modulo Phi_{self.modulus}")
         return a
 

@@ -70,6 +70,23 @@ def hook_length(lam: Partition, r: int, c: int) -> int:
     return arm + leg + 1
 
 
+def hook_lengths(lam: Partition) -> tuple[int, ...]:
+    """The hook length of every cell, in the row-major order of :func:`cells`:
+    lam_r - c + lam'_c - r + 1 at (r, c), read off the conjugate once per
+    shape (memoized)."""
+    return _hook_lengths(check_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _hook_lengths(lam: Partition) -> tuple[int, ...]:
+    conj = conjugate(lam)
+    return tuple(
+        part - c + conj[c - 1] - r + 1
+        for r, part in enumerate(lam, start=1)
+        for c in range(1, part + 1)
+    )
+
+
 def multiplicities(lam: Partition) -> dict[int, int]:
     """Map part value -> multiplicity."""
     out: dict[int, int] = {}

@@ -41,7 +41,7 @@ from .partition import (
     cells,
     check_partition,
     conjugate,
-    hook_length,
+    hook_lengths,
     partitions_of,
     z_lambda,
 )
@@ -288,7 +288,7 @@ def hook_product(lam: Partition) -> QTPoly:
     of that many bits, and each cell is two shifts and an add."""
     lam = check_partition(lam)
     n = sum(lam)
-    quotient = q_pochhammer_quotient(n, (hook_length(lam, r, c) for r, c in cells(lam)))
+    quotient = q_pochhammer_quotient(n, hook_lengths(lam))
     total = sum(quotient) << n
     base, width = n + 1, slot_width(total)
     acc = QTPoly({(a, 0): v for a, v in enumerate(quotient)}).pack(base, width)
@@ -310,16 +310,18 @@ def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
 
 
 def s_ps_routes(
-    lam: Partition, q_cap: int = DEFAULT_Q_CAP
+    lam: Partition, q_cap: int = DEFAULT_Q_CAP, up_to: int | None = None
 ) -> tuple[tuple[QTPoly, SpecSeries], tuple[QTPoly, SpecSeries]]:
     """Two facts about the principal specialization of the two-alphabet Schur
     function, as (maj polynomial, specialized tableau expansion) against
     (comaj polynomial, maj polynomial / (q;q)_n): the comaj and maj
     sign-generating polynomials agree, and the specialized tableau expansion
-    equals that polynomial over (q;q)_n."""
+    equals that polynomial over (q;q)_n.  The maj polynomial comes from the
+    DP up to ``up_to``, as :func:`~freelie.tableau.maj_neg_generating_polys`
+    takes it."""
     lam = check_partition(lam)
     n = sum(lam)
-    maj_poly = maj_neg_generating_polys(n)[lam]
+    maj_poly = maj_neg_generating_polys(n, up_to)[lam]
     return (maj_poly, _schur_principal_spec(lam, q_cap)), (
         comaj_neg_generating_polys(n)[lam],
         SpecSeries.inv_pochhammer(n, q_cap) * maj_poly,
@@ -368,23 +370,33 @@ def omega_extract(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[Partit
     return {lam: v for lam, c in f.items() if (v := c.filter_q_residue(r, s).eval_q_one())}
 
 
+@lru_cache(maxsize=None)
+def _root_sum(r: int, j: int) -> int | Fraction:
+    """The sum of zeta^(kj) over k = 1..r for a primitive r-th root zeta, as
+    q^(kj mod r) reduced modulo Phi_r, asserted rational; it depends only on
+    j mod r (memoized per (r, j mod r))."""
+    powers = [0] * r
+    for k in range(1, r + 1):
+        powers[k * j % r] += 1
+    return cyclo_reduce(powers, r).rational_value()
+
+
 def omega_extract_roots(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[Partition, QTPoly]:
     """The same operator as a root-of-unity average, (1/r) sum over r-th
     roots zeta of zeta^(-s) f(q=zeta), computed with exact cyclotomic
-    arithmetic; every averaged sum is asserted rational."""
+    arithmetic: the term q^a t^b contributes the sum of zeta^(k(a - s)) over
+    the roots, one cyclotomic reduction per (r, (a - s) mod r), and each
+    power of t is divided by r once."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
 
     def average(c: QTPoly) -> QTPoly:
-        pairs = []
-        for (a, b), v in c.items():
-            # sum over k of q^(k(a - s) mod r), reduced once modulo Phi_r
-            powers = [0] * r
-            for k in range(1, r + 1):
-                powers[k * (a - s) % r] += 1
-            total = cyclo_reduce(powers, r)
-            pairs.append(((0, b), Fraction(total.rational_value() * v, r)))
-        return QTPoly(collect(pairs))
+        sums: dict[int, int | Fraction] = {}
+        for (a, b), v in c.terms.items():
+            total = _root_sum(r, (a - s) % r)
+            if total:
+                sums[b] = sums.get(b, 0) + total * v
+        return QTPoly({(0, b): Fraction(x, r) for b, x in sums.items()})
 
     return {lam: v for lam, c in f.items() if (v := average(c))}
 
@@ -393,30 +405,34 @@ def omega_extract_roots(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[
 # the multiplicity pipeline
 
 
-def kw_generating_function(n_total: int) -> dict[Partition, QTPoly]:
+def kw_generating_function(n_total: int, up_to: int | None = None) -> dict[Partition, QTPoly]:
     """The Kraskiewicz-Weyman generating function sum over shapes lambda of
     n_total of (sum over signed standard tableaux T of q^maj t^negg) s_lambda,
-    as the dict {lambda: that (maj, bar count) generating polynomial}."""
+    as the dict {lambda: that (maj, bar count) generating polynomial}, from
+    the DP up to ``up_to``, as
+    :func:`~freelie.tableau.maj_neg_generating_polys` takes it."""
     if n_total < 1:
         raise ValueError("need n_total >= 1")
-    return maj_neg_generating_polys(n_total)
+    return maj_neg_generating_polys(n_total, up_to)
 
 
 @lru_cache(maxsize=None)
-def _kw_filtered(total: int) -> dict[Partition, QTPoly]:
+def _kw_filtered(total: int, up_to: int | None) -> dict[Partition, QTPoly]:
     """The q-exponents congruent to 1 mod total of the generating function,
     at q = 1: shared by every bidegree of the total."""
-    return omega_extract(kw_generating_function(total), total, 1)
+    return omega_extract(kw_generating_function(total, up_to), total, 1)
 
 
-def kw_routes(n: int, m: int) -> tuple[SymFunc, SymFunc]:
+def kw_routes(n: int, m: int, up_to: int | None = None) -> tuple[SymFunc, SymFunc]:
     """The Schur multiplicities of the bidegree-(n, m) character along two
     routes: the tableau count (the q-exponents congruent to 1 mod n+m of the
     generating function, then the t^m coefficient), and the Schur expansion
-    of the character."""
-    filtered = _kw_filtered(n + m)
-    counts = {lam: c.coefficient(0, m) for lam, c in filtered.items()}
-    return SymFunc("s", counts), schur_expand(super_brandt_char(n, m))
+    of the character.  A sweep over the totals up to ``up_to`` passes it, so
+    that the tableau DP runs once."""
+    filtered = _kw_filtered(n + m, up_to)
+    # the DP's shapes and integer counts are canonical terms already
+    counts = {lam: c for lam, poly in filtered.items() if (c := poly.terms.get((0, m)))}
+    return SymFunc("s")._with(counts), schur_expand(super_brandt_char(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +444,17 @@ def half_if_even(m: int) -> int:
     return m // 2 if m % 2 == 0 else 0
 
 
-def symmetry_counts(lam: Partition, r_total: int, m: int) -> dict[int, int]:
+def symmetry_counts(
+    lam: Partition, r_total: int, m: int, up_to: int | None = None
+) -> dict[int, int]:
     """For each residue s mod r_total, the number of signed standard tableaux
     of the shape with maj congruent to s and exactly m bars, read off the
-    DP of every shape of its size, which the shapes of a sweep share."""
+    DP of every shape of every size up to ``up_to`` (the size of lam by
+    default), which the shapes of a sweep share."""
     if r_total < 1:
         raise ValueError(f"r_total must be >= 1, got {r_total}")
     lam = check_partition(lam)
-    poly = maj_neg_generating_polys(sum(lam))[lam]
+    poly = maj_neg_generating_polys(sum(lam), up_to)[lam]
     counts = {s: 0 for s in range(r_total)}
     for (a, b), c in poly.terms.items():  # summing needs no term order
         if b == m:

@@ -7,11 +7,15 @@ generating polynomials are computed by a forward DP over the shapes inside a
 bounding shape, never by listing the signed tableaux: one DP yields every
 shape of n inside the bound, so a single shape is the DP bounded by itself,
 and every shape of n at once is the DP bounded by (n, n//2, n//3, ...).
+For maj, layer k of that DP is already the table of every shape of k, so a
+sweep over the sizes up to N runs one DP, of N, per sweep; comaj, whose
+step depends on n, runs one DP per size.
 Each state's table of counts is one Kronecker-packed ``int``, a fixed-width
 slot per (statistic, bar count) pair, so a move shifts and adds a whole
 table in one big-integer operation.
 Standard tableaux are walked once, as their row words, for the tableaux
-themselves and for their descent sets.
+themselves and for their descent sets; their maj counts come from one
+depth-first walk over every standard tableau up to a size, carrying maj.
 
 Descent conventions are fixed to English notation, longest row on top:
 i is a descent of T when i+1 sits in a strictly lower row than i.
@@ -25,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 
 from .exactalg import QTPoly, Record, ResourceLimitError, slot_width
-from .partition import Partition, cells, check_partition, hook_length
+from .partition import Partition, check_partition, hook_lengths
 
 # The signed-tableau DP refuses, before it starts, a shape whose bound on
 # table-entry updates exceeds this many, rather than hanging.  The bound
@@ -138,15 +142,16 @@ class SuperTableau(Record):
 
 
 def syt_count(lam: Partition) -> int:
-    """Number of standard tableaux of the shape, by the hook length formula."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    denom = 1
-    for r, c in cells(lam):
-        denom *= hook_length(lam, r, c)
-    count, rem = divmod(math.factorial(n), denom)
+    """Number of standard tableaux of the shape, by the hook length formula
+    (memoized per shape)."""
+    return _syt_count(check_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _syt_count(lam: Partition) -> int:
+    count, rem = divmod(math.factorial(sum(lam)), math.prod(hook_lengths(lam)))
     if rem:
-        raise ArithmeticError(f"hook product does not divide {n}! for {lam}")
+        raise ArithmeticError(f"hook product does not divide {sum(lam)}! for {lam}")
     return count
 
 
@@ -197,6 +202,34 @@ def syt_descent_sets(lam: Partition):
     n = sum(check_partition(lam))
     for word in syt_row_words(lam):
         yield frozenset(compress(range(1, n), map(operator.gt, word[1:], word)))
+
+
+def syt_maj_counts(max_n: int) -> dict[Partition, dict[int, int]]:
+    """For every shape of every size 1..max_n, how many of its standard
+    tableaux have each maj, by one depth-first walk over every standard
+    tableau of size <= max_n: a tableau of size k+1 is one of size k with
+    k+1 placed at the end of a row, and placing it strictly below k adds k
+    to maj.  Each tableau is visited once, so the counts rest on no formula."""
+    counts: dict[Partition, dict[int, int]] = {}
+
+    def place(mu: Partition, row: int, stat: int, k: int) -> None:
+        # mu holds 1..k with k in ``row``; place k+1 in each addable row
+        for r in range(len(mu) + 1):
+            if r == len(mu):
+                nu = mu + (1,)
+            elif r == 0 or mu[r - 1] > mu[r]:
+                nu = mu[:r] + (mu[r] + 1,) + mu[r + 1 :]
+            else:
+                continue
+            s = stat + k if r > row else stat
+            by_maj = counts.setdefault(nu, {})
+            by_maj[s] = by_maj.get(s, 0) + 1
+            if k + 1 < max_n:
+                place(nu, r, s, k + 1)
+
+    if max_n > 0:
+        place((), 0, 0, 0)  # 1 joins nothing: it adds k = 0 wherever it goes
+    return counts
 
 
 def descent_set(t: StandardTableau) -> frozenset[int]:
@@ -323,6 +356,53 @@ def _check_budget(bound: Partition, n: int) -> None:
         layer = list(own)
 
 
+def _slots(n: int) -> tuple[int, int]:
+    """The (base, width) of the packed tables of the DP of n: slot
+    stat * (n+1) + bar count, wide enough for f^lam * 2^n."""
+    return n + 1, slot_width(math.isqrt(math.factorial(n)) << n)
+
+
+def _sign_layers(bound: Partition, n: int, use_comaj: bool):
+    """The DP of :func:`_sign_generating_polys`, one layer at a time: after
+    0, 1, ..., n entries are placed, {mu: packed table} for each shape mu
+    inside ``bound``, summed over the row of the last entry and its bar.
+
+    For maj, layer k is the size-k table of every shape of k inside
+    ``bound``: the contribution of entry i is fixed only when i+1 is placed,
+    and the step i * (n+1) does not depend on n.  For comaj, whose step
+    n - i does, only layer n is a table."""
+    base, width = _slots(n)
+    # before 1 is placed: the empty shape, and a "row of 0" below every row,
+    # so that placing 1 joins nothing
+    layer = {(0,) * len(bound): {(len(bound), False): 1}}
+    yield {(0,) * len(bound): 1}
+    for i in range(n):
+        step = (n - i if use_comaj else i) * base * width
+        nxt: dict = {}
+        for mu, states in layer.items():
+            moves = [(r, nxt.setdefault(nu, {})) for r, nu in _moves(bound, mu)]
+            for (row, barred), table in states.items():
+                for r, targets in moves:
+                    lower = r > row
+                    for barred_next in (False, True):
+                        joins = (lower and not barred_next) or (barred and not lower)
+                        key = (r, barred_next)
+                        shift = step * joins + width * barred_next
+                        targets[key] = targets.get(key, 0) + (table << shift)
+        layer = nxt
+        yield {mu: sum(states.values()) for mu, states in layer.items()}
+
+
+def _unpacked(tables: dict, base: int, width: int) -> dict[Partition, QTPoly]:
+    """The packed tables of one layer of :func:`_sign_layers` as
+    polynomials, each checked against f^lam * 2^|lam|."""
+    out = {}
+    for mu, table in tables.items():
+        lam = tuple(part for part in mu if part)
+        out[lam] = QTPoly.unpack(table, base, width, _syt_count(lam) << sum(lam))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Partition, QTPoly]:
     """Counts of (statistic, bar count) over all signed tableaux of each
@@ -345,32 +425,18 @@ def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Pa
     of n above it.
     """
     _check_budget(bound, n)
-    if n == 0:
-        return {(): QTPoly.one()}
-    base = n + 1
-    width = slot_width(math.isqrt(math.factorial(n)) << n)
-    # before 1 is placed: the empty shape, and a "row of 0" below every row,
-    # so that placing 1 joins nothing; the last step keeps one table per shape
-    layer = {((0,) * len(bound), len(bound), False): 1}
-    for i in range(n):
-        step = (n - i if use_comaj else i) * base
-        last = i == n - 1
-        nxt: dict = {}
-        get = nxt.get
-        while layer:
-            (mu, row, barred), table = layer.popitem()
-            for r, nu in _moves(bound, mu):
-                lower = r > row
-                for barred_next in (False, True):
-                    joins = (lower and not barred_next) or (barred and not lower)
-                    target = nu if last else (nu, r, barred_next)
-                    nxt[target] = get(target, 0) + (table << (step * joins + barred_next) * width)
-        layer = nxt
-    out = {}
-    for mu, table in layer.items():
-        lam = tuple(part for part in mu if part)
-        out[lam] = QTPoly.unpack(table, base, width, syt_count(lam) << n)
-    return out
+    *_, last = _sign_layers(bound, n, use_comaj)
+    return _unpacked(last, *_slots(n))
+
+
+@lru_cache(maxsize=None)
+def _maj_sweep(max_n: int) -> tuple[dict[Partition, QTPoly], ...]:
+    """The maj tables of every shape of every size 0..max_n, indexed by
+    size: the layers of the one DP of every shape of max_n."""
+    bound = _every_shape(max_n)
+    _check_budget(bound, max_n)
+    slots = _slots(max_n)
+    return tuple(_unpacked(tables, *slots) for tables in _sign_layers(bound, max_n, False))
 
 
 def maj_neg_generating_poly(lam: Partition) -> QTPoly:
@@ -394,13 +460,19 @@ def _every_shape(n: int) -> Partition:
     return tuple(n // k for k in range(1, n + 1))
 
 
-def maj_neg_generating_polys(n: int) -> dict[Partition, QTPoly]:
-    """:func:`maj_neg_generating_poly` of every shape of n, from one DP."""
-    return dict(_sign_generating_polys(_every_shape(n), n, False))
+def maj_neg_generating_polys(n: int, up_to: int | None = None) -> dict[Partition, QTPoly]:
+    """:func:`maj_neg_generating_poly` of every shape of n, read off the one
+    DP of every shape of every size up to ``up_to`` (n by default): a sweep
+    passes its largest size, so that its DP runs once."""
+    up_to = n if up_to is None else up_to
+    if not 0 <= n <= up_to:
+        raise ValueError(f"need 0 <= n <= up_to, got n = {n}, up_to = {up_to}")
+    return dict(_maj_sweep(up_to)[n])
 
 
 def comaj_neg_generating_polys(n: int) -> dict[Partition, QTPoly]:
-    """:func:`comaj_neg_generating_poly` of every shape of n, from one DP."""
+    """:func:`comaj_neg_generating_poly` of every shape of n, from one DP: the
+    comaj step n - i depends on n, so each n runs its own."""
     return dict(_sign_generating_polys(_every_shape(n), n, True))
 
 

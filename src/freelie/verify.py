@@ -20,10 +20,7 @@ at its value.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from itertools import compress
-from operator import gt
 
 from . import cyclic, specialization, superlie, symfunc, tableau
 from .exactalg import QTPoly, Record, ResourceLimitError, UsageError, first_difference
@@ -186,20 +183,18 @@ def _admit_slice(max_n: int) -> None:
 def suite_hook(max_n: int):
     """q,t-hook product equals the (maj, bar count) generating polynomial,
     and its t = 0 slice is the classical maj generating polynomial, counted
-    over the standard tableaux themselves (i is a descent of a row word w
-    when w[i] > w[i-1])."""
+    over the standard tableaux themselves by one walk that carries maj.
+    Every size reads its generating polynomials off the one DP up to max_n."""
     _admit_sign_polys(max_n)
     _admit_slice(max_n)
+    slices = tableau.syt_maj_counts(max_n)
     for n in range(1, max_n + 1):
-        gens = tableau.maj_neg_generating_polys(n)
+        gens = tableau.maj_neg_generating_polys(n, max_n)
         for lam in partitions_of(n):
             product = specialization.hook_product(lam)
             yield "hook-formula", {"partition": format_partition(lam)}, gens[lam], product
-            majs = Counter(
-                sum(compress(range(1, n), map(gt, w[1:], w))) for w in tableau.syt_row_words(lam)
-            )
-            classical = QTPoly({(a, 0): c for a, c in majs.items()})
-            t0_slice = QTPoly({k: c for k, c in product.items() if k[1] == 0})
+            classical = QTPoly({(a, 0): c for a, c in slices[lam].items()})
+            t0_slice = QTPoly({k: c for k, c in product.terms.items() if k[1] == 0})
             yield "hook-classical-slice", {"partition": format_partition(lam)}, classical, t0_slice
 
 
@@ -221,7 +216,7 @@ def suite_sps(max_n: int, q_cap: int, qt_hook_max_n: int):
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
             parameters = {"partition": format_partition(lam), "q_cap": q_cap}
-            routes = specialization.s_ps_routes(lam, q_cap)
+            routes = specialization.s_ps_routes(lam, q_cap, max_n)
             yield "schur-principal-specialization", parameters, *routes
     for n in range(1, qt_hook_max_n + 1):
         for lam in partitions_of(n):
@@ -250,7 +245,7 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int):
     implementations of residue extraction on random dicts {lambda: QTPoly}."""
     _admit_sign_polys(max_total)
     for n, m in _bidegrees(max_total):
-        yield "kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m)
+        yield "kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m, max_total)
 
     # one check over all trials: it stops at the first failing trial and
     # names it; if none fails, it compares the last trial's routes
@@ -294,11 +289,12 @@ def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int):
     bars over shapes of n+m when gcd(r + h, n+m) = gcd(s + h, n+m), where
     h = half_if_even(m) (signed); and for odd n and m, bar counts m and n are
     equidistributed within every maj residue class mod n+m (odd)."""
-    _admit_sign_polys(max(sym1_max_n, sym2_max_total, sym3_max_total))
+    largest = max(sym1_max_n, sym2_max_total, sym3_max_total)
+    _admit_sign_polys(largest)
     for n in range(2, sym1_max_n + 1):
         pairs = _equal_gcd_pairs(n, 0)
         for lam in partitions_of(n):
-            counts = specialization.symmetry_counts(lam, n, 0)
+            counts = specialization.symmetry_counts(lam, n, 0, largest)
             yield (
                 "residue-symmetry-classical",
                 {"partition": format_partition(lam)},
@@ -309,7 +305,7 @@ def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int):
         total = n + m
         pairs = _equal_gcd_pairs(total, specialization.half_if_even(m))
         shapes = partitions_of(total)
-        counts = {lam: specialization.symmetry_counts(lam, total, m) for lam in shapes}
+        counts = {lam: specialization.symmetry_counts(lam, total, m, largest) for lam in shapes}
         by_r = {(lam, r, s): c[r % total] for lam, c in counts.items() for r, s in pairs}
         by_s = {(lam, r, s): c[s % total] for lam, c in counts.items() for r, s in pairs}
         yield "residue-symmetry-signed", {"n": n, "m": m}, by_r, by_s
@@ -322,7 +318,7 @@ def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int):
                 {
                     (lam, r): c
                     for lam in partitions_of(total)
-                    for r, c in specialization.symmetry_counts(lam, total, bars).items()
+                    for r, c in specialization.symmetry_counts(lam, total, bars, largest).items()
                 }
                 for bars in (m, n)
             )

@@ -225,13 +225,15 @@ def test_count_budget_resource_error(capsys):
 def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
     # each sweep over the all-shapes DP is priced at its bound before the DP
     # of n = 1 runs, not after computing every n <= 18, and without building
-    # the bound's n parts; a DP call fails the test at once
+    # the bound's n parts; a DP call, of the maj sweep or of one size, fails
+    # the test at once
     calls = []
 
-    def refuse(bound, n, use_comaj):
-        calls.append(n)
-        raise AssertionError(f"the DP of size {n} ran before the sweep was priced")
+    def refuse(*key):
+        calls.append(key)
+        raise AssertionError(f"the DP {key} ran before the sweep was priced")
 
+    monkeypatch.setattr(tableau, "_maj_sweep", refuse)
     monkeypatch.setattr(tableau, "_sign_generating_polys", refuse)
     for flag in (("hook", "--max-n"), ("kw", "--max-total"), ("sps", "--max-n")):
         for n in ("40", "1000000000"):
@@ -279,7 +281,7 @@ def test_classical_slice_refused_before_any_tableau(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("syt_row_words", "_sign_generating_polys"):
+    for name in ("syt_maj_counts", "_maj_sweep", "_sign_generating_polys"):
         monkeypatch.setattr(tableau, name, counted(getattr(tableau, name)))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "hook", "--max-n", "15")
@@ -298,11 +300,14 @@ def test_overflowed_slots_never_pass(routes, capsys, monkeypatch):
     # hook product or both get them, the run refuses instead of passing
     for module in routes:
         monkeypatch.setattr(module, "slot_width", lambda bound: 8)
-    tableau._sign_generating_polys.cache_clear()
+    tables = (tableau._maj_sweep, tableau._sign_generating_polys)
+    for table in tables:
+        table.cache_clear()
     try:
         code, out, err = run(capsys, "verify", "hook", "--max-n", "9")
     finally:
-        tableau._sign_generating_polys.cache_clear()
+        for table in tables:
+            table.cache_clear()
     assert code == cli.EXIT_DOMAIN
     assert "8-bit slots" in err
     assert "[pass]" not in out

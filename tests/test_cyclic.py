@@ -251,6 +251,40 @@ def test_induce_oracle_scans_the_permutations_once_per_order(monkeypatch):
     assert scans == [1, 2, 3, 4, 5]
 
 
+def _conjugation_counts_by_generator(r):
+    """The conjugation counts as the scan first computed them: each
+    conjugate x^-1 sigma x built by a generator over x."""
+    g = tuple((i + 1) % r for i in range(r))
+    power_of, h = {}, g
+    for k in range(1, r + 1):
+        power_of[h] = k
+        h = tuple(g[h[x]] for x in range(r))
+    table = []
+    for mu in partitions_of(r):
+        sigma, base = [], 0
+        for part in mu:
+            sigma.extend(base + (i + 1) % part for i in range(part))
+            base += part
+        counts = [0] * r
+        for x in permutations(range(r)):
+            xinv = [0] * r
+            for i, y in enumerate(x):
+                xinv[y] = i
+            k = power_of.get(tuple(xinv[sigma[y]] for y in x))
+            if k is not None:
+                counts[k - 1] += 1
+        table.append((mu, tuple(counts)))
+    return tuple(table)
+
+
+def test_conjugation_counts_match_the_generator_scan():
+    # the itemgetter scan, with its own case for r = 1, counts what the
+    # generator scan counted
+    cyclic._conjugation_counts.cache_clear()
+    for r in range(1, 8):
+        assert cyclic._conjugation_counts(r) == _conjugation_counts_by_generator(r), r
+
+
 def test_induce_oracle_cap():
     with pytest.raises(ResourceLimitError):
         induce_oracle(chi_power(8, 1))

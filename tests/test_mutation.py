@@ -8,12 +8,16 @@ report, in text output and in JSON output.  A new check without a mutant
 fails ``test_every_emitted_check_has_a_mutant``.
 """
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import freelie
 from freelie import (
     cli,
     cyclic,
@@ -31,12 +35,22 @@ from freelie.specialization import SpecSeries
 from freelie.symfunc import BiSymFunc, SymFunc
 
 
+def _submodules():
+    """Every module of the package, imported."""
+    for info in pkgutil.iter_modules(freelie.__path__):
+        yield importlib.import_module(f"freelie.{info.name}")
+
+
+def _caches():
+    """Every module-level lru_cache of the package."""
+    for module in _submodules():
+        yield from (value for value in vars(module).values() if hasattr(value, "cache_info"))
+
+
 def _clear_caches():
     symfunc.clear_character_cache()
-    for module in (tableau, partition, exactalg, specialization, symfunc, cyclic):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    for cache in _caches():
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -94,8 +108,8 @@ def residue_one(bars=None):
     at every bar count or only at ``bars``."""
 
     def mutate(real):
-        def mutant(lam, r_total, m):
-            counts = real(lam, r_total, m)
+        def mutant(lam, r_total, m, *sweep):
+            counts = real(lam, r_total, m, *sweep)
             if bars in (None, m):
                 counts[1] += 1
             return counts
@@ -141,6 +155,21 @@ def test_clear_caches_reaches_the_oracle_tables():
     assert all(table.cache_info().currsize for table in tables)
     _clear_caches()
     assert not any(table.cache_info().currsize for table in tables)
+
+
+def test_clear_caches_empties_every_cache_of_the_package():
+    # a memo table that _clear_caches misses would carry a mutant's values
+    # from one test into the next
+    assert cli.main(["verify", "all", "--profile", "quick"]) == cli.EXIT_OK
+    caches = set(_caches())
+    # each @lru_cache in the source is one of them, so none is out of reach
+    sources = [inspect.getsource(module) for module in _submodules()]
+    assert len(caches) == sum(source.count("@lru_cache") for source in sources)
+    assert {tableau._maj_sweep, partition._hook_lengths, specialization._root_sum} <= caches
+    assert any(cache.cache_info().currsize for cache in caches)
+    _clear_caches()
+    assert [c for c in caches if c.cache_info().currsize] == []
+    assert not symfunc._character_cache
 
 
 def test_every_emitted_check_has_a_mutant():

@@ -8,6 +8,7 @@ from freelie.partition import (
     conjugate,
     format_partition,
     hook_length,
+    hook_lengths,
     parse_partition,
     partitions_of,
     z_lambda,
@@ -120,6 +121,15 @@ def test_hook_multiset_invariant_under_conjugation():
                 for c in range(1, part + 1)
             )
             assert mine == theirs
+
+
+def test_hook_lengths_match_each_cell():
+    for n in range(13):
+        for lam in partitions_of(n):
+            cells = [(r, c) for r, part in enumerate(lam, 1) for c in range(1, part + 1)]
+            assert hook_lengths(lam) == tuple(hook_length(lam, r, c) for r, c in cells), lam
+    with pytest.raises(TypeError):
+        hook_lengths((2.0, 1))
 
 
 def test_z_lambda_examples():

@@ -403,6 +403,16 @@ def test_omega_roots_match_per_root_loop():
             assert omega_extract_roots(f, r, s) == _omega_extract_per_root(f, r, s), (r, s)
 
 
+def test_root_sum_is_r_or_zero():
+    # the sum of zeta^(kj) over the r-th roots, one cyclotomic reduction per
+    # (r, j mod r): r when r divides j, else 0
+    specialization._root_sum.cache_clear()
+    for r in range(1, 13):
+        for j in range(r):
+            assert specialization._root_sum(r, j) == (r if j == 0 else 0), (r, j)
+    assert specialization._root_sum.cache_info().currsize == 78
+
+
 # -- the multiplicity pipeline
 
 def test_kw_generating_function_small():

@@ -1,5 +1,7 @@
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, compress
+from operator import gt
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from freelie.tableau import (
     syt_count,
     syt_descent_sets,
     syt_enumerate,
+    syt_maj_counts,
     syt_row_words,
 )
 
@@ -90,6 +93,18 @@ def test_descent_sets_read_off_the_row_words():
         for lam in partitions_of(n):
             assert list(syt_descent_sets(lam)) == [descent_set(t) for t in syt_enumerate(lam)], lam
     assert list(syt_descent_sets(())) == [frozenset()]
+
+
+def test_maj_walk_counts_the_row_words():
+    # the walk that carries maj counts what the row words count, i being a
+    # descent of a word w when w[i] > w[i-1]
+    walked = syt_maj_counts(9)
+    assert set(walked) == {lam for n in range(1, 10) for lam in partitions_of(n)}
+    for lam, counts in walked.items():
+        n = sum(lam)
+        words = syt_row_words(lam)
+        assert counts == Counter(sum(compress(range(1, n), map(gt, w[1:], w))) for w in words), lam
+    assert syt_maj_counts(0) == {}
 
 
 def test_descent_set_worked_example():
@@ -312,6 +327,20 @@ def test_all_shapes_dp_matches_single_shape_dp():
             assert comajs[lam] == comaj_neg_generating_poly(lam), lam
 
 
+def test_shared_maj_dp_reads_every_size_off_its_layers():
+    # layer k of the DP up to 10, summed over the last entry's row and bar,
+    # is the DP of every shape of k alone
+    sweep = tableau._maj_sweep(10)
+    assert len(sweep) == 11
+    for n in range(11):
+        assert sweep[n] == tableau._sign_generating_polys(tableau._every_shape(n), n, False), n
+        assert maj_neg_generating_polys(n, 10) == sweep[n]
+    with pytest.raises(ValueError):
+        maj_neg_generating_polys(11, 10)
+    with pytest.raises(ValueError):
+        maj_neg_generating_polys(-1, 10)
+
+
 def _dict_sign_generating_polys(bound, n, use_comaj):
     """The signed-tableau DP with one dict per state's table instead of a
     packed int: the reference for the packed tables."""
@@ -361,25 +390,30 @@ def test_all_shapes_result_is_a_copy():
 
 
 def test_sweeps_compute_each_size_and_statistic_once(monkeypatch):
-    real = tableau._sign_generating_polys
-    for suite in ("hook", "kw", "symmetry", "sps"):
-        real.cache_clear()
-        for value in vars(specialization).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-        calls = []
-
-        def counted(bound, n, use_comaj):
-            calls.append((bound, n, use_comaj))
-            return real(bound, n, use_comaj)
-
-        monkeypatch.setattr(tableau, "_sign_generating_polys", counted)
+    # every size's maj tables are read off one DP up to the sweep's largest
+    # size; comaj, whose step n - i depends on n, runs one DP per size
+    sweep, polys = tableau._maj_sweep, tableau._sign_generating_polys
+    quick = {name: suite.profiles["quick"] for name, suite in verify.SUITES.items()}
+    largest = {
+        "hook": quick["hook"]["max_n"],
+        "kw": quick["kw"]["max_total"],
+        "symmetry": max(quick["symmetry"].values()),
+        "sps": quick["sps"]["max_n"],
+    }
+    for suite, max_n in largest.items():
+        for cache in (sweep, polys, *vars(specialization).values()):
+            if hasattr(cache, "cache_clear"):
+                cache.cache_clear()
+        sweeps, calls = [], []
+        monkeypatch.setattr(tableau, "_maj_sweep", lambda n: sweeps.append(n) or sweep(n))
+        monkeypatch.setattr(
+            tableau, "_sign_generating_polys", lambda *key: calls.append(key) or polys(*key)
+        )
         verify.run_suite(suite, "quick")
-        assert calls, suite
-        computed = set(calls)
-        # one table per (n, statistic), over every shape of n at once
-        assert real.cache_info().misses == len(computed) == len({(n, c) for _, n, c in computed}), suite
-        assert all(bound == tableau._every_shape(n) for bound, n, _ in computed), suite
+        assert set(sweeps) == {max_n} and sweep.cache_info().misses == 1, suite
+        comaj = {(tableau._every_shape(n), n, True) for n in range(1, max_n + 1)}
+        assert set(calls) == (comaj if suite == "sps" else set()), suite
+        assert polys.cache_info().misses == len(set(calls)), suite
 
 
 def _reference_budget_bound(lam):
