@@ -30,7 +30,7 @@ _EXPORTS = {
          " syt_enumerate"),
         ("symfunc", "BiSymFunc ClassFunctionSn SymFunc diagonal e_pleth expand_truncated"
          " frobenius_characteristic h_pleth mn_character multiply plethysm_p"
-         " schur_expand"),
+         " render_schur schur_expand"),
         ("superlie", "SupportMatrix brute_force_lie_dim enumerate_bidegree_matrices"
          " gamma_char petrogradsky_series super_bi_brandt_char super_brandt_char"
          " super_lie_module_char super_witt_dim thrall_routes"),

@@ -52,10 +52,10 @@ def _run(command: str, parameters: dict, status: str, payload: dict) -> dict:
 def _sym_payload(f: SymFunc) -> dict:
     expansion = symfunc.schur_expand(f)
     return {
-        "p_expansion": str(symfunc.to_p(f)),
-        "s_expansion": str(expansion),
+        "p_expansion": str(f),
+        "s_expansion": symfunc.render_schur(expansion),
         "schur_nonneg_integral": symfunc.first_bad_multiplicity(expansion) is None,
-        "json": symfunc.sym_to_json(symfunc.to_p(f)),
+        "json": symfunc.sym_to_json(f),
     }
 
 

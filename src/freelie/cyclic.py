@@ -118,7 +118,7 @@ def induce_frobenius(chi: CyclicClassFunction) -> SymFunc:
         c = Fraction(inner.rational_value(), r)
         if c != 0:
             terms[(d,) * (r // d)] = c
-    return SymFunc("p", terms)
+    return SymFunc(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -188,20 +188,23 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 
 def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
     """(q;q)_n / prod_k (1 - q^k) as integer coefficients, constant term
-    first, computed without division.
+    first, computed without division, as a fresh list.
 
     1 - q^k = -prod_{d | k} Phi_d(q), so the quotient is
     (-1)^(n - #ks) prod_{d >= 1} Phi_d^(floor(n/d) - #{k : d | k}).  A
     negative exponent means the quotient is no polynomial and raises
-    ExactDivisionError.
+    ExactDivisionError.  It is held per (n, multiset of ks).
     """
+    return list(_q_pochhammer_quotient(n, tuple(sorted(ks))))
+
+
+@lru_cache(maxsize=None)
+def _q_pochhammer_quotient(n: int, ks: tuple[int, ...]) -> tuple[int, ...]:
     exponents = {d: n // d for d in range(1, n + 1)}
-    count = 0
     for k in ks:
-        count += 1
         for d in divisors(k):
             exponents[d] = exponents.get(d, 0) - 1
-    out = [-1 if (n - count) % 2 else 1]
+    out = [-1 if (n - len(ks)) % 2 else 1]
     for d, e in sorted(exponents.items()):
         if e < 0:
             raise ExactDivisionError(
@@ -209,7 +212,7 @@ def q_pochhammer_quotient(n: int, ks: Iterable[int]) -> list[int]:
             )
         for _ in range(e):
             out = _poly_mul(out, cyclotomic_poly(d))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ class TermMap:
     ``int`` stays ``int``, so products of integer values never touch
     ``fractions``.  ``_layout`` names the attributes that two values
     must share to be added, multiplied or equal (a variable layout, a
-    truncation cap, a basis); any other slot of a subclass is carried along.
+    truncation cap); any other slot of a subclass is carried along.
     Public constructors validate outside input through :meth:`_fill`; results
     of ring operations are canonical already and are built by :meth:`_with`
     without re-validation.  A value is false exactly when it is zero; ``*``
@@ -290,24 +293,24 @@ class TermMap:
     _sort_key = None  # order of items() by key; None is the natural order
     _combine = None  # key of the product of two keys; None: no product
 
-    def _fill(self, terms: Mapping | None, key, coeff=exact) -> None:
+    def _fill(self, terms: Mapping | None, key) -> None:
         """Set the terms from outside input: ``key`` validates and normalizes
-        a key (None drops the term), ``coeff`` converts a coefficient."""
+        a key (None drops the term), :func:`exact` converts a coefficient."""
         canon = {}
         for k, c in (terms or {}).items():
             k = key(k)
             if k is not None:
-                c = coeff(c)
+                c = exact(c)
                 if c:
                     canon[k] = c
         self._terms = canon
 
-    def _with(self, terms: dict, **changes) -> TermMap:
-        """A value laid out like self, except for ``changes``, holding
-        ``terms``, which must already be canonical."""
+    def _with(self, terms: dict) -> TermMap:
+        """A value laid out like self holding ``terms``, which must already be
+        canonical."""
         out = object.__new__(type(self))
         for name in type(self).__slots__:
-            setattr(out, name, changes[name] if name in changes else getattr(self, name))
+            setattr(out, name, getattr(self, name))
         out._terms = terms
         return out
 
@@ -394,7 +397,7 @@ class TermMap:
             return self._with({})
         return self._with({k: c * factor for k, c in self._terms.items()})
 
-    def _product(self, other, combine, keep=None, **changes):
+    def _product(self, other, combine, keep=None):
         """Bilinear product: the terms at keys k1 and k2 multiply into key
         combine(k1, k2); keys failing ``keep`` are dropped before multiplying."""
         self._check(other)
@@ -406,8 +409,7 @@ class TermMap:
                 for k2, c2 in right
                 for k in [combine(k1, k2)]
                 if keep is None or keep(k)
-            ),
-            **changes,
+            )
         )
 
     # -- rendering

@@ -54,6 +54,7 @@ from .symfunc import (
     h_pleth,
     multiply,
     schur_expand,
+    to_p,
 )
 from .tableau import (
     comaj_neg_generating_polys,
@@ -185,7 +186,7 @@ def super_power_sum_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     lam = check_partition(lam)
     out = MultiPoly.const(N, M, 1)
     for part in lam:
-        px = expand_truncated(SymFunc.term("p", (part,)), N, M)
+        px = expand_truncated(SymFunc.term((part,)), N, M)
         py = expand_truncated(BiSymFunc.term((), (part,)), N, M)
         out = out * (px + py * Fraction((-1) ** (part + 1)))
     return out
@@ -199,10 +200,10 @@ def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
     lhs = MultiPoly(N, M)
     rhs = MultiPoly(N, M)
     for lam in partitions_of(n):
-        s_poly = expand_truncated(SymFunc.term("s", lam), N, M)
+        s_poly = expand_truncated(to_p({lam: 1}), N, M)
         if s_poly:
             lhs = lhs + s_poly * super_schur_truncated(lam, N, M)
-        p_poly = expand_truncated(SymFunc.term("p", lam), N, M)
+        p_poly = expand_truncated(SymFunc.term(lam), N, M)
         rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Fraction(
             1, z_lambda(lam)
         )
@@ -423,16 +424,15 @@ def _kw_filtered(total: int, up_to: int | None) -> dict[Partition, QTPoly]:
     return omega_extract(kw_generating_function(total, up_to), total, 1)
 
 
-def kw_routes(n: int, m: int, up_to: int | None = None) -> tuple[SymFunc, SymFunc]:
-    """The Schur multiplicities of the bidegree-(n, m) character along two
-    routes: the tableau count (the q-exponents congruent to 1 mod n+m of the
-    generating function, then the t^m coefficient), and the Schur expansion
-    of the character.  A sweep over the totals up to ``up_to`` passes it, so
-    that the tableau DP runs once."""
+def kw_routes(n: int, m: int, up_to: int | None = None) -> tuple[dict, dict]:
+    """The Schur multiplicities {lambda: c} of the bidegree-(n, m) character
+    along two routes: the tableau count (the q-exponents congruent to 1 mod
+    n+m of the generating function, then the t^m coefficient), and the Schur
+    expansion of the character.  A sweep over the totals up to ``up_to``
+    passes it, so that the tableau DP runs once."""
     filtered = _kw_filtered(n + m, up_to)
-    # the DP's shapes and integer counts are canonical terms already
     counts = {lam: c for lam, poly in filtered.items() if (c := poly.terms.get((0, m)))}
-    return SymFunc("s")._with(counts), schur_expand(super_brandt_char(n, m))
+    return counts, schur_expand(super_brandt_char(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +466,10 @@ def symmetry_counts(
 # degree-two plethysms
 
 
-def degree_two_routes(d: int) -> tuple[tuple[SymFunc, ...], tuple[SymFunc, ...]]:
+def degree_two_routes(d: int) -> tuple[tuple, tuple]:
     """Three closed-form facts about degree-two building blocks, returned as
-    the three computed sides and the three closed forms:
+    the three computed sides and the three closed forms, two Schur
+    expansions and a symmetric function:
 
     (a) the d-th symmetric power of the antisymmetric square expands into
         Schur functions over shapes of 2d with all column lengths even;
@@ -483,18 +484,12 @@ def degree_two_routes(d: int) -> tuple[tuple[SymFunc, ...], tuple[SymFunc, ...]]
     symm = super_brandt_char(0, 2)  # (p_11 + p_2)/2
 
     got_a = schur_expand(h_pleth(d, anti))
-    want_a = SymFunc(
-        "s",
-        {mu: 1 for mu in partitions_of(2 * d) if all(col % 2 == 0 for col in conjugate(mu))},
-    )
+    want_a = {mu: 1 for mu in partitions_of(2 * d) if all(col % 2 == 0 for col in conjugate(mu))}
     got_b = schur_expand(h_pleth(d, symm))
-    want_b = SymFunc(
-        "s",
-        {mu: 1 for mu in partitions_of(2 * d) if all(part % 2 == 0 for part in mu)},
-    )
+    want_b = {mu: 1 for mu in partitions_of(2 * d) if all(part % 2 == 0 for part in mu)}
 
     lhs_c = e_pleth(d, super_brandt_char(1, 1))
-    rhs_c = SymFunc("p")
+    rhs_c = SymFunc()
     for k in range(d + 1):
         rhs_c = rhs_c + multiply(e_pleth(k, symm), e_pleth(d - k, anti))
     return (got_a, got_b, lhs_c), (want_a, want_b, rhs_c)

@@ -114,7 +114,7 @@ def super_brandt_char(n: int, m: int) -> SymFunc:
     """One-alphabet character of the (n, m) bidegree piece:
     1/(n+m) * sum over d | gcd(n,m) of (-1)^(m + m/d) mu(d) C((n+m)/d, m/d) p_d^((n+m)/d).
     """
-    return SymFunc("p", {(d,) * ((n + m) // d): c for d, c in _brandt_terms(n, m)})
+    return SymFunc({(d,) * ((n + m) // d): c for d, c in _brandt_terms(n, m)})
 
 
 def super_bi_brandt_char(n: int, m: int) -> BiSymFunc:

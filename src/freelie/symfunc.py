@@ -1,19 +1,18 @@
 """Symmetric functions in one and two alphabets, over exact rational coefficients.
 
-The internal canonical basis is the power sums: every formula this package
-verifies is native to p, so the Schur basis s is a conversion layer on top.
-Both containers are :class:`SymTerms`, a term map from index keys to exact
-rational coefficients (``int`` or ``Fraction``): a :class:`SymFunc` is a basis
-tag plus partition keys; a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
-monomials by pairs of partitions and is always read in the power-sum sense
-(its ``basis`` is the class constant "p").  One set of public operations
-serves both: :func:`multiply`, :func:`plethysm_p`, :func:`h_pleth`,
-:func:`e_pleth` and :func:`expand_truncated` take either container.  The one
-exception is :func:`bi_schur_expand`: no container holds an s-basis
-expansion keyed by pairs of partitions, so it returns a plain dict.  The one
-q,t-valued symmetric function of the package, the Kraskiewicz-Weyman
-generating function, is a plain dict of q,t-polynomials too (see
-:mod:`freelie.specialization`).
+Every symmetric function lives in the power sums: every formula this package
+verifies is native to p.  Both containers are :class:`SymTerms`, a term map
+from index keys to exact rational coefficients (``int`` or ``Fraction``): a
+:class:`SymFunc` indexes p_lambda by partitions, a :class:`BiSymFunc` indexes
+p_lambda(x) * p_mu(y) monomials by pairs of partitions.  One set of public
+operations serves both: :func:`multiply`, :func:`plethysm_p`,
+:func:`h_pleth`, :func:`e_pleth` and :func:`expand_truncated` take either
+container.  A Schur expansion is a plain dict, {lambda: c} in one alphabet
+(:func:`schur_expand`) and {(alpha, beta): c} in two
+(:func:`bi_schur_expand`); :func:`to_p` takes the first kind back to the
+power sums and :func:`render_schur` prints it.  The q,t-valued
+Kraskiewicz-Weyman generating function is a plain dict of q,t-polynomials
+too (see :mod:`freelie.specialization`).
 
 Schur <-> power-sum conversion goes through the symmetric group character
 table, one column {lambda: chi^lambda(mu)} per cycle type mu at a time.  A
@@ -44,7 +43,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactalg import MultiPoly, RatLike, Record, ResourceLimitError, TermMap, collect, exact
+from .exactalg import (
+    MultiPoly,
+    RatLike,
+    Record,
+    ResourceLimitError,
+    TermMap,
+    collect,
+    exact,
+    render_terms,
+)
 from .partition import (
     Partition,
     check_partition,
@@ -52,9 +60,6 @@ from .partition import (
     partitions_of,
     z_lambda,
 )
-
-BASES = ("p", "s")
-
 
 def _partition_sort_key(lam: Partition):
     # ascending degree, then reverse lexicographic within a degree
@@ -87,31 +92,29 @@ class SymTerms(TermMap):
 
 
 class SymFunc(SymTerms):
-    """Basis-tagged sparse symmetric function with rational coefficients.
+    """Sparse symmetric function: a finite map lambda -> coefficient,
+    indexing p_lambda.
 
     Terms need not share a degree; each index partition carries its own.
     Zero coefficients are never stored.
     """
 
-    __slots__ = ("basis",)
-    _layout = ("basis",)
+    __slots__ = ()
     _sort_key = staticmethod(_partition_sort_key)
     _union = staticmethod(_union_parts)
     _unit: Partition = ()
+    _name = staticmethod(lambda lam: f"p_{format_partition(lam)}" if lam else "")
 
-    def __init__(self, basis: str, terms: Mapping[Partition, RatLike] | None = None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-        self.basis = basis
+    def __init__(self, terms: Mapping[Partition, RatLike] | None = None):
         self._fill(terms, check_partition)
 
     @classmethod
-    def one(cls, basis: str = "p") -> SymFunc:
-        return cls(basis, {(): 1})
+    def one(cls) -> SymFunc:
+        return cls({(): 1})
 
     @classmethod
-    def term(cls, basis: str, lam, coeff: RatLike = 1) -> SymFunc:
-        return cls(basis, {check_partition(lam): coeff})
+    def term(cls, lam, coeff: RatLike = 1) -> SymFunc:
+        return cls({check_partition(lam): coeff})
 
     def _key(self, lam) -> Partition:
         return check_partition(lam)
@@ -123,9 +126,6 @@ class SymFunc(SymTerms):
     @staticmethod
     def _alphabets(lam: Partition) -> tuple[Partition]:
         return (lam,)
-
-    def _name(self, lam: Partition) -> str:
-        return f"{self.basis}_{format_partition(lam)}" if lam else ""
 
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self._terms})
@@ -141,7 +141,6 @@ class BiSymFunc(SymTerms):
     indexing p_lambda(x) * p_mu(y)."""
 
     __slots__ = ()
-    basis = "p"
     _sort_key = staticmethod(lambda key: (_partition_sort_key(key[0]), _partition_sort_key(key[1])))
     _union = staticmethod(lambda a, b: (_union_parts(a[0], b[0]), _union_parts(a[1], b[1])))
     _unit = ((), ())
@@ -355,23 +354,44 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], RatLike]) -> dict
 
 
 # ---------------------------------------------------------------------------
-# basis conversions
+# Schur expansions
 
 
-def to_p(f: SymTerms) -> SymTerms:
-    """Convert to the power-sum basis: s_lambda = sum over mu of
-    chi^lambda(mu) / z_mu * p_mu.  A :class:`BiSymFunc` is already there."""
-    if f.basis == "p":
-        return f
-    return f._with(
+def to_p(expansion: Mapping[Partition, RatLike]) -> SymFunc:
+    """The power sums of a Schur expansion {lambda: c}, the inverse of
+    :func:`schur_expand`: s_lambda = sum over mu of chi^lambda(mu)/z_mu p_mu."""
+    return SymFunc()._with(
         collect(
             (mu, c * Fraction(chi, z_lambda(mu)))
-            for lam, c in f.terms.items()
+            for lam, c in SymFunc(expansion).terms.items()
             for mu in partitions_of(sum(lam))
             if (chi := _column(mu).get(lam))
-        ),
-        basis="p",
+        )
     )
+
+
+def schur_expand(f: SymFunc) -> dict[Partition, RatLike]:
+    """The Schur expansion {lambda: c} of f via the character table."""
+    s_terms = _character_transform({(mu,): c for mu, c in f.terms.items()})
+    return {lam: c for (lam,), c in s_terms.items()}
+
+
+def render_schur(expansion: Mapping[Partition, RatLike]) -> str:
+    """A Schur expansion {lambda: c} as the sum of its c*s_lambda, in the
+    canonical order of :class:`SymFunc`."""
+    return render_terms(
+        (f"s_{format_partition(lam)}" if lam else "", expansion[lam])
+        for lam in sorted(expansion, key=_partition_sort_key)
+    )
+
+
+def first_bad_multiplicity(expansion: Mapping[Partition, RatLike]) -> Partition | None:
+    """The first partition of a Schur expansion, in the canonical order, whose
+    coefficient is not a nonnegative integer, or None.  A character's Schur
+    expansion has none; one found flags a bug or a non-character input, it is
+    not an error by itself."""
+    bad = (lam for lam, c in expansion.items() if c.denominator != 1 or c < 0)
+    return min(bad, key=_partition_sort_key, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +399,19 @@ def to_p(f: SymTerms) -> SymTerms:
 
 
 def multiply(f: SymTerms, g: SymTerms) -> SymTerms:
-    """Product in the p basis: p_lambda p_mu = p_{lambda union mu}, bilinearly,
-    in each alphabet.  Other bases are converted first."""
-    return to_p(f)._unite(to_p(g))
+    """p_lambda p_mu = p_{lambda union mu}, bilinearly, in each alphabet."""
+    return f._unite(g)
 
 
 def frobenius_characteristic(chi: ClassFunctionSn) -> SymFunc:
     """sum over cycle types mu of chi(mu)/z_mu * p_mu."""
-    return SymFunc(
-        "p", {mu: Fraction(v, 1) / z_lambda(mu) for mu, v in chi.values.items()}
-    )
+    return SymFunc({mu: Fraction(v, 1) / z_lambda(mu) for mu, v in chi.values.items()})
 
 
 def plethysm_p(d: int, f: SymTerms) -> SymTerms:
     """Plethysm by p_d: each p_k becomes p_{dk}, in every alphabet."""
     if d < 1:
         raise ValueError(f"plethysm_p requires d >= 1, got {d}")
-    if f.basis != "p":
-        raise ValueError(f"plethysm_p expects the p basis, got {f.basis}")
     return f._pleth_p(d)
 
 
@@ -418,12 +433,12 @@ def _pleth_sum(a: int, f: SymTerms, signed: bool) -> SymTerms:
 
 def h_pleth(a: int, f: SymTerms) -> SymTerms:
     """h_a[f] = sum over mu |- a of z_mu^{-1} prod_j p_{mu_j}[f]."""
-    return _pleth_sum(a, to_p(f), signed=False)
+    return _pleth_sum(a, f, signed=False)
 
 
 def e_pleth(a: int, f: SymTerms) -> SymTerms:
     """e_a[f], like h_a[f] but with the sign (-1)^(a - length(mu))."""
-    return _pleth_sum(a, to_p(f), signed=True)
+    return _pleth_sum(a, f, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -465,28 +480,10 @@ def expand_truncated(f: SymTerms, N: int, M: int = 0) -> MultiPoly:
     return MultiPoly(N, M)._with(
         collect(
             (exp, coeff * c)
-            for key, coeff in to_p(f).terms.items()
+            for key, coeff in f.terms.items()
             for exp, c in _power_sum_product(f._alphabets(key), N, M).terms.items()
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Schur expansion
-
-
-def schur_expand(f: SymFunc) -> SymFunc:
-    """The Schur expansion of f, from either basis, via the character table;
-    the inverse of :func:`to_p`."""
-    s_terms = _character_transform({(mu,): c for mu, c in to_p(f).terms.items()})
-    return f._with({lam: c for (lam,), c in s_terms.items()}, basis="s")
-
-
-def first_bad_multiplicity(f: SymFunc) -> Partition | None:
-    """The first partition, in the canonical order, whose coefficient is not a
-    nonnegative integer, or None.  A character's Schur expansion has none; one
-    found flags a bug or a non-character input, it is not an error by itself."""
-    return next((lam for lam, c in f.items() if c.denominator != 1 or c < 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +493,14 @@ def first_bad_multiplicity(f: SymFunc) -> Partition | None:
 def diagonal(f: BiSymFunc) -> SymFunc:
     """Set the second alphabet equal to the first:
     p_lambda(x) p_mu(y) -> p_{lambda union mu}(x)."""
-    return SymFunc("p")._with(
+    return SymFunc()._with(
         collect((_union_parts(lam, mu), c) for (lam, mu), c in f.terms.items())
     )
 
 
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], RatLike]:
-    """Expansion in products s_alpha(x) s_beta(y), via the character table on
-    each alphabet in turn.  The one two-alphabet-only operation: its result,
-    an s-basis expansion keyed by pairs, has no container."""
+    """The Schur expansion {(alpha, beta): c} in products s_alpha(x) s_beta(y),
+    via the character table on each alphabet in turn."""
     return _character_transform(f.terms)
 
 
@@ -516,7 +512,7 @@ def sym_to_json(f: SymFunc) -> dict:
     if not isinstance(f, SymFunc):
         raise TypeError(f"sym_to_json takes a SymFunc, got {type(f).__name__}")
     return {
-        "basis": f.basis,
+        "basis": "p",
         "terms": [
             {"partition": list(lam), "coeff": [[0, 0, str(coeff)]]} for lam, coeff in f.items()
         ],

@@ -306,10 +306,16 @@ def _corners(mu: tuple[int, ...]) -> list[int]:
 
 
 def _check_budget(bound: Partition, n: int) -> None:
-    """Refuse the DP of the shapes of n inside ``bound`` unless each of them
-    would be admitted alone: unless, for each such shape lam, a bound on the
-    table-entry updates of the DP of lam alone is at most DEFAULT_PAIR_BUDGET,
-    read at call time.
+    """:func:`_admit_within` at DEFAULT_PAIR_BUDGET, read at call time: a
+    sweep priced before its DP runs is not walked again."""
+    _admit_within(bound, n, DEFAULT_PAIR_BUDGET)
+
+
+@lru_cache(maxsize=None)
+def _admit_within(bound: Partition, n: int, budget: int) -> None:
+    """Refuse the DP of the shapes of n inside ``bound`` unless, for each
+    such shape lam, a bound on the table-entry updates of the DP of lam
+    alone is at most ``budget``; a refusal raises, so it is not held.
 
     After i is placed in a shape mu, the row of i is a removable corner of mu
     and i may be barred or not; each such state moves by the addable rows of
@@ -325,7 +331,6 @@ def _check_budget(bound: Partition, n: int) -> None:
     upwards, and every shape of size <= n inside ``bound`` lies in one of size
     n, so the walk stops at the first F over the budget: a huge shape is
     refused after a few layers."""
-    budget = DEFAULT_PAIR_BUDGET
     layer = [(1,) + (0,) * (len(bound) - 1)] if n else []
     below: dict[tuple[int, ...], int] = {}
     for i in range(1, n):

@@ -84,9 +84,7 @@ def suite_brandt_diagonal(max_total: int):
         yield "brandt-diagonal", {"n": n, "m": m}, lhs, rhs
         expansion = symfunc.schur_expand(rhs)
         bad = symfunc.first_bad_multiplicity(expansion)
-        first_bad = {}
-        if bad is not None:
-            first_bad[f"s_{format_partition(bad)}"] = expansion.coefficient(bad)
+        first_bad = {} if bad is None else {f"s_{format_partition(bad)}": expansion[bad]}
         yield "schur-positivity", {"n": n, "m": m}, first_bad, {}
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelie import exactalg, specialization, verify
 from freelie.exactalg import (
     CycloElem,
     ExactDivisionError,
@@ -136,6 +137,29 @@ def test_q_pochhammer_quotient_raises_on_negative_exponent():
         q_pochhammer_quotient(1, [1, 1])
 
 
+def test_q_pochhammer_quotient_is_computed_once_per_multiset(monkeypatch):
+    # a shape and its conjugate share their hook lengths, and pi_lambda is
+    # asked for again at every divisor d: each (n, multiset of ks) is
+    # computed once, and every caller still gets a list of its own
+    asks = []
+    real = specialization.q_pochhammer_quotient
+    monkeypatch.setattr(
+        specialization, "q_pochhammer_quotient", lambda n, ks: asks.append(n) or real(n, ks)
+    )
+    memo = exactalg._q_pochhammer_quotient
+    for suite, profile, overrides, asked, computed in (
+        ("hook", "quick", {"max_n": 9}, 96, 53),
+        ("reu", "full", None, 202, 66),
+    ):
+        asks.clear()
+        memo.cache_clear()
+        verify.run_suite(suite, profile, overrides)
+        assert (len(asks), memo.cache_info().misses) == (asked, computed), suite
+    first = q_pochhammer_quotient(4, [1, 3, 2, 2])
+    first.append(7)
+    assert q_pochhammer_quotient(4, (2, 3, 2, 1)) == [1, 0, 1]
+
+
 # -- cyclotomic quotient arithmetic
 
 def test_cyclo_reduce_examples():
@@ -207,13 +231,13 @@ def test_cyclo_elem_is_a_value():
 def test_zero_values_are_false():
     from freelie.symfunc import BiSymFunc
 
-    zeros = [QTPoly(), CycloElem(3), MultiPoly(1), SpecSeries(4), SymFunc("p"), BiSymFunc()]
+    zeros = [QTPoly(), CycloElem(3), MultiPoly(1), SpecSeries(4), SymFunc(), BiSymFunc()]
     assert [bool(z) for z in zeros] == [False] * len(zeros)
     # terms that cancel leave a false value too
     w = CycloElem.root_power(3, 1)
-    assert not (w - w) and not (SymFunc.term("s", (2,)) - SymFunc.term("s", (2,)))
+    assert not (w - w) and not (SymFunc.term((2,)) - SymFunc.term((2,)))
     nonzero = [QTPoly.q(), w, MultiPoly.const(1, 0, 2), SpecSeries(4, {(1, 0): 1}),
-               SymFunc.term("p", (1,)), BiSymFunc.one()]
+               SymFunc.term((1,)), BiSymFunc.one()]
     assert all(nonzero)
 
 
@@ -222,7 +246,7 @@ def test_shared_products_and_renderings():
     # with a product of keys multiply two values
     x = MultiPoly.monomial(1, 1, (1, 0))
     assert 2 * x == x * 2 == x + x
-    f = SymFunc.term("p", (2,))
+    f = SymFunc.term((2,))
     assert 2 * f == f * Fraction(2) == f + f
     with pytest.raises(TypeError):
         f * f
@@ -242,7 +266,7 @@ def test_equal_values_hash_equal():
     from freelie.symfunc import BiSymFunc
 
     pairs = [
-        (SymFunc("p", {(1,): 1}), SymFunc("p", {(1,): Fraction(1)})),
+        (SymFunc({(1,): 1}), SymFunc({(1,): Fraction(1)})),
         (BiSymFunc.term((1,), (), 2), BiSymFunc.term((1,), (), Fraction(4, 2))),
         (QTPoly.one(), QTPoly({(0, 0): Fraction(1)})),
         (MultiPoly.const(1, 0, 3), MultiPoly.const(1, 0, Fraction(3))),
@@ -432,7 +456,7 @@ def test_float_coefficients_are_refused():
         lambda c: QTPoly({(0, 0): c}),
         lambda c: SpecSeries(3, {(1, 0): c}),
         lambda c: MultiPoly(1, 1, {(1, 0): c}),
-        lambda c: SymFunc("p", {(1,): c}),
+        lambda c: SymFunc({(1,): c}),
     ):
         with pytest.raises(TypeError):
             make(0.1)
@@ -461,7 +485,7 @@ def test_non_integer_keys_are_refused():
             lambda x: MultiPoly(1, 0, {(x,): 1}),
             lambda x: SpecSeries(3, {(x, 0): 1}),
             lambda x: check_partition([x, 1]),
-            lambda x: SymFunc.term("p", (x,)),
+            lambda x: SymFunc.term((x,)),
             lambda x: SupportMatrix({(x, 0): 2}),
             lambda x: SupportMatrix({(1, 0): x}),
             lambda x: StandardTableau([[1, x]]),

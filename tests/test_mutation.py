@@ -64,15 +64,17 @@ def fresh_caches():
 
 def _corrupt(value):
     """The value plus a nonzero term of its own kind, so that it differs;
-    a tuple or dict of values has its first value corrupted."""
+    a tuple or dict of values, a Schur expansion among them, has its first
+    value corrupted, and a number loses a half, so that a Schur multiplicity
+    is no integer."""
     if isinstance(value, tuple):
         return (_corrupt(value[0]), *value[1:])
     if isinstance(value, dict):
         first = next(iter(value))
         return {**value, first: _corrupt(value[first])}
     if isinstance(value, SymFunc):
-        # negative and fractional, so that a Schur expansion is no character
-        return value + SymFunc.term(value.basis, (1,), Fraction(-1, 2))
+        # negative and fractional, so that its Schur expansion is no character
+        return value + SymFunc.term((1,), Fraction(-1, 2))
     if isinstance(value, BiSymFunc):
         return value + BiSymFunc.term((1,), (1,))
     if isinstance(value, SpecSeries):
@@ -85,7 +87,7 @@ def _corrupt(value):
         return value + CycloElem.from_rational(value.modulus, 1)
     if isinstance(value, CyclicClassFunction):
         return CyclicClassFunction(value.order, _corrupt(value.values))
-    return value + 1
+    return value - Fraction(1, 2)
 
 
 def value_of(real):
@@ -150,7 +152,7 @@ MUTANTS = {
 
 def test_clear_caches_reaches_the_oracle_tables():
     cyclic.induce_oracle(cyclic.chi_power(3, 1))
-    symfunc.expand_truncated(SymFunc.term("p", (2, 1)), 2)
+    symfunc.expand_truncated(SymFunc.term((2, 1)), 2)
     tables = (cyclic._conjugation_counts, symfunc._power_sum_product)
     assert all(table.cache_info().currsize for table in tables)
     _clear_caches()

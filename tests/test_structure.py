@@ -52,8 +52,8 @@ def test_term_maps_inherit_the_shared_surface():
 def test_one_alphabet_operations_serve_both_containers():
     # multiply, plethysm_p, h_pleth, e_pleth and expand_truncated take a
     # SymFunc or a BiSymFunc; a bi_* copy of one of them is a second copy of
-    # the operation.  bi_schur_expand is the exception: its result, an s-basis
-    # expansion keyed by pairs, has no container.
+    # the operation.  bi_schur_expand is the exception: a Schur expansion is
+    # a plain dict, keyed by partitions in one alphabet and by pairs in two.
     from freelie import symfunc
 
     twins = [
@@ -94,7 +94,7 @@ def test_symmetric_functions_take_rational_coefficients_only():
         for alias in node.names
     }
     assert "QTPoly" not in imported
-    for make in (lambda c: SymFunc("p", {(1,): c}), lambda c: BiSymFunc.term((1,), (), c)):
+    for make in (lambda c: SymFunc({(1,): c}), lambda c: BiSymFunc.term((1,), (), c)):
         with pytest.raises(TypeError):
             make(QTPoly.q())
 
@@ -157,13 +157,14 @@ def test_package_names_load_on_first_use():
         assert freelie.__getattr__(info.name) is importlib.import_module(f"freelie.{info.name}")
 
 
-class _CheckDicts(ast.NodeVisitor):
+class _Scopes(ast.NodeVisitor):
     """The qualified name of the innermost function or class around each
-    dict display with a "check" key in a module."""
+    node of a module that ``wanted`` accepts."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, wanted):
         self.scope = [module]
-        self.builders = []
+        self.wanted = wanted
+        self.found = []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -172,16 +173,27 @@ class _CheckDicts(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef
 
-    def visit_Dict(self, node):
-        if any(isinstance(k, ast.Constant) and k.value == "check" for k in node.keys):
-            self.builders.append(".".join(self.scope))
-        self.generic_visit(node)
+    def generic_visit(self, node):
+        if self.wanted(node):
+            self.found.append(".".join(self.scope))
+        super().generic_visit(node)
+
+
+def _scopes(source: str, module: str, wanted) -> list[str]:
+    visitor = _Scopes(module, wanted)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def _is_check_dict(node) -> bool:
+    """A dict display with a "check" key."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "check" for k in node.keys
+    )
 
 
 def _check_dict_builders(source: str, module: str) -> list[str]:
-    visitor = _CheckDicts(module)
-    visitor.visit(ast.parse(source))
-    return visitor.builders
+    return _scopes(source, module, _is_check_dict)
 
 
 def test_check_dict_guard_sees_a_suite_that_decides_its_own_outcome():
@@ -200,6 +212,45 @@ def test_only_the_route_comparison_builds_a_check_report():
     for path in sorted(package.glob("*.py")):
         builders.update(_check_dict_builders(path.read_text(), path.stem))
     assert builders == {"verify._equality"}
+
+
+def _calls_to_p(node) -> bool:
+    return isinstance(node, ast.Call) and "to_p" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def test_a_schur_expansion_is_a_plain_dict():
+    # symmetric functions live in the power sums and carry no basis tag; a
+    # Schur expansion is a dict in one alphabet as in two, and to_p, which
+    # takes a one-alphabet one back to the power sums, is the one Schur to
+    # power-sum conversion, and only the Cauchy check needs it
+    from freelie import symfunc
+    from freelie.exactalg import TermMap
+    from freelie.superlie import super_bi_brandt_char, super_brandt_char
+    from freelie.symfunc import BiSymFunc, SymFunc
+
+    assert SymFunc.__slots__ == () and not hasattr(symfunc, "BASES")
+    assert not hasattr(SymFunc(), "basis") and not hasattr(BiSymFunc(), "basis")
+    for make in (SymFunc, SymFunc.one, SymFunc.term):
+        assert "basis" not in inspect.signature(make).parameters, make
+    assert type(symfunc.schur_expand(super_brandt_char(2, 1))) is dict
+    assert type(symfunc.bi_schur_expand(super_bi_brandt_char(2, 1))) is dict
+    # a value is built in its own layout, from exact coefficients
+    for method, parameters in (
+        (TermMap._with, ["self", "terms"]),
+        (TermMap._product, ["self", "other", "combine", "keep"]),
+        (TermMap._fill, ["self", "terms", "key"]),
+    ):
+        assert list(inspect.signature(method).parameters) == parameters, method
+    package = pathlib.Path(freelie.__file__).parent
+    callers = [
+        scope
+        for path in sorted(package.glob("*.py"))
+        for scope in _scopes(path.read_text(), path.stem, _calls_to_p)
+    ]
+    assert callers == ["specialization.super_cauchy_routes"]
 
 
 def _unreferenced_private_names(sources: list[str]) -> list[str]:

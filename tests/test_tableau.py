@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, compress
 from operator import gt
 
@@ -414,6 +415,25 @@ def test_sweeps_compute_each_size_and_statistic_once(monkeypatch):
         comaj = {(tableau._every_shape(n), n, True) for n in range(1, max_n + 1)}
         assert set(calls) == (comaj if suite == "sps" else set()), suite
         assert polys.cache_info().misses == len(set(calls)), suite
+
+
+def test_a_sweep_walks_its_whole_bound_once(monkeypatch):
+    # verify prices a sweep's whole bound before its maj DP runs, and the
+    # DP prices it again: the second reads the admission the first left,
+    # held under the budget of the call; a refusal is never held
+    walks = []
+    walk = tableau._admit_within.__wrapped__
+    held = lru_cache(maxsize=None)(lambda *key: walks.append(key) or walk(*key))
+    monkeypatch.setattr(tableau, "_admit_within", held)
+    tableau._maj_sweep.cache_clear()
+    verify.run_suite("hook", "quick", {"max_n": 9})
+    whole = (tableau._every_shape(9), 9)
+    assert walks.count((*whole, tableau.DEFAULT_PAIR_BUDGET)) == 1
+    monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", 1000)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            tableau._check_budget(*whole)
+    assert walks.count((*whole, 1000)) == 2 and held.cache_info().currsize == len(set(walks)) - 1
 
 
 def _reference_budget_bound(lam):
