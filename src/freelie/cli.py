@@ -5,10 +5,12 @@ command's report is the dict that ``--format json`` prints (``command``,
 same dict; ``verify`` puts the check dicts of :mod:`freelie.verify`, where
 its suites and their bounds live, into its payload as they are.
 
-Each run is one short process, so a command loads only what it runs: the
-parser gets the arguments of the command named first (of every command when
-none is), and only ``verify`` imports :mod:`freelie.verify`, with the suites'
-modules behind it.
+Each run is one short process, so a command loads only what it runs.  One
+table declares every command's arguments.  A plain command line is read off
+it without argparse, and only help and usage errors build argparse's parser
+from the same table.  ``dim`` imports :mod:`freelie.superlie`, ``char``
+that and :mod:`freelie.symfunc`, ``count`` :mod:`freelie.tableau`, and only
+``verify`` imports :mod:`freelie.verify`, with the suites' modules behind it.
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage error, 3 domain
 error, 4 resource budget exceeded.
@@ -21,16 +23,14 @@ byte-identical.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from . import superlie, symfunc, tableau
 from .exactalg import ResourceLimitError, UsageError, first_difference, render_terms
 from .partition import format_partition, parse_partition
-from .symfunc import BiSymFunc, SymFunc
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -49,7 +49,9 @@ def _run(command: str, parameters: dict, status: str, payload: dict) -> dict:
 # rendering helpers
 
 
-def _sym_payload(f: SymFunc) -> dict:
+def _sym_payload(f) -> dict:
+    from . import symfunc
+
     expansion = symfunc.schur_expand(f)
     return {
         "p_expansion": str(f),
@@ -60,12 +62,14 @@ def _sym_payload(f: SymFunc) -> dict:
 
 
 def _bi_payload(f) -> dict:
+    from . import symfunc
+
     return {
         "p_expansion": str(f),
         "s_expansion": render_terms(
             (f._name(key), c)
             for key, c in sorted(
-                symfunc.bi_schur_expand(f).items(), key=lambda kv: BiSymFunc._sort_key(kv[0])
+                symfunc.bi_schur_expand(f).items(), key=lambda kv: f._sort_key(kv[0])
             )
         ),
     }
@@ -76,6 +80,8 @@ def _bi_payload(f) -> dict:
 
 
 def cmd_char(args) -> dict:
+    from . import superlie, symfunc
+
     if args.kind in ("lie", "bilie"):
         if args.matrix is not None:
             raise UsageError("--matrix is only valid for 'char higher'")
@@ -118,6 +124,8 @@ def cmd_char(args) -> dict:
 
 
 def cmd_dim(args) -> dict:
+    from . import superlie
+
     value = superlie.super_witt_dim(args.n, args.m, args.N)
     payload: dict = {"dim": value}
     status = "pass"
@@ -143,6 +151,8 @@ def cmd_dim(args) -> dict:
 
 
 def cmd_count(args) -> dict:
+    from . import tableau
+
     try:
         lam = parse_partition(args.partition)
     except ValueError as exc:
@@ -165,24 +175,12 @@ def cmd_count(args) -> dict:
     return _run("count", parameters, "pass", payload)
 
 
-# verify flag -> the override it gives, by the name the registry bounds with
-VERIFY_FLAGS = {
-    "--max-n": "max_n",
-    "--max-total": "max_total",
-    "--max-m": "max_m",
-    "--qcap": "q_cap",
-    "--max-degree": "max_d",
-}
-
-
 def cmd_verify(args) -> dict:
     from . import verify
 
-    overrides = {
-        name: getattr(args, name)
-        for name in VERIFY_FLAGS.values()
-        if getattr(args, name) is not None
-    }
+    # the bounds are the flags given at most once
+    bounds = [_dest(flag, spec) for flag, spec in COMMANDS["verify"][2] if spec.get("action") == "once"]
+    overrides = {name: getattr(args, name) for name in bounds if getattr(args, name) is not None}
     checks = verify.run_suite(args.suite, args.profile, overrides)
     failed = sum(c["status"] == "fail" for c in checks)
     return _run(
@@ -194,107 +192,180 @@ def cmd_verify(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and entry point
+# the command grammar, its two parsers and the entry point
 
 
-class _StoreOnce(argparse.Action):
-    """Store the flag's value; a second occurrence is a usage error, since
-    argparse would otherwise drop the first value silently."""
+def _verify():
+    """:mod:`freelie.verify`, imported on first use."""
+    from . import verify
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            raise argparse.ArgumentError(self, "given more than once")
-        setattr(namespace, self.dest, values)
+    return verify
 
 
-class _HelpFormatter(argparse.HelpFormatter):
+# The one declaration of the command line, read by both parsers.  An argument
+# is its name, a positional or a flag spelt in full, and the keywords
+# argparse's ``add_argument`` takes for it.  A "choices" function is called
+# when the command's arguments are read, as only freelie.verify knows its
+# suites and profiles.  The "once" action stores a flag that may be given
+# only once; the registry bounds by its ``dest``.
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--timing", {"action": "store_true", "help": "include elapsed_ms in the report"}),
+)
+
+# command -> (its help line, the function that runs it, its own arguments)
+COMMANDS = {
+    "char": ("print a character", cmd_char, (
+        ("kind", {"choices": ("lie", "bilie", "higher")}),
+        ("args", {"nargs": "*"}),
+        ("--matrix", {"help": "JSON [[i,j,a],...] for 'higher'"}),
+    )),
+    "dim": ("bigraded dimension", cmd_dim, (
+        ("n", {"type": int}),
+        ("m", {"type": int}),
+        ("N", {"type": int}),
+        ("--oracle", {"action": "store_true"}),
+    )),
+    "count": ("signed tableau counts", cmd_count, (
+        ("partition", {"help": 'partition, e.g. "(2,1)"'}),
+        ("--mod", {"type": int}),
+        ("--res", {"type": int, "help": "residue (default 1)"}),
+        ("--neg", {"type": int, "help": "bar count (default 0)"}),
+        ("--gf", {"action": "store_true"}),
+    )),
+    "verify": ("run identity suites", cmd_verify, (
+        ("suite", {"choices": lambda: sorted(_verify().SUITES) + ["all"]}),
+        ("--profile", {"choices": lambda: _verify().PROFILES, "default": "full"}),
+        ("--max-n", {"type": int, "action": "once"}),
+        ("--max-total", {"type": int, "action": "once"}),
+        ("--max-m", {"type": int, "action": "once"}),
+        ("--qcap", {"dest": "q_cap", "type": int, "action": "once"}),
+        ("--max-degree", {"dest": "max_d", "type": int, "action": "once"}),
+    )),
+}
+
+
+def _arguments(command: str) -> list:
+    """The command's arguments in the order argparse adds them, the common
+    flags first, each "choices" function called."""
+    return [
+        (name, {**spec, "choices": spec["choices"]()} if callable(spec.get("choices")) else spec)
+        for name, spec in (*_COMMON, *COMMANDS[command][2])
+    ]
+
+
+def _dest(flag: str, spec: dict) -> str:
+    """The attribute a flag stores, named as argparse names it."""
+    return spec.get("dest", flag[2:].replace("-", "_"))
+
+
+def _value(token: str, spec: dict):
+    """The token converted and checked as argparse does, or None where
+    argparse would refuse it."""
+    try:
+        value = spec.get("type", str)(token)
+    except ValueError:
+        return None
+    return value if value in spec.get("choices", (value,)) else None
+
+
+def _plain_parse(argv: list):
+    """The namespace that argparse builds for ``argv``, read off the table
+    without argparse, or None when the line is not plain.  A plain line
+    names a command, then gives its positionals, then its flags, each flag
+    spelt in full and given once, and no other token begins with "-".  Help,
+    ``--``, ``--flag=value``, abbreviations, negative numbers, bad values and
+    missing arguments are all left to argparse, the one source of help and
+    usage texts."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values: dict = {"command": argv[0], "func": COMMANDS[argv[0]][1]}
+    tokens = argv[1:]
+    cut = next((i for i, token in enumerate(tokens) if token.startswith("-")), len(tokens))
+    given, rest = tokens[:cut], iter(tokens[cut:])
+    flags = {}
+    for name, spec in _arguments(argv[0]):
+        if name.startswith("-"):
+            flags[name] = spec
+            default = False if spec.get("action") == "store_true" else None
+            values[_dest(name, spec)] = spec.get("default", default)
+            continue
+        # "*" takes every positional left, any other positional one
+        many = spec.get("nargs") == "*"
+        taken, given = (given, []) if many else (given[:1], given[1:])
+        parsed = [_value(token, spec) for token in taken]
+        if None in parsed or not (many or parsed):
+            return None
+        values[name] = parsed if many else parsed[0]
+    if given:
+        return None
+    for flag in rest:
+        spec = flags.pop(flag, None)  # so a flag given twice is not plain
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            values[_dest(flag, spec)] = True
+            continue
+        token = next(rest, "-")  # a missing value is not plain either
+        value = None if token.startswith("-") else _value(token, spec)
+        if value is None:
+            return None
+        values[_dest(flag, spec)] = value
+    return SimpleNamespace(**values)
+
+
+def _help_formatter(prog):
     """argparse's help formatter at the width argparse picks, found without
     ``shutil``, whose import (with zlib, bz2, lzma and fnmatch behind it)
     costs more than building the whole parser: ``COLUMNS`` if it is a
     positive integer, else the width of the terminal on stdout, else 80,
     less 2."""
+    import argparse
 
-    def __init__(self, prog):
+    try:
+        width = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        width = 0
+    if width <= 0:
         try:
-            width = int(os.environ["COLUMNS"])
-        except (KeyError, ValueError):
-            width = 0
-        if width <= 0:
-            try:
-                width = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-            except (AttributeError, ValueError, OSError):
-                width = 80
-        super().__init__(prog, width=width - 2)
+            width = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+        except (AttributeError, ValueError, OSError):
+            width = 80
+    return argparse.HelpFormatter(prog, width=width - 2)
 
 
-def _char_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=("lie", "bilie", "higher"))
-    p.add_argument("args", nargs="*")
-    p.add_argument("--matrix", help="JSON [[i,j,a],...] for 'higher'")
-    p.set_defaults(func=cmd_char)
+def build_parser(argv=None):
+    """The argparse parser of the command line ``argv``, built from the
+    table.  Every command is listed, but when ``argv`` begins with a
+    command's name, only that command gets its arguments: argparse hands the
+    rest of the line to it alone.  Without ``argv``, or when it begins with
+    anything else (``--help``, a misspelt command), every command gets them,
+    so that every help and error text is the full one."""
+    import argparse
 
+    class StoreOnce(argparse.Action):
+        """Store the flag's value; a second occurrence is a usage error,
+        since argparse would otherwise drop the first value silently."""
 
-def _dim_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("N", type=int)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_dim)
+        def __call__(self, parser, namespace, values, option_string=None):
+            if getattr(namespace, self.dest) is not None:
+                raise argparse.ArgumentError(self, "given more than once")
+            setattr(namespace, self.dest, values)
 
-
-def _count_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("partition", help='partition, e.g. "(2,1)"')
-    p.add_argument("--mod", type=int, default=None)
-    p.add_argument("--res", type=int, default=None, help="residue (default 1)")
-    p.add_argument("--neg", type=int, default=None, help="bar count (default 0)")
-    p.add_argument("--gf", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from . import verify
-
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--profile", choices=verify.PROFILES, default="full")
-    for flag, name in VERIFY_FLAGS.items():
-        p.add_argument(flag, dest=name, type=int, default=None, action=_StoreOnce)
-    p.set_defaults(func=cmd_verify)
-
-
-# command -> (its help line, the function that adds its arguments)
-COMMANDS = {
-    "char": ("print a character", _char_arguments),
-    "dim": ("bigraded dimension", _dim_arguments),
-    "count": ("signed tableau counts", _count_arguments),
-    "verify": ("run identity suites", _verify_arguments),
-}
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of the command line ``argv``.  Every command is listed,
-    but when ``argv`` begins with a command's name, only that command gets
-    its arguments: argparse hands the rest of the line to it alone.  Without
-    ``argv``, or when it begins with anything else (``--help``, a misspelt
-    command), every command gets them, so that every help and error text is
-    the full one."""
     parser = argparse.ArgumentParser(
         prog="freelie",
         description="Exact free Lie superalgebra characters and identity verification",
-        formatter_class=_HelpFormatter,
-    )
-    common = argparse.ArgumentParser(add_help=False, formatter_class=_HelpFormatter)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--timing", action="store_true", help="include elapsed_ms in the report"
+        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     chosen = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_line, add_arguments) in COMMANDS.items():
-        p = sub.add_parser(
-            name, parents=[common], help=help_line, formatter_class=_HelpFormatter
-        )
+    for name, (help_line, run, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, formatter_class=_help_formatter)
         if chosen in (None, name):
-            add_arguments(p)
+            p.register("action", "once", StoreOnce)
+            for argument, spec in _arguments(name):
+                p.add_argument(argument, **spec)
+            p.set_defaults(func=run)
     return parser
 
 
@@ -326,7 +397,9 @@ def _print_report(report: dict, fmt: str) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _plain_parse(argv)
+    if args is None:
+        args = build_parser(argv).parse_args(argv)
     start = time.monotonic()
     try:
         report = args.func(args)

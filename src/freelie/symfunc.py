@@ -372,6 +372,8 @@ def to_p(expansion: Mapping[Partition, RatLike]) -> SymFunc:
 
 def schur_expand(f: SymFunc) -> dict[Partition, RatLike]:
     """The Schur expansion {lambda: c} of f via the character table."""
+    if not isinstance(f, SymFunc):
+        raise TypeError(f"schur_expand takes a SymFunc, got {type(f).__name__}")
     s_terms = _character_transform({(mu,): c for mu, c in f.terms.items()})
     return {lam: c for (lam,), c in s_terms.items()}
 
@@ -501,6 +503,8 @@ def diagonal(f: BiSymFunc) -> SymFunc:
 def bi_schur_expand(f: BiSymFunc) -> dict[tuple[Partition, Partition], RatLike]:
     """The Schur expansion {(alpha, beta): c} in products s_alpha(x) s_beta(y),
     via the character table on each alphabet in turn."""
+    if not isinstance(f, BiSymFunc):
+        raise TypeError(f"bi_schur_expand takes a BiSymFunc, got {type(f).__name__}")
     return _character_transform(f.terms)
 
 

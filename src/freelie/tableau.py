@@ -467,9 +467,11 @@ def _every_shape(n: int) -> Partition:
 
 def maj_neg_generating_polys(n: int, up_to: int | None = None) -> dict[Partition, QTPoly]:
     """:func:`maj_neg_generating_poly` of every shape of n, read off the one
-    DP of every shape of every size up to ``up_to`` (n by default): a sweep
-    passes its largest size, so that its DP runs once."""
-    up_to = n if up_to is None else up_to
+    DP of every shape of every size up to ``up_to``: a sweep passes its
+    largest size, so that its DP runs once.  Without ``up_to``, only the
+    last layer of the DP of n is read."""
+    if up_to is None:
+        return dict(_sign_generating_polys(_every_shape(n), n, False))
     if not 0 <= n <= up_to:
         raise ValueError(f"need 0 <= n <= up_to, got n = {n}, up_to = {up_to}")
     return dict(_maj_sweep(up_to)[n])

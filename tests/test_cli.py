@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freelie import cli, cyclic, specialization, superlie, symfunc, tableau, verify
 from freelie.exactalg import MultiPoly, ResourceLimitError
@@ -445,7 +447,11 @@ EXIT_CASES = {
     "usage error from argparse": ["verify", "hook", "--max-n", "3", "--max-n", "4"],
     "domain error": ["char", "lie", "0", "0"],
     "refusal": ["char", "lie", "40", "40"],
+    # lines that only argparse reads
+    "abbreviated flag": ["verify", "hook", "--max-n", "2", "--form", "json"],
+    "negative positional": ["dim", "-1", "2", "2"],
 }
+EXIT_CODES = {"pass": 0, "abbreviated flag": 0, "refusal": 4, "domain error": 3, "negative positional": 3}
 
 
 def _run_module(argv, stdout):
@@ -467,7 +473,7 @@ def test_module_run_reports_as_main_does(case, capsys, tmp_path):
         code = exc.code
     captured = capsys.readouterr()
     expected = (captured.out.encode(), captured.err.encode(), code)
-    assert code == {"pass": 0, "refusal": 4, "domain error": 3}.get(case, 2)
+    assert code == EXIT_CODES.get(case, cli.EXIT_USAGE)
 
     piped = _run_module(argv, subprocess.PIPE)
     assert (piped.stdout, piped.stderr, piped.returncode) == expected
@@ -498,12 +504,18 @@ def test_module_run_skips_interpreter_teardown():
 
 def _modules_loaded(heavy, *argvs):
     """Which of the heavy modules a fresh ``python -S`` process holds after
-    importing the CLI and running ``cli.main`` on each command line."""
+    importing the CLI and running ``cli.main`` on each command line, with
+    the exit codes of the runs."""
     code = (
         "import io, sys\n"
         "import freelie.cli as cli\n"
+        "def run(argv):\n"
+        "    try:\n"
+        "        return cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
-        f"codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
+        f"codes = [run(argv) for argv in {list(argvs)!r}]\n"
         "sys.stdout = out\n"
         f"print(codes, sorted(set({heavy!r}) & set(sys.modules)))\n"
     )
@@ -524,17 +536,24 @@ def test_cli_import_leaves_out_heavy_modules():
     heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
     assert _modules_loaded(heavy) == "[] []"
     # argparse's own formatter imports shutil (with zlib, bz2 and lzma) for
-    # the terminal width, and only verify needs the suites and their modules
-    heavy = ("shutil", "random", "freelie.verify", "freelie.cyclic", "freelie.specialization")
-    queries = (
+    # the terminal width, argparse itself gettext and then locale, all for
+    # help and usage texts; only verify needs the suites and their modules
+    parsing = ("argparse", "gettext", "locale")
+    heavy = ("shutil", "random", *parsing, "freelie.verify", "freelie.cyclic", "freelie.specialization")
+    char_dim = (
         ["char", "lie", "2", "1"],
-        ["char", "higher", "--matrix", "[[1,1,1]]"],
-        ["count", "(2,1)", "--gf"],
-        ["dim", "2", "1", "2", "--oracle"],
+        ["char", "higher", "--matrix", "[[1,1,1]]", "--format", "json"],
+        ["dim", "2", "1", "2", "--oracle", "--timing"],
     )
-    assert _modules_loaded(heavy, *queries) == "[0, 0, 0, 0] []"
+    counts = (["count", "(2,1)", "--gf"], ["count", "(2,1)", "--mod", "3", "--neg", "1"])
+    assert _modules_loaded(heavy, *char_dim, *counts) == "[0, 0, 0, 0, 0] []"
     verified = _modules_loaded(heavy, ["verify", "hook", "--max-n", "3"])
     assert verified == "[0] ['freelie.cyclic', 'freelie.specialization', 'freelie.verify']"
+    # each command imports only the modules it runs
+    assert _modules_loaded(("freelie.tableau",), *char_dim) == "[0, 0, 0] []"
+    assert _modules_loaded(("freelie.symfunc", "freelie.superlie"), *counts) == "[0, 0] []"
+    # help still comes from argparse
+    assert _modules_loaded(parsing, ["dim", "--help"]) == "[0] ['argparse', 'gettext', 'locale']"
 
 
 def _exit_texts(capsys, argv):
@@ -556,7 +575,7 @@ def test_help_and_usage_texts_are_argparse_own(columns, capsys, monkeypatch):
     argvs = [[*command, "--help"] for command in ([], ["char"], ["dim"], ["count"], ["verify"])]
     argvs += [[], ["bogus"], ["verify", "nosuch"], ["dim", "1"]]
     ours = [_exit_texts(capsys, argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
     assert [_exit_texts(capsys, argv) for argv in argvs] == ours
     assert [code for code, _, _ in ours] == [0] * 5 + [cli.EXIT_USAGE] * 4
 
@@ -743,3 +762,94 @@ def test_passing_checks_show_no_routes(capsys):
     checks = json.loads(out)["payload"]["checks"]
     shown = [c for c in checks if c.keys() & {"lhs", "rhs", "first_discrepancy"}]
     assert checks and shown == []
+
+
+# One line of each job kind of the four benchmark workloads: every one is
+# plain, so a one-shot query never builds argparse's parser.
+WORKLOAD_LINES = (
+    ["verify", "brandt-diagonal", "--profile", "full", "--format", "json"],
+    ["verify", "hook", "--max-n", "9", "--format", "json"],
+    ["verify", "kw", "--max-total", "9", "--format", "json"],
+    ["dim", "3", "2", "3", "--oracle", "--format", "json"],
+    ["dim", "4", "0", "5", "--format", "json"],
+    ["char", "lie", "11", "9", "--format", "json"],
+    ["char", "bilie", "7", "8", "--format", "json"],
+    ["char", "higher", "--matrix", "[[1,1,2],[2,0,1]]", "--format", "json"],
+    ["count", "(3,2,1)", "--gf", "--format", "json"],
+)
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's parse of argv, or None where argparse exits
+    (help, or a usage error)."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser(argv).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _parsers_agree(argv) -> bool:
+    """Whether the plain parser read argv; where it did, argparse accepts the
+    line and builds the same namespace."""
+    plain = cli._plain_parse(list(argv))
+    if plain is not None:
+        assert vars(plain) == _argparse_vars(list(argv)), argv
+    return plain is not None
+
+
+def test_plain_parser_reads_every_workload_line_as_argparse_does():
+    assert all(_parsers_agree(argv) for argv in WORKLOAD_LINES)
+    # the text format and every other flag
+    for argv in (
+        ["count", "(3,2)", "--mod", "5", "--res", "1", "--neg", "2", "--timing"],
+        ["verify", "all", "--profile", "quick", "--max-n", "3", "--qcap", "4"],
+        ["verify", "thrall", "--max-total", "4", "--max-m", "2", "--max-degree", "3"],
+        ["char", "lie", ""],
+        ["count", ""],
+    ):
+        assert _parsers_agree(argv), argv
+    for argv in EXIT_CASES.values():
+        _parsers_agree(argv)
+    # these only argparse may read
+    for case in ("usage error from argparse", "abbreviated flag", "negative positional"):
+        assert cli._plain_parse(EXIT_CASES[case]) is None, case
+
+
+VOCABULARY = (
+    "char", "dim", "count", "verify", "lie", "bilie", "higher", "hook", "kw", "all", "nosuch",
+    "0", "1", "2", "3", "x", "-1", "(2,1)", "[[1,1,1]]", "", "--", "-h", "--help",
+    "--format", "json", "text", "--timing", "--oracle", "--gf", "--mod", "--res", "--neg",
+    "--matrix", "--profile", "quick", "full", "--max-n", "--max-total", "--max-m", "--qcap",
+    "--max-degree", "--form", "--format=json", "--max", "--oracl",
+)
+WORDS = st.sampled_from(VOCABULARY)
+FLAGS = st.sampled_from([word for word in VOCABULARY if word.startswith("-")])
+VALUES = st.sampled_from([word for word in VOCABULARY if not word.startswith("-")])
+TYPICAL = {"char": ["lie", "3", "2"], "dim": ["3", "2", "1"], "count": ["(2,1)"], "verify": ["hook"]}
+
+
+@st.composite
+def near_grammar(draw):
+    """A command, then its usual positionals or other words, then flags:
+    most are the command's own with a value of the kind they take, the rest
+    other words, alone or with a word after them.  Many of these lines are
+    plain, and the others miss by a token or two."""
+    command = draw(st.sampled_from(sorted(TYPICAL)))
+    line = [command, *draw(st.one_of(st.just(TYPICAL[command]), st.lists(VALUES, max_size=4)))]
+    own = [(name, spec) for name, spec in cli._arguments(command) if name.startswith("-")]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)):
+            name, spec = draw(st.sampled_from(own))
+            line.append(name)
+            if spec.get("action") != "store_true":
+                line.append(draw(st.sampled_from(spec.get("choices", ["0", "3", "x", "(2,1)"]))))
+        else:
+            line += draw(st.tuples(FLAGS, st.lists(VALUES, max_size=1)).map(lambda t: [t[0], *t[1]]))
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(WORDS, max_size=8), near_grammar()))
+def test_plain_parser_agrees_with_argparse(argv):
+    _parsers_agree(argv)

@@ -440,6 +440,15 @@ def test_one_alphabet_operations_take_a_bi_sym_func():
         h_pleth(-1, f)
 
 
+def test_schur_expansions_name_the_container_they_take():
+    # the wrong container is refused by name, not by an error from deep
+    # inside the character transform
+    with pytest.raises(TypeError, match="^schur_expand takes a SymFunc, got BiSymFunc$"):
+        schur_expand(BiSymFunc.term((2,), (1,)))
+    with pytest.raises(TypeError, match="^bi_schur_expand takes a BiSymFunc, got SymFunc$"):
+        bi_schur_expand(p(2, 1))
+
+
 def test_diagonal():
     f = BiSymFunc({((1,), (1,)): 1})
     assert diagonal(f) == p(1, 1)

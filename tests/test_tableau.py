@@ -342,6 +342,21 @@ def test_shared_maj_dp_reads_every_size_off_its_layers():
         maj_neg_generating_polys(-1, 10)
 
 
+def test_a_lone_maj_call_reads_only_its_last_layer(monkeypatch):
+    # without up_to, the DP of n is read at n alone: no layer before it is
+    # unpacked, and the tables are those of the shared sweep
+    expected = [maj_neg_generating_polys(n, n) for n in range(11)]
+    tableau._sign_generating_polys.cache_clear()
+
+    def sweep(max_n):
+        raise AssertionError(f"_maj_sweep({max_n}) ran")
+
+    monkeypatch.setattr(tableau, "_maj_sweep", sweep)
+    assert [maj_neg_generating_polys(n) for n in range(11)] == expected
+    with pytest.raises(ValueError):
+        maj_neg_generating_polys(-1)
+
+
 def _dict_sign_generating_polys(bound, n, use_comaj):
     """The signed-tableau DP with one dict per state's table instead of a
     packed int: the reference for the packed tables."""
