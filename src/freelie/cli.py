@@ -314,26 +314,6 @@ def _plain_parse(argv: list):
     return SimpleNamespace(**values)
 
 
-def _help_formatter(prog):
-    """argparse's help formatter at the width argparse picks, found without
-    ``shutil``, whose import (with zlib, bz2, lzma and fnmatch behind it)
-    costs more than building the whole parser: ``COLUMNS`` if it is a
-    positive integer, else the width of the terminal on stdout, else 80,
-    less 2."""
-    import argparse
-
-    try:
-        width = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        width = 0
-    if width <= 0:
-        try:
-            width = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
-        except (AttributeError, ValueError, OSError):
-            width = 80
-    return argparse.HelpFormatter(prog, width=width - 2)
-
-
 def build_parser(argv=None):
     """The argparse parser of the command line ``argv``, built from the
     table.  Every command is listed, but when ``argv`` begins with a
@@ -355,12 +335,11 @@ def build_parser(argv=None):
     parser = argparse.ArgumentParser(
         prog="freelie",
         description="Exact free Lie superalgebra characters and identity verification",
-        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     chosen = argv[0] if argv and argv[0] in COMMANDS else None
     for name, (help_line, run, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line, formatter_class=_help_formatter)
+        p = sub.add_parser(name, help=help_line)
         if chosen in (None, name):
             p.register("action", "once", StoreOnce)
             for argument, spec in _arguments(name):

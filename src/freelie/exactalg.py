@@ -357,15 +357,6 @@ class TermMap:
         layout = tuple(getattr(self, name) for name in self._layout)
         return hash((layout, frozenset(self._terms.items())))
 
-    def first_difference(self, other: TermMap):
-        """The first key, in the canonical order, whose coefficients differ
-        between the two values, or None if their terms agree."""
-        keys = set(self._terms) | set(other._terms)
-        for k in sorted(keys, key=self._sort_key):
-            if self._terms.get(k) != other._terms.get(k):
-                return k
-        return None
-
     # -- linear structure and products
 
     def __add__(self, other):
@@ -429,7 +420,8 @@ def first_difference(lhs, rhs):
     (in their own order), and for two tuples the index of the first unequal
     pair, with where that pair differs."""
     if isinstance(lhs, TermMap) and type(rhs) is type(lhs):
-        return lhs.first_difference(rhs)
+        keys = sorted(lhs.terms.keys() | rhs.terms.keys(), key=lhs._sort_key)
+        return next((k for k in keys if lhs.terms.get(k) != rhs.terms.get(k)), None)
     if isinstance(lhs, dict) and isinstance(rhs, dict):
         keys = [*lhs, *(k for k in rhs if k not in lhs)]
         return next((k for k in keys if lhs.get(k) != rhs.get(k)), None)
@@ -449,7 +441,7 @@ def add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _qt_key(key) -> tuple[int, int]:
+def qt_key(key) -> tuple[int, int]:
     a, b = map(operator.index, key)
     if a < 0 or b < 0:
         raise ValueError(f"negative exponent pair ({a}, {b})")
@@ -470,7 +462,7 @@ class QTPoly(TermMap):
     _name = staticmethod(lambda k: _monomial_name("qt", k))
 
     def __init__(self, terms: Mapping[tuple[int, int], RatLike] | None = None):
-        self._fill(terms, _qt_key)
+        self._fill(terms, qt_key)
 
     # -- constructors
 

@@ -28,12 +28,12 @@ from .exactalg import (
     MultiPoly,
     QTPoly,
     TermMap,
-    _qt_key,
     add_pairs,
     collect,
     cyclo_reduce,
     q_pochhammer,
     q_pochhammer_quotient,
+    qt_key,
     slot_width,
 )
 from .partition import (
@@ -99,7 +99,7 @@ class SpecSeries(TermMap):
         self._fill(terms, self._capped_key)
 
     def _capped_key(self, key) -> tuple[int, int] | None:
-        key = _qt_key(key)
+        key = qt_key(key)
         return key if key[0] <= self.q_cap else None
 
     @classmethod

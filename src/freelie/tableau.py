@@ -26,21 +26,27 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import compress
 
 from .exactalg import QTPoly, Record, ResourceLimitError, slot_width
-from .partition import Partition, check_partition, hook_lengths
+from .partition import Partition, check_partition, hook_lengths, partitions_of
 
-# The signed-tableau DP refuses, before it starts, a shape whose bound on
-# table-entry updates exceeds this many, rather than hanging.  The bound
-# overcounts the work: measured against it, the packed DP spends 7-10 ns per
-# update on the largest shapes of 12..18 (shared 2-vCPU x86-64 host, Python
-# 3.11; 40-60 ns with one dict per table), so a shape at the budget takes
-# about 0.2 s.  The DP of every shape of n at once is admitted exactly when
-# each of its shapes would be alone, so it does at most p(n) times this much
-# work.  Every shape with n <= 18 is admitted, and so is every all-shapes
-# call with n <= 18.
-DEFAULT_PAIR_BUDGET = 20_000_000
+# The signed-tableau DP refuses, before it builds any table, a bound whose
+# walk counts more than this many table-entry updates by :func:`_price`,
+# which is at least the real number (at most 6.2 times it for every bound
+# of n <= 9).  Every shape of 18 at once counts 116,679,306 and every shape
+# of 19 192,828,394, so every all-shapes call with n <= 18 is admitted and
+# n = 19 is not; the largest single shape of n <= 18, (7, 4, 3, 2, 1, 1),
+# counts 13,867,778.  On a shared 2-vCPU x86-64 host (Python 3.11) the maj
+# DP of every shape of 18 ran in 0.7 s (6 ns per counted update), and the
+# largest admitted single shapes, such as (1^74), (74) and (19, 9, 2), in
+# 0.6-1.8 s under 100 MB.
+DEFAULT_PAIR_BUDGET = 120_000_000
+
+# :func:`syt_maj_counts` refuses, before it visits any tableau, a walk over
+# more standard tableaux than this: the 3,148,063 of every size up to 14
+# are admitted, the 13,497,599 up to 15 are not.
+DEFAULT_WALK_BUDGET = 4_000_000
 
 
 class StandardTableau:
@@ -209,27 +215,41 @@ def syt_maj_counts(max_n: int) -> dict[Partition, dict[int, int]]:
     tableaux have each maj, by one depth-first walk over every standard
     tableau of size <= max_n: a tableau of size k+1 is one of size k with
     k+1 placed at the end of a row, and placing it strictly below k adds k
-    to maj.  Each tableau is visited once, so the counts rest on no formula."""
+    to maj.  Each tableau is visited once, so the counts rest on no formula.
+
+    The walk is priced before it starts: the standard tableaux of every
+    shape of n are summed for n = 1, 2, ..., and the first n at which the
+    sum passes DEFAULT_WALK_BUDGET, read at call time, is refused."""
+    budget, walked = DEFAULT_WALK_BUDGET, 0
+    for n in range(1, max_n + 1):
+        walked += sum(_syt_count(lam) for lam in partitions_of(n))
+        if walked > budget:
+            raise ResourceLimitError(
+                f"the maj walk up to n = {max_n} visits {walked} standard tableaux"
+                f" of size <= {n}, more than {budget}"
+            )
     counts: dict[Partition, dict[int, int]] = {}
-
-    def place(mu: Partition, row: int, stat: int, k: int) -> None:
-        # mu holds 1..k with k in ``row``; place k+1 in each addable row
-        for r in range(len(mu) + 1):
-            if r == len(mu):
-                nu = mu + (1,)
-            elif r == 0 or mu[r - 1] > mu[r]:
-                nu = mu[:r] + (mu[r] + 1,) + mu[r + 1 :]
-            else:
-                continue
-            s = stat + k if r > row else stat
-            by_maj = counts.setdefault(nu, {})
-            by_maj[s] = by_maj.get(s, 0) + 1
-            if k + 1 < max_n:
-                place(nu, r, s, k + 1)
-
     if max_n > 0:
-        place((), 0, 0, 0)  # 1 joins nothing: it adds k = 0 wherever it goes
+        _place_maj(counts, max_n, (), 0, 0, 0)  # 1 joins nothing: it adds k = 0
     return counts
+
+
+def _place_maj(counts: dict, max_n: int, mu: Partition, row: int, stat: int, k: int) -> None:
+    """The walk of :func:`syt_maj_counts` below one tableau of shape mu,
+    which holds 1..k with k in ``row`` and has maj ``stat``: place k+1 in
+    each addable row, and so on up to max_n."""
+    for r in range(len(mu) + 1):
+        if r == len(mu):
+            nu = mu + (1,)
+        elif r == 0 or mu[r - 1] > mu[r]:
+            nu = mu[:r] + (mu[r] + 1,) + mu[r + 1 :]
+        else:
+            continue
+        s = stat + k if r > row else stat
+        by_maj = counts.setdefault(nu, {})
+        by_maj[s] = by_maj.get(s, 0) + 1
+        if k + 1 < max_n:
+            _place_maj(counts, max_n, nu, r, s, k + 1)
 
 
 def descent_set(t: StandardTableau) -> frozenset[int]:
@@ -305,60 +325,41 @@ def _corners(mu: tuple[int, ...]) -> list[int]:
     return [r for r, part in enumerate(mu) if part and (r + 1 == len(mu) or mu[r + 1] < part)]
 
 
-def _check_budget(bound: Partition, n: int) -> None:
-    """:func:`_admit_within` at DEFAULT_PAIR_BUDGET, read at call time: a
-    sweep priced before its DP runs is not walked again."""
-    _admit_within(bound, n, DEFAULT_PAIR_BUDGET)
+def _price(bound: Partition, n: int) -> int:
+    """How many table-entry updates the DP of the shapes of n inside
+    ``bound`` may make, counted without building a table; past
+    DEFAULT_PAIR_BUDGET, read at call time, it is refused.
 
-
-@lru_cache(maxsize=None)
-def _admit_within(bound: Partition, n: int, budget: int) -> None:
-    """Refuse the DP of the shapes of n inside ``bound`` unless, for each
-    such shape lam, a bound on the table-entry updates of the DP of lam
-    alone is at most ``budget``; a refusal raises, so it is not held.
-
-    After i is placed in a shape mu, the row of i is a removable corner of mu
-    and i may be barred or not; each such state moves by the addable rows of
-    mu, barred or not; and its table has at most i * (sum_{j<i} (n - j) + 1)
-    entries, as the bar count takes i values and the statistic, maj or comaj,
-    is at most sum_{j<i} (n - j).  So the bound of lam is F(lam), the sum of
-    W(nu) over the shapes nu of size >= 2 inside lam, where W(nu) sums
-    4 * corners(mu) * table(|mu|) over the shapes mu = nu minus one corner.
-    F is computed for every shape inside ``bound`` in one walk, layer by
-    layer, by inclusion-exclusion over the corners of nu: the shapes strictly
-    inside nu are those inside some nu - c, and those inside nu - c for every
-    c in a set S of corners are the shapes inside nu - S.  F only grows
-    upwards, and every shape of size <= n inside ``bound`` lies in one of size
-    n, so the walk stops at the first F over the budget: a huge shape is
-    refused after a few layers."""
-    layer = [(1,) + (0,) * (len(bound) - 1)] if n else []
-    below: dict[tuple[int, ...], int] = {}
+    The walk meets the shapes inside ``bound`` layer by layer, as
+    :func:`_sign_layers` does.  After i is placed in a shape mu, the row of
+    i is a corner of mu and i may be barred or not; each such state moves by
+    the addable rows of mu, barred or not; and its table has at most
+    i * (sum_{j<i} (n - j) + 1) entries, as the bar count takes i values and
+    the statistic, maj or comaj, is at most sum_{j<i} (n - j).  Placing 1
+    makes two updates.  The count only grows, so a huge bound is refused
+    after a few layers.  Past n = 24 a slot of :func:`_slots` spans more
+    than one 64-bit word, and an update counts once per word."""
+    budget = DEFAULT_PAIR_BUDGET
+    count = 2 if n else 0
+    layer = {(1,) + (0,) * (len(bound) - 1)} if n else set()
     for i in range(1, n):
+        if count > budget:
+            break
         table = i * ((i - 1) * (2 * n - i) // 2 + 1)
-        own: dict[tuple[int, ...], int] = {}
+        nxt = set()
         for mu in layer:
-            weight = 4 * len(_corners(mu)) * table
-            for _, nu in _moves(bound, mu):
-                own[nu] = own.get(nu, 0) + weight
-        for nu, total in own.items():
-            corners = _corners(nu)
-            for k in range(1, len(corners) + 1):
-                for rows in combinations(corners, k):
-                    smaller = list(nu)
-                    for r in rows:
-                        smaller[r] -= 1
-                    total -= (-1) ** k * below.get(tuple(smaller), 0)
-            if total > budget:
-                if sum(bound) == n:
-                    shapes = bound
-                else:
-                    shapes = f"the shapes of {n} containing {tuple(part for part in nu if part)}"
-                raise ResourceLimitError(
-                    f"the signed-tableau DP of {shapes} needs more than {budget}"
-                    " table-entry updates"
-                )
-            below[nu] = total
-        layer = list(own)
+            moves = [nu for _, nu in _moves(bound, mu)]
+            nxt.update(moves)
+            count += 4 * len(_corners(mu)) * len(moves) * table
+        layer = nxt
+    else:  # the walk ran to the end: weigh each update by its slot's words
+        count *= _slots(n)[1] // 64
+    if count > budget:
+        shapes = bound if sum(bound) == n else f"the shapes of {n} inside {bound}"
+        raise ResourceLimitError(
+            f"the signed-tableau DP of {shapes} needs more than {budget} table-entry updates"
+        )
+    return count
 
 
 def _slots(n: int) -> tuple[int, int]:
@@ -414,9 +415,9 @@ def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Pa
     shape of n inside ``bound``, from one DP over the shapes inside it.
 
     Entries 1..n are placed in order.  A state after placing i is (shape mu,
-    row of i, whether i is barred); its table is one ``int`` packed by
-    :meth:`~freelie.exactalg.QTPoly.pack`, whose slot stat * (n+1) + bar
-    count holds the number of signed fillings of mu reaching it.  Placing
+    row of i, whether i is barred); its table is one ``int`` in the slots
+    that :meth:`~freelie.exactalg.QTPoly.unpack` reads: slot stat * (n+1) +
+    bar count holds the number of signed fillings of mu reaching it.  Placing
     i+1 in row r, barred or not, puts i in the index set of
     :func:`relative_maj` when r is strictly lower than the row of i and i+1
     is unbarred, or r is not strictly lower and i is barred; i then adds i to
@@ -427,10 +428,10 @@ def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Pa
     sum to n!, so slots of that many bits never overflow; unpacking checks
     each shape's sum.  A state's table does not depend on the shape it grows
     into, so each shape inside ``bound`` is walked once for all the shapes
-    of n above it.
+    of n above it.  Its callers price the DP first, by :func:`_price`.
     """
-    _check_budget(bound, n)
-    *_, last = _sign_layers(bound, n, use_comaj)
+    for last in _sign_layers(bound, n, use_comaj):
+        pass  # each layer is dropped once the next is built
     return _unpacked(last, *_slots(n))
 
 
@@ -438,8 +439,7 @@ def _sign_generating_polys(bound: Partition, n: int, use_comaj: bool) -> dict[Pa
 def _maj_sweep(max_n: int) -> tuple[dict[Partition, QTPoly], ...]:
     """The maj tables of every shape of every size 0..max_n, indexed by
     size: the layers of the one DP of every shape of max_n."""
-    bound = _every_shape(max_n)
-    _check_budget(bound, max_n)
+    bound = admit_sweep(max_n)
     slots = _slots(max_n)
     return tuple(_unpacked(tables, *slots) for tables in _sign_layers(bound, max_n, False))
 
@@ -447,22 +447,32 @@ def _maj_sweep(max_n: int) -> tuple[dict[Partition, QTPoly], ...]:
 def maj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^maj t^negg over all signed standard tableaux of the shape."""
     lam = check_partition(lam)
+    _price(lam, sum(lam))
     return _sign_generating_polys(lam, sum(lam), False)[lam]
 
 
 def comaj_neg_generating_poly(lam: Partition) -> QTPoly:
     """Sum of q^comaj t^negg over all signed standard tableaux of the shape."""
     lam = check_partition(lam)
+    _price(lam, sum(lam))
     return _sign_generating_polys(lam, sum(lam), True)[lam]
 
 
-def _every_shape(n: int) -> Partition:
-    """(n, n//2, n//3, ..., 1): the smallest shape holding every shape of n,
-    as the k-th part of a shape of n is at most n/k."""
+def admit_sweep(n: int) -> Partition:
+    """(n, n//2, n//3, ..., 1), the smallest shape holding every shape of n
+    (the k-th part of a shape of n is at most n/k), once the DP of every
+    shape of n inside it is priced by :func:`_price`.  The bound has n
+    parts, so it is priced inside its two rows (n, n//2) first: that walk
+    meets some of the whole walk's shapes, each with no more moves, so its
+    refusal is the whole walk's, and a huge n is refused before the bound
+    is built."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return tuple(n // k for k in range(1, n + 1))
+    _price((n, n // 2), n)
+    bound = tuple(n // k for k in range(1, n + 1))
+    _price(bound, n)
+    return bound
 
 
 def maj_neg_generating_polys(n: int, up_to: int | None = None) -> dict[Partition, QTPoly]:
@@ -471,7 +481,7 @@ def maj_neg_generating_polys(n: int, up_to: int | None = None) -> dict[Partition
     largest size, so that its DP runs once.  Without ``up_to``, only the
     last layer of the DP of n is read."""
     if up_to is None:
-        return dict(_sign_generating_polys(_every_shape(n), n, False))
+        return dict(_sign_generating_polys(admit_sweep(n), n, False))
     if not 0 <= n <= up_to:
         raise ValueError(f"need 0 <= n <= up_to, got n = {n}, up_to = {up_to}")
     return dict(_maj_sweep(up_to)[n])
@@ -480,7 +490,7 @@ def maj_neg_generating_polys(n: int, up_to: int | None = None) -> dict[Partition
 def comaj_neg_generating_polys(n: int) -> dict[Partition, QTPoly]:
     """:func:`comaj_neg_generating_poly` of every shape of n, from one DP: the
     comaj step n - i depends on n, so each n runs its own."""
-    return dict(_sign_generating_polys(_every_shape(n), n, True))
+    return dict(_sign_generating_polys(admit_sweep(n), n, True))
 
 
 def count_super_tableaux(lam: Partition, modulus: int, residue: int, m: int) -> int:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import QTPoly, Record, ResourceLimitError, UsageError, first_difference
+from .exactalg import QTPoly, Record, UsageError, first_difference
 from .partition import format_partition, partitions_of
 
 
@@ -145,46 +145,13 @@ def suite_super_klyachko(max_total: int):
         yield "super-klyachko", {"n": n, "m": m}, twisted, superlie.super_brandt_char(n, m)
 
 
-def _admit_sign_polys(max_n: int) -> None:
-    """Refuse, before any DP runs, a sweep that needs the signed-tableau DP
-    of every shape of some n <= max_n and would be refused at max_n: the
-    budget admits every shape of n whenever it admits every shape of max_n.
-
-    The bound (max_n, max_n // 2, ...) of every shape has max_n parts, so it
-    is priced inside its first two rows first.  The budget walk there meets
-    exactly the shapes of at most two rows, each at its cost in the whole
-    walk, so a refusal there is a refusal of max_n.  Admission there bounds
-    max_n: the one-row shape (max_n) alone needs about 0.8 * max_n^4 updates.
-    Only then is the whole bound priced."""
-    for rows in (2, max_n):
-        tableau._check_budget(tuple(max_n // k for k in range(1, min(rows, max_n) + 1)), max_n)
-
-
-# The classical slice walks every standard tableau of every shape of
-# n <= max_n, the involutions of each n: 3,148,063 up to 14 are admitted,
-# the 13,497,599 up to 15 are not.
-_SLICE_BUDGET = 4_000_000
-
-
-def _admit_slice(max_n: int) -> None:
-    """Refuse, before any tableau is walked, a classical slice whose standard
-    tableaux of every shape of n <= max_n number more than _SLICE_BUDGET.
-    Called after :func:`_admit_sign_polys`, which bounds max_n."""
-    walked = sum(tableau.syt_count(lam) for n in range(1, max_n + 1) for lam in partitions_of(n))
-    if walked > _SLICE_BUDGET:
-        raise ResourceLimitError(
-            f"the hook-classical-slice up to n = {max_n} walks {walked} standard"
-            f" tableaux, more than {_SLICE_BUDGET}"
-        )
-
-
 def suite_hook(max_n: int):
     """q,t-hook product equals the (maj, bar count) generating polynomial,
     and its t = 0 slice is the classical maj generating polynomial, counted
     over the standard tableaux themselves by one walk that carries maj.
-    Every size reads its generating polynomials off the one DP up to max_n."""
-    _admit_sign_polys(max_n)
-    _admit_slice(max_n)
+    Every size reads its generating polynomials off the one DP up to max_n,
+    priced before the slice walk prices itself."""
+    tableau.admit_sweep(max_n)
     slices = tableau.syt_maj_counts(max_n)
     for n in range(1, max_n + 1):
         gens = tableau.maj_neg_generating_polys(n, max_n)
@@ -210,7 +177,7 @@ def suite_sps(max_n: int, q_cap: int, qt_hook_max_n: int):
     """Principal specialization of the two-alphabet Schur functions: maj and
     comaj equidistribution plus the series identity, and the numerical check
     of the closed hook-product specialization."""
-    _admit_sign_polys(max_n)
+    tableau.admit_sweep(max_n)
     for n in range(1, max_n + 1):
         for lam in partitions_of(n):
             parameters = {"partition": format_partition(lam), "q_cap": q_cap}
@@ -241,7 +208,7 @@ def suite_reu(max_n: int):
 def suite_kw(max_total: int, omega_trials: int, omega_max_r: int):
     """Multiplicity formula for all bidegrees, plus agreement of the two
     implementations of residue extraction on random dicts {lambda: QTPoly}."""
-    _admit_sign_polys(max_total)
+    tableau.admit_sweep(max_total)
     for n, m in _bidegrees(max_total):
         yield "kw-multiplicity", {"n": n, "m": m}, *specialization.kw_routes(n, m, max_total)
 
@@ -288,7 +255,7 @@ def suite_symmetry(sym1_max_n: int, sym2_max_total: int, sym3_max_total: int):
     h = half_if_even(m) (signed); and for odd n and m, bar counts m and n are
     equidistributed within every maj residue class mod n+m (odd)."""
     largest = max(sym1_max_n, sym2_max_total, sym3_max_total)
-    _admit_sign_polys(largest)
+    tableau.admit_sweep(largest)
     for n in range(2, sym1_max_n + 1):
         pairs = _equal_gcd_pairs(n, 0)
         for lam in partitions_of(n):
@@ -444,8 +411,9 @@ def run_suite(name: str, profile: str = "full", overrides: dict | None = None) -
     :func:`_equality` builds them: the one loop that compares the routes
     every suite yields.
 
-    An override that none of the selected suites takes, and a run whose
-    bounds select no check at all, are usage errors: neither may pass.
+    A negative override, an override that none of the selected suites
+    takes, and a run whose bounds select no check at all, are usage errors,
+    raised before any suite runs or, for the last, after: none may pass.
     """
     if profile not in PROFILES:
         raise UsageError(f"unknown profile {profile!r}")
@@ -453,6 +421,9 @@ def run_suite(name: str, profile: str = "full", overrides: dict | None = None) -
     if any(n not in SUITES for n in names):
         raise UsageError(f"unknown suite {name!r}")
     overrides = overrides or {}
+    negative = [f"{flag} = {value}" for flag, value in overrides.items() if value < 0]
+    if negative:
+        raise UsageError(f"an override must be >= 0: {', '.join(negative)}")
     unused = set(overrides).difference(*(SUITES[n].flags for n in names))
     if unused:
         raise UsageError(f"{', '.join(sorted(unused))} does not apply to suite {name!r}")

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -227,16 +226,15 @@ def test_count_budget_resource_error(capsys):
 def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
     # each sweep over the all-shapes DP is priced at its bound before the DP
     # of n = 1 runs, not after computing every n <= 18, and without building
-    # the bound's n parts; a DP call, of the maj sweep or of one size, fails
-    # the test at once
+    # the bound's n parts; a DP layer or a tableau walked fails the test
     calls = []
 
     def refuse(*key):
         calls.append(key)
-        raise AssertionError(f"the DP {key} ran before the sweep was priced")
+        raise AssertionError(f"{key} was computed before the sweep was priced")
 
-    monkeypatch.setattr(tableau, "_maj_sweep", refuse)
-    monkeypatch.setattr(tableau, "_sign_generating_polys", refuse)
+    monkeypatch.setattr(tableau, "_sign_layers", refuse)
+    monkeypatch.setattr(tableau, "_place_maj", refuse)
     for flag in (("hook", "--max-n"), ("kw", "--max-total"), ("sps", "--max-n")):
         for n in ("40", "1000000000"):
             start = time.perf_counter()
@@ -252,18 +250,19 @@ def test_verify_sweep_refused_before_any_dp(capsys, monkeypatch):
 
 
 def test_sweep_admission_agrees_with_the_whole_bound(monkeypatch):
-    # pricing the first rows of the bound refuses exactly the sizes that
-    # pricing the whole bound refuses, at the default budget and a smaller one
+    # pricing the first two rows of the bound before the whole refuses
+    # exactly the sizes that pricing the whole bound alone refuses, at the
+    # default budget and a smaller one
     for budget in (tableau.DEFAULT_PAIR_BUDGET, 200_000):
         monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", budget)
         for n in range(0, 41):
             try:
-                tableau._check_budget(tableau._every_shape(n), n)
+                tableau._price(tuple(n // k for k in range(1, n + 1)), n)
                 whole = True
             except ResourceLimitError:
                 whole = False
             try:
-                verify._admit_sign_polys(n)
+                tableau.admit_sweep(n)
                 rows = True
             except ResourceLimitError:
                 rows = False
@@ -272,8 +271,8 @@ def test_sweep_admission_agrees_with_the_whole_bound(monkeypatch):
 
 def test_classical_slice_refused_before_any_tableau(capsys, monkeypatch):
     # the DP admits every shape of 15, but the slice would walk the
-    # 13,497,599 standard tableaux of sizes up to 15; it is priced before
-    # any DP runs or any tableau is walked
+    # 13,497,599 standard tableaux of sizes up to 15; the walk prices itself
+    # before any DP layer is computed or any tableau is walked
     calls = []
 
     def counted(real):
@@ -283,17 +282,18 @@ def test_classical_slice_refused_before_any_tableau(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("syt_maj_counts", "_maj_sweep", "_sign_generating_polys"):
+    for name in ("_place_maj", "_sign_layers"):
         monkeypatch.setattr(tableau, name, counted(getattr(tableau, name)))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "hook", "--max-n", "15")
     assert time.perf_counter() - start < 1
     assert code == cli.EXIT_RESOURCE
-    assert "resource limit" in err and "hook-classical-slice up to n = 15" in err, err
+    assert "resource limit" in err and "maj walk up to n = 15" in err, err
     assert "13497599 standard tableaux" in err
     assert out == "" and calls == []
-    # the 3,148,063 tableaux of sizes up to 14 are admitted
-    verify._admit_slice(14)
+    # the 3,148,063 tableaux of sizes up to 14 are admitted: the walk starts
+    monkeypatch.setattr(tableau, "_place_maj", lambda *args: calls.append(args[2:]))
+    assert tableau.syt_maj_counts(14) == {} and calls == [((), 0, 0, 0)]
 
 
 @pytest.mark.parametrize("routes", [(tableau,), (specialization,), (tableau, specialization)])
@@ -410,10 +410,11 @@ def test_override_bounds_every_check_of_its_suite(capsys):
 
 
 def test_verify_empty_run_is_usage_error(capsys):
+    # a negative bound is refused before that, as any negative override is
     for argv in (["hook", "--max-n", "0"], ["hook", "--max-n", "-3"], ["reu", "--max-n", "-3"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == cli.EXIT_USAGE
-        assert "pass" not in out and "no checks" in err
+        assert "pass" not in out and ("no checks" if argv[2] == "0" else ">= 0") in err
 
 
 def test_repeated_verify_bound_is_usage_error(capsys):
@@ -565,9 +566,9 @@ def _exit_texts(capsys, argv):
 
 @pytest.mark.parametrize("columns", [None, "40", "100", "abc", "-5"])
 def test_help_and_usage_texts_are_argparse_own(columns, capsys, monkeypatch):
-    # the parsers find the width without shutil, and build only the named
-    # command's arguments; each help and usage error must read byte for
-    # byte as the stock formatter writes it
+    # a parser built with only the named command's arguments must write
+    # each help and usage error byte for byte as the parser of every
+    # command does
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:
@@ -575,9 +576,29 @@ def test_help_and_usage_texts_are_argparse_own(columns, capsys, monkeypatch):
     argvs = [[*command, "--help"] for command in ([], ["char"], ["dim"], ["count"], ["verify"])]
     argvs += [[], ["bogus"], ["verify", "nosuch"], ["dim", "1"]]
     ours = [_exit_texts(capsys, argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_help_formatter", argparse.HelpFormatter)
+    every = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: every)
     assert [_exit_texts(capsys, argv) for argv in argvs] == ours
     assert [code for code, _, _ in ours] == [0] * 5 + [cli.EXIT_USAGE] * 4
+
+
+def test_a_negative_override_is_a_usage_error(capsys, monkeypatch):
+    # every bound flag of verify, negative, on each suite that takes it and
+    # on "all": exit 2 before any suite runs
+    def refuse(**bounds):
+        raise AssertionError(f"a suite ran at {bounds}")
+
+    for suite in verify.SUITES.values():
+        monkeypatch.setattr(suite, "run", refuse)
+    flags = [(f, spec) for f, spec in cli.COMMANDS["verify"][2] if spec.get("action") == "once"]
+    assert len(flags) == 5
+    for flag, spec in flags:
+        dest = cli._dest(flag, spec)
+        names = [name for name, suite in verify.SUITES.items() if dest in suite.flags]
+        for name in [*names, "all"]:
+            code, out, err = run(capsys, "verify", name, flag, "-3")
+            assert (code, out) == (cli.EXIT_USAGE, ""), (name, flag)
+            assert err == f"usage error: an override must be >= 0: {dest} = -3\n", err
 
 
 def test_one_bidegree_message(capsys):

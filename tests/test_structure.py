@@ -292,6 +292,56 @@ def test_no_private_code_is_unreferenced():
     assert _unreferenced_private_names(sources) == []
 
 
+def _foreign_private_reads(source: str) -> list[str]:
+    """The private module-level names of other freelie modules that a
+    module reads, as ``mod._x`` after ``from . import mod`` or through
+    ``from .mod import _x``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("freelie")):
+            for alias in node.names:
+                if node.module in (None, "freelie"):
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_private_name_guard_sees_foreign_reads():
+    source = (
+        "from . import tableau, verify as v\n"
+        "from .exactalg import QTPoly, _qt_key\n"
+        "from freelie.partition import _private\n"
+        "def f(x):\n"
+        "    return tableau._check_budget(x), v.SUITES, x._own, tableau.__name__\n"
+    )
+    assert _foreign_private_reads(source) == [
+        "exactalg._qt_key", "freelie.partition._private", "tableau._check_budget"
+    ]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module's private names are its own: another module that needs one
+    # calls it through a public name
+    package = pathlib.Path(freelie.__file__).parent
+    reads = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _foreign_private_reads(path.read_text()))
+    }
+    assert reads == {}
+
+
 def test_every_suite_yields_its_routes():
     # a suite yields (check, parameters, lhs, rhs) and run_suite alone
     # compares them: a suite that returns reports has its own check loop

@@ -1,6 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, compress
 from operator import gt
 
@@ -334,7 +337,7 @@ def test_shared_maj_dp_reads_every_size_off_its_layers():
     sweep = tableau._maj_sweep(10)
     assert len(sweep) == 11
     for n in range(11):
-        assert sweep[n] == tableau._sign_generating_polys(tableau._every_shape(n), n, False), n
+        assert sweep[n] == tableau._sign_generating_polys(tableau.admit_sweep(n), n, False), n
         assert maj_neg_generating_polys(n, 10) == sweep[n]
     with pytest.raises(ValueError):
         maj_neg_generating_polys(11, 10)
@@ -359,10 +362,11 @@ def test_a_lone_maj_call_reads_only_its_last_layer(monkeypatch):
 
 def _dict_sign_generating_polys(bound, n, use_comaj):
     """The signed-tableau DP with one dict per state's table instead of a
-    packed int: the reference for the packed tables."""
+    packed int: the reference for the packed tables.  Returns the tables and
+    the number of table-entry updates made."""
     if n == 0:
-        return {(): QTPoly.one()}
-    base = n + 1
+        return {(): QTPoly.one()}, 0
+    base, updates = n + 1, 0
     layer = {((0,) * len(bound), len(bound), False): {0: 1}}
     for i in range(n):
         step = (n - i if use_comaj else i) * base
@@ -372,6 +376,7 @@ def _dict_sign_generating_polys(bound, n, use_comaj):
                 for barred_next in (False, True):
                     joins = (r > row and not barred_next) or (barred and not r > row)
                     target = nxt.setdefault(nu if i == n - 1 else (nu, r, barred_next), {})
+                    updates += len(table)
                     for key, c in table.items():
                         key += step * joins + barred_next
                         target[key] = target.get(key, 0) + c
@@ -379,15 +384,15 @@ def _dict_sign_generating_polys(bound, n, use_comaj):
     return {
         tuple(part for part in mu if part): QTPoly({divmod(key, base): c for key, c in table.items()})
         for mu, table in layer.items()
-    }
+    }, updates
 
 
 def test_packed_dp_matches_the_dict_dp():
     for n in range(0, 10):
         for use_comaj in (False, True):
-            bound = tableau._every_shape(n)
+            bound = tableau.admit_sweep(n)
             packed = tableau._sign_generating_polys(bound, n, use_comaj)
-            assert packed == _dict_sign_generating_polys(bound, n, use_comaj), (n, use_comaj)
+            assert packed == _dict_sign_generating_polys(bound, n, use_comaj)[0], (n, use_comaj)
             assert all(type(c) is int for p in packed.values() for c in p.terms.values())
 
 
@@ -427,86 +432,79 @@ def test_sweeps_compute_each_size_and_statistic_once(monkeypatch):
         )
         verify.run_suite(suite, "quick")
         assert set(sweeps) == {max_n} and sweep.cache_info().misses == 1, suite
-        comaj = {(tableau._every_shape(n), n, True) for n in range(1, max_n + 1)}
+        comaj = {(tableau.admit_sweep(n), n, True) for n in range(1, max_n + 1)}
         assert set(calls) == (comaj if suite == "sps" else set()), suite
         assert polys.cache_info().misses == len(set(calls)), suite
 
 
-def test_a_sweep_walks_its_whole_bound_once(monkeypatch):
-    # verify prices a sweep's whole bound before its maj DP runs, and the
-    # DP prices it again: the second reads the admission the first left,
-    # held under the budget of the call; a refusal is never held
-    walks = []
-    walk = tableau._admit_within.__wrapped__
-    held = lru_cache(maxsize=None)(lambda *key: walks.append(key) or walk(*key))
-    monkeypatch.setattr(tableau, "_admit_within", held)
-    tableau._maj_sweep.cache_clear()
-    verify.run_suite("hook", "quick", {"max_n": 9})
-    whole = (tableau._every_shape(9), 9)
-    assert walks.count((*whole, tableau.DEFAULT_PAIR_BUDGET)) == 1
-    monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", 1000)
-    for _ in range(2):
-        with pytest.raises(ResourceLimitError):
-            tableau._check_budget(*whole)
-    assert walks.count((*whole, 1000)) == 2 and held.cache_info().currsize == len(set(walks)) - 1
-
-
-def _reference_budget_bound(lam):
-    """The bound of the per-shape DP on its table-entry updates, summed over
-    the shapes inside lam, layer by layer."""
-    n = sum(lam)
-    bound = 0
-    layer = {(1,) + (0,) * (len(lam) - 1)} if n else set()
+def _reference_price(bound, n):
+    """The price of the DP of the shapes of n inside ``bound``, shape by
+    shape, layer by layer: two updates to place 1, then for each shape mu of
+    each size i, 4 * corners(mu) * moves(mu) * table(i)."""
+    price = 2 if n else 0
+    layer = {(1,) + (0,) * (len(bound) - 1)} if n else set()
     for i in range(1, n):
         table = i * ((i - 1) * (2 * n - i) // 2 + 1)
         nxt = set()
         for mu in layer:
             corners = sum(1 for a, b in zip(mu, mu[1:] + (0,)) if a > b)
-            moves = [nu for _, nu in tableau._moves(lam, mu)]
+            moves = [nu for _, nu in tableau._moves(bound, mu)]
             nxt.update(moves)
-            bound += 4 * corners * len(moves) * table
+            price += 4 * corners * len(moves) * table
         layer = nxt
-    return bound
+    return price
 
 
-def _admitted(bound, n):
-    try:
-        tableau._check_budget(bound, n)
-    except ResourceLimitError:
-        return False
-    return True
+def test_price_counts_at_least_the_dps_updates():
+    # the price is the count above, and no less than the table-entry
+    # updates the dict DP makes, for each shape of n <= 9 and for every
+    # shape of n at once, by maj and by comaj
+    for n in range(0, 10):
+        for bound in (*partitions_of(n), tableau.admit_sweep(n)):
+            price = tableau._price(bound, n)
+            assert price == _reference_price(bound, n), bound
+            for use_comaj in (False, True):
+                assert price >= _dict_sign_generating_polys(bound, n, use_comaj)[1], bound
+    # past n = 24 a slot spans two 64-bit words and an update counts twice;
+    # the single row of 110, within the budget word for word, ran 10-20 s
+    assert tableau._price((25,), 25) == 2 * _reference_price((25,), 25)
+    assert _reference_price((110,), 110) <= tableau.DEFAULT_PAIR_BUDGET
+    with pytest.raises(ResourceLimitError):
+        tableau._price((110,), 110)
 
 
-def test_budget_admits_all_shapes_exactly_when_each_shape_alone(monkeypatch):
-    for n in range(2, 9):
-        bounds = {lam: _reference_budget_bound(lam) for lam in partitions_of(n)}
-        for lam, bound in bounds.items():
-            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", bound)
-            assert _admitted(lam, n), lam
-            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", bound - 1)
-            assert not _admitted(lam, n) or bound == 0, lam
-        largest = max(bounds.values())
-        monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", largest)
-        assert _admitted(tableau._every_shape(n), n), n
-        monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", largest - 1)
-        assert not _admitted(tableau._every_shape(n), n), n
+def test_price_refuses_past_the_budget_read_at_call_time(monkeypatch):
+    for n in range(1, 9):
+        for bound in (*partitions_of(n), tableau.admit_sweep(n)):
+            price = tableau._price(bound, n)
+            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", price)
+            assert tableau._price(bound, n) == price
+            monkeypatch.setattr(tableau, "DEFAULT_PAIR_BUDGET", price - 1)
+            with pytest.raises(ResourceLimitError, match=f"needs more than {price - 1} "):
+                tableau._price(bound, n)
+            monkeypatch.undo()
 
 
 def test_default_budget_admits_every_shape_to_18():
     for n in range(1, 19):
         for lam in partitions_of(n):
-            tableau._check_budget(lam, n)
+            tableau._price(lam, n)
 
 
 def test_default_budget_admits_every_size_to_18():
     # the all-shapes call, admission only: the DP is not run
     for n in range(1, 19):
-        tableau._check_budget(tableau._every_shape(n), n)
-    with pytest.raises(ResourceLimitError):
-        tableau._check_budget(tableau._every_shape(19), 19)
+        tableau.admit_sweep(n)
+    with pytest.raises(ResourceLimitError, match="shapes of 19"):
+        tableau.admit_sweep(19)
 
 
-def test_budget_refuses_before_computing():
+def test_budget_refuses_before_computing(monkeypatch):
+    def refuse(*key):
+        raise AssertionError("a DP layer was computed")
+
+    monkeypatch.setattr(tableau, "_sign_layers", refuse)
+    tableau._sign_generating_polys.cache_clear()
     with pytest.raises(ResourceLimitError):
         maj_neg_generating_poly((500, 500, 500, 500))
     with pytest.raises(ResourceLimitError):
@@ -520,6 +518,39 @@ def test_budget_errors(monkeypatch):
         maj_neg_generating_poly((3, 2, 1))
     with pytest.raises(ResourceLimitError):
         count_super_tableaux((3, 2, 1), 6, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "maj_neg_generating_polys(10**9)",
+        "comaj_neg_generating_polys(10**9)",
+        "maj_neg_generating_polys(5, 10**9)",
+        "syt_maj_counts(10**9)",
+    ],
+)
+def test_library_calls_refuse_a_huge_n_at_once(call):
+    # without verify in front, each walk prices itself before it builds
+    # anything: under a 1 GB address-space cap it raises at once, neither
+    # running out of memory nor hanging
+    script = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from freelie import tableau\n"
+        "from freelie.exactalg import ResourceLimitError\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    tableau.{call}\n"
+        "except ResourceLimitError:\n"
+        "    print('refused', time.perf_counter() - start)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(tableau.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    verdict, _, seconds = done.stdout.partition(" ")
+    assert verdict == "refused", (done.stdout, done.stderr[-500:])
+    assert float(seconds) < 1
 
 
 def test_render_and_parse_tableaux():
