@@ -20,8 +20,8 @@ _MODULES = (
 _EXPORTS = {
     name: module
     for module, names in (
-        ("exactalg", "CycloElem ExactDivisionError MultiPoly QTPoly ResourceLimitError"
-         " binom cyclo_reduce cyclotomic_poly mobius q_pochhammer"),
+        ("exactalg", "CycloElem ExactDivisionError MultiPoly QTPoly Rational"
+         " ResourceLimitError binom cyclo_reduce cyclotomic_poly mobius q_pochhammer"),
         ("partition", "Partition conjugate format_partition hook_length parse_partition"
          " partitions_of z_lambda"),
         ("tableau", "StandardTableau SuperTableau comaj count_super_tableaux descent_set maj"

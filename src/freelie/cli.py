@@ -11,6 +11,9 @@ it without argparse, and only help and usage errors build argparse's parser
 from the same table.  ``dim`` imports :mod:`freelie.superlie`, ``char``
 that and :mod:`freelie.symfunc`, ``count`` :mod:`freelie.tableau`, and only
 ``verify`` imports :mod:`freelie.verify`, with the suites' modules behind it.
+Reports are written by this module's own JSON writer, byte for byte as
+``json.dumps`` writes them, so that only ``char higher``, which parses its
+``--matrix``, loads :mod:`json` (and ``re`` behind it).
 
 Exit codes: 0 success, 1 a verified identity failed, 2 usage error, 3 domain
 error, 4 resource budget exceeded.
@@ -23,7 +26,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -104,6 +106,8 @@ def cmd_char(args) -> dict:
         raise UsageError("char higher requires --matrix")
     if args.args:
         raise UsageError(f"char higher takes no positional arguments, got {args.args!r}")
+    import json  # here, so that only the one command that reads JSON loads it
+
     text = args.matrix
     if text.startswith("@") or os.path.exists(text):
         path = text[1:] if text.startswith("@") else text
@@ -348,15 +352,68 @@ def build_parser(argv=None):
     return parser
 
 
+# The escapes of the ASCII characters that JSON strings escape, as json.dumps
+# writes them: the short forms where JSON has one, \u00XX otherwise.
+_ESCAPES = {
+    **{i: f"\\u{i:04x}" for i in (*range(0x20), 0x7F)},
+    **{ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')},
+}
+
+
+def _json_string(text: str) -> str:
+    """A JSON string literal in ASCII: every other character is written as
+    \\uXXXX, one beyond U+FFFF as its UTF-16 surrogate pair."""
+    text = text.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c.isascii() else _unicode_escape(ord(c)) for c in text)
+    return f'"{text}"'
+
+
+def _unicode_escape(code: int) -> str:
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _dumps(value, indent: str | None = None, level: str = "") -> str:
+    """``json.dumps(value, indent=len(indent), sort_keys=True, default=str)``
+    for what a report holds: strings, ints, bools, None, lists and tuples,
+    and dicts with string keys; any other value is written as its str().
+    Without ``indent`` the separators are ", " and ": " on one line."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = level if indent is None else level + indent
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {_dumps(v, indent, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_dumps(v, indent, inner) for v in value]
+        brackets = "[]"
+    else:
+        return _json_string(str(value))
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{level}{brackets[1]}"
+
+
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
+        print(_dumps(report, indent="  "))
         return
-    print(f"{report['command']} {json.dumps(report['parameters'], sort_keys=True, default=str)}: {report['status']}")
+    print(f"{report['command']} {_dumps(report['parameters'])}: {report['status']}")
     for key, value in report["payload"].items():
         if key == "checks":
             for check in value:
-                line = f"  [{check['status']}] {check['check']} {json.dumps(check['parameters'], sort_keys=True, default=str)}"
+                line = f"  [{check['status']}] {check['check']} {_dumps(check['parameters'])}"
                 print(line)
                 if check["status"] == "fail":
                     # where the routes differ, then both routes

@@ -10,12 +10,11 @@ power of the generator, with the identity at k = r.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .exactalg import CycloElem, Record, ResourceLimitError, binom, divisors
+from .exactalg import CycloElem, RatLike, Rational, Record, ResourceLimitError, binom, divisors
 from .partition import Partition, partitions_of
 from .superlie import check_bidegree
 from .symfunc import ClassFunctionSn, SymFunc
@@ -105,7 +104,7 @@ def induce_frobenius(chi: CyclicClassFunction) -> SymFunc:
     p_d^(r/d).  Each inner sum is a sum over a full Galois orbit of roots of
     unity, so it must reduce to a rational; that reduction is asserted."""
     r = chi.order
-    terms: dict[Partition, Fraction] = {}
+    terms: dict[Partition, RatLike] = {}
     for d in divisors(r):
         inner = CycloElem.from_rational(r, 0)
         for k in range(1, r + 1):
@@ -115,7 +114,7 @@ def induce_frobenius(chi: CyclicClassFunction) -> SymFunc:
             raise ArithmeticError(
                 f"root-of-unity sum failed to reduce to a rational: {inner}"
             )
-        c = Fraction(inner.rational_value(), r)
+        c = inner.rational_value() * Rational(1, r)
         if c != 0:
             terms[(d,) * (r // d)] = c
     return SymFunc(terms)
@@ -186,7 +185,7 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
     r = chi.order
     if r > _INDUCE_ORACLE_MAX:
         raise ResourceLimitError(f"induction oracle capped at r <= {_INDUCE_ORACLE_MAX}")
-    values: dict[Partition, Fraction] = {}
+    values: dict[Partition, RatLike] = {}
     for mu, counts in _conjugation_counts(r):
         acc = CycloElem.from_rational(r, 0)
         for k, count in enumerate(counts, 1):
@@ -194,7 +193,7 @@ def induce_oracle(chi: CyclicClassFunction) -> ClassFunctionSn:
                 acc = acc + chi.at_power(k) * count
         if not acc.is_rational:
             raise ArithmeticError(f"induced character value not rational: {acc}")
-        values[mu] = Fraction(acc.rational_value(), r)
+        values[mu] = acc.rational_value() * Rational(1, r)
     return ClassFunctionSn(r, values)
 
 

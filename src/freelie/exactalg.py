@@ -1,11 +1,13 @@
 """Exact arithmetic substrate for all character computations.
 
 Everything is exact and no floating point appears anywhere in the package:
-coefficients are ``int`` or ``fractions.Fraction``, and a ``float`` is
-refused.  Integer input stays ``int`` through the term maps, their products
-and the cyclotomic reduction, and the row reduction takes ``int`` only.  This
-module provides
+coefficients are ``int`` or this module's :class:`Rational`, and a ``float``
+is refused.  Integer input stays ``int`` through the term maps, their
+products and the cyclotomic reduction, and the row reduction takes ``int``
+only.  This module provides
 
+* :class:`Rational`, the exact rational coefficient, and :func:`exact`,
+  which makes one of any exact input,
 * :class:`TermMap`, the one sparse key -> coefficient container, with the
   accumulate-and-drop-zero loop :func:`collect` and the term renderer
   :func:`render_terms`; every polynomial, series, cyclotomic element and
@@ -38,11 +40,8 @@ import math
 import operator
 import sys
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import compress, product
-
-RatLike = int | Fraction
 
 
 class UsageError(Exception):
@@ -84,6 +83,169 @@ class ExactDivisionError(ArithmeticError):
 
     Raising this signals an implementation bug, not bad input.
     """
+
+
+# ---------------------------------------------------------------------------
+# exact rationals
+
+
+@total_ordering
+class Rational:
+    """An exact rational number in lowest terms, its denominator positive.
+
+    It behaves as the standard library's ``Fraction`` does wherever the
+    package uses a coefficient: ``+ - * /`` and the comparisons take an
+    ``int``, a ``Rational`` or a ``Fraction`` on either side, a result is a
+    ``Rational`` even when its denominator is 1, equal values of the three
+    types hash equal, and ``str``, ``repr`` and the ``ZeroDivisionError`` of
+    a division by zero read as ``Fraction``'s.  It reads a ``Fraction`` by
+    its ``numerator`` and ``denominator`` alone, so the package imports no
+    module for it, where ``Fraction`` loads ``decimal``, ``numbers`` and
+    ``re``.
+    """
+
+    __slots__ = ("_n", "_d")
+
+    def __new__(cls, numerator: int = 0, denominator: int = 1):
+        n, d = operator.index(numerator), operator.index(denominator)
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+        return _rational(n // g, d // g)
+
+    numerator = property(lambda self: self._n)
+    denominator = property(lambda self: self._d)
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _rational(self._n + other * self._d, self._d)
+        pair = _pair(other)
+        return NotImplemented if pair is None else _sum(self._n, self._d, *pair)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _rational(self._n - other * self._d, self._d)
+        pair = _pair(other)
+        return NotImplemented if pair is None else _sum(self._n, self._d, -pair[0], pair[1])
+
+    def __rsub__(self, other):
+        pair = _pair(other)
+        return NotImplemented if pair is None else _sum(*pair, -self._n, self._d)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            g = math.gcd(other, self._d)
+            return _rational(self._n * (other // g), self._d // g)
+        pair = _pair(other)
+        return NotImplemented if pair is None else _product(self._n, self._d, *pair)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        pair = _pair(other)
+        return NotImplemented if pair is None else _quotient(self._n, self._d, *pair)
+
+    def __rtruediv__(self, other):
+        pair = _pair(other)
+        return NotImplemented if pair is None else _quotient(*pair, self._n, self._d)
+
+    def __neg__(self) -> Rational:
+        return _rational(-self._n, self._d)
+
+    def __bool__(self) -> bool:
+        return self._n != 0
+
+    def __int__(self) -> int:
+        """Truncated toward zero."""
+        n, d = self._n, self._d
+        return n // d if n >= 0 else -(-n // d)
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self._d == 1 and self._n == other
+        pair = _pair(other)
+        return NotImplemented if pair is None else (self._n, self._d) == pair
+
+    def __lt__(self, other):
+        pair = _pair(other)
+        return NotImplemented if pair is None else self._n * pair[1] < pair[0] * self._d
+
+    def __hash__(self) -> int:
+        """Python's hash of a rational number, so an equal ``int`` or
+        ``Fraction`` hashes the same."""
+        n, d = self._n, self._d
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+        except ValueError:  # d is a multiple of the modulus: no inverse
+            h = sys.hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(self) -> str:
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
+
+    def __repr__(self) -> str:
+        return f"Fraction({self._n}, {self._d})"
+
+
+_new = object.__new__
+
+
+def _rational(n: int, d: int) -> Rational:
+    """The Rational n/d of coprime n and d > 0, built unchecked."""
+    r = _new(Rational)
+    r._n = n
+    r._d = d
+    return r
+
+
+def _pair(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an ``int``, a :class:`Rational` or another
+    rational number such as a ``Fraction``, or None for anything else, a
+    ``float`` or a term map among them."""
+    if type(x) is Rational:
+        return x._n, x._d
+    if isinstance(x, int):
+        return x, 1
+    d = getattr(x, "denominator", None)
+    return None if d is None else (x.numerator, d)
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Rational:
+    """na/da + nb/db of two rationals in lowest terms, reduced through the
+    gcd of the denominators alone (Knuth, TAOCP 4.5.1)."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return _rational(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Rational:
+    """(na/da) * (nb/db) of two rationals in lowest terms, by cross gcds."""
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+def _quotient(na: int, da: int, nb: int, db: int) -> Rational:
+    """(na/da) / (nb/db) of two rationals in lowest terms, by cross gcds;
+    division by zero raises as ``Fraction`` does."""
+    g1, g2 = math.gcd(na, nb) or 1, math.gcd(db, da)
+    n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+    if d < 0:
+        n, d = -n, -d
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _rational(n, d)
+
+
+RatLike = int | Rational
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +382,18 @@ def _q_pochhammer_quotient(n: int, ks: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def exact(c) -> RatLike:
-    """A coefficient as an exact number: an ``int`` or a ``Fraction`` stays
-    as it is, a ``float`` raises TypeError (its binary value is rarely the
-    number meant), and anything else goes through ``Fraction()``."""
-    if type(c) in (int, Fraction):
+    """A coefficient as an exact number: an ``int`` or a :class:`Rational`
+    stays as it is, a ``float`` raises TypeError (its binary value is rarely
+    the number meant), and anything else (a ``Fraction``, a string such as
+    "1/10") becomes the :class:`Rational` of ``Fraction(c)``."""
+    if type(c) is int or type(c) is Rational:
         return c
     if isinstance(c, float):
         raise TypeError(f"coefficients must be exact, got the float {c!r}")
-    return Fraction(c)
+    from fractions import Fraction  # only such input pays for the import
+
+    c = Fraction(c)
+    return _rational(c.numerator, c.denominator)
 
 
 def collect(pairs: Iterable[tuple[Hashable, object]], start: Mapping | None = None) -> dict:
@@ -274,8 +440,8 @@ class TermMap:
 
     Zero coefficients are never stored, so equality of the term dicts is
     equality of the values.  Coefficients are exact (:func:`exact`): an
-    ``int`` stays ``int``, so products of integer values never touch
-    ``fractions``.  ``_layout`` names the attributes that two values
+    ``int`` stays ``int``, so products of integer values never build a
+    :class:`Rational`.  ``_layout`` names the attributes that two values
     must share to be added, multiplied or equal (a variable layout, a
     truncation cap); any other slot of a subclass is carried along.
     Public constructors validate outside input through :meth:`_fill`; results
@@ -289,7 +455,7 @@ class TermMap:
 
     __slots__ = ("_terms",)
     _layout: tuple[str, ...] = ()
-    _zero: object = Fraction(0)
+    _zero: object = _rational(0, 1)
     _sort_key = None  # order of items() by key; None is the natural order
     _combine = None  # key of the product of two keys; None: no product
 
@@ -370,9 +536,9 @@ class TermMap:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self._times(other)
+        if _pair(other) is None:  # not a number
+            return self._times(other)
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -383,7 +549,9 @@ class TermMap:
         return self._product(other, self._combine)
 
     def scale(self, factor):
-        """Multiply every coefficient by ``factor``."""
+        """Multiply every coefficient by ``factor``, made exact by
+        :func:`exact`."""
+        factor = exact(factor)
         if not factor:
             return self._with({})
         return self._with({k: c * factor for k, c in self._terms.items()})
@@ -452,7 +620,7 @@ class QTPoly(TermMap):
     """Sparse polynomial in q and t with exact rational coefficients.
 
     Terms map exponent pairs (a, b) >= (0, 0), meaning q^a * t^b, to nonzero
-    ``int`` or ``Fraction`` coefficients.  Items come by total degree, then
+    ``int`` or :class:`Rational` coefficients.  Items come by total degree, then
     q, then t exponent.
     """
 
@@ -697,9 +865,9 @@ class MultiPoly(TermMap):
     def monomial(cls, nx: int, ny: int, exp: tuple[int, ...], c: RatLike = 1) -> MultiPoly:
         return cls(nx, ny, {exp: c})
 
-    def eval_all_ones(self) -> Fraction:
+    def eval_all_ones(self) -> Rational:
         """Value with every variable set to 1 (the sum of all coefficients)."""
-        return sum(self._terms.values(), Fraction(0))
+        return sum(self._terms.values(), _rational(0, 1))
 
     def _name(self, exp: tuple[int, ...]) -> str:
         names = [f"x{i + 1}" for i in range(self.nx)] + [f"y{i + 1}" for i in range(self.ny)]

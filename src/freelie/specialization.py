@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -27,6 +26,8 @@ from .exactalg import (
     CycloElem,
     MultiPoly,
     QTPoly,
+    RatLike,
+    Rational,
     TermMap,
     add_pairs,
     collect,
@@ -57,7 +58,8 @@ from .symfunc import (
     to_p,
 )
 from .tableau import (
-    comaj_neg_generating_polys,
+    comaj_neg_generating_poly,
+    maj_neg_generating_poly,
     maj_neg_generating_polys,
     relative_comaj,
     syt_descent_sets,
@@ -92,7 +94,7 @@ class SpecSeries(TermMap):
     __slots__ = ("q_cap",)
     _layout = ("q_cap",)
 
-    def __init__(self, q_cap: int, terms: Mapping[tuple[int, int], Fraction] | None = None):
+    def __init__(self, q_cap: int, terms: Mapping[tuple[int, int], RatLike] | None = None):
         if q_cap < 0:
             raise ValueError(f"q_cap must be >= 0, got {q_cap}")
         self.q_cap = q_cap
@@ -188,7 +190,7 @@ def super_power_sum_truncated(lam: Partition, N: int, M: int) -> MultiPoly:
     for part in lam:
         px = expand_truncated(SymFunc.term((part,)), N, M)
         py = expand_truncated(BiSymFunc.term((), (part,)), N, M)
-        out = out * (px + py * Fraction((-1) ** (part + 1)))
+        out = out * (px + py * Rational((-1) ** (part + 1)))
     return out
 
 
@@ -204,9 +206,7 @@ def super_cauchy_routes(n: int, N: int, M: int) -> tuple[MultiPoly, MultiPoly]:
         if s_poly:
             lhs = lhs + s_poly * super_schur_truncated(lam, N, M)
         p_poly = expand_truncated(SymFunc.term(lam), N, M)
-        rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Fraction(
-            1, z_lambda(lam)
-        )
+        rhs = rhs + (p_poly * super_power_sum_truncated(lam, N, M)) * Rational(1, z_lambda(lam))
     return lhs, rhs
 
 
@@ -311,21 +311,27 @@ def _schur_principal_spec(lam: Partition, q_cap: int) -> SpecSeries:
 
 
 def s_ps_routes(
-    lam: Partition, q_cap: int = DEFAULT_Q_CAP, up_to: int | None = None
+    lam: Partition,
+    q_cap: int = DEFAULT_Q_CAP,
+    *,
+    maj_poly: QTPoly | None = None,
+    comaj_poly: QTPoly | None = None,
 ) -> tuple[tuple[QTPoly, SpecSeries], tuple[QTPoly, SpecSeries]]:
     """Two facts about the principal specialization of the two-alphabet Schur
     function, as (maj polynomial, specialized tableau expansion) against
     (comaj polynomial, maj polynomial / (q;q)_n): the comaj and maj
     sign-generating polynomials agree, and the specialized tableau expansion
-    equals that polynomial over (q;q)_n.  The maj polynomial comes from the
-    DP up to ``up_to``, as :func:`~freelie.tableau.maj_neg_generating_polys`
-    takes it."""
+    equals that polynomial over (q;q)_n.  A sweep over every shape of n
+    passes the two polynomials of the shape, read off its tables of n once;
+    either one left out is computed for the shape alone."""
     lam = check_partition(lam)
-    n = sum(lam)
-    maj_poly = maj_neg_generating_polys(n, up_to)[lam]
+    if maj_poly is None:
+        maj_poly = maj_neg_generating_poly(lam)
+    if comaj_poly is None:
+        comaj_poly = comaj_neg_generating_poly(lam)
     return (maj_poly, _schur_principal_spec(lam, q_cap)), (
-        comaj_neg_generating_polys(n)[lam],
-        SpecSeries.inv_pochhammer(n, q_cap) * maj_poly,
+        comaj_poly,
+        SpecSeries.inv_pochhammer(sum(lam), q_cap) * maj_poly,
     )
 
 
@@ -372,7 +378,7 @@ def omega_extract(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[Partit
 
 
 @lru_cache(maxsize=None)
-def _root_sum(r: int, j: int) -> int | Fraction:
+def _root_sum(r: int, j: int) -> RatLike:
     """The sum of zeta^(kj) over k = 1..r for a primitive r-th root zeta, as
     q^(kj mod r) reduced modulo Phi_r, asserted rational; it depends only on
     j mod r (memoized per (r, j mod r))."""
@@ -392,12 +398,12 @@ def omega_extract_roots(f: dict[Partition, QTPoly], r: int, s: int = 1) -> dict[
         raise ValueError(f"r must be >= 1, got {r}")
 
     def average(c: QTPoly) -> QTPoly:
-        sums: dict[int, int | Fraction] = {}
+        sums: dict[int, RatLike] = {}
         for (a, b), v in c.terms.items():
             total = _root_sum(r, (a - s) % r)
             if total:
                 sums[b] = sums.get(b, 0) + total * v
-        return QTPoly({(0, b): Fraction(x, r) for b, x in sums.items()})
+        return QTPoly({(0, b): x * Rational(1, r) for b, x in sums.items()})
 
     return {lam: v for lam, c in f.items() if (v := average(c))}
 

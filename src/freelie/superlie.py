@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 
 from .exactalg import (
+    Rational,
     ResourceLimitError,
     SparseEchelon,
     binom,
@@ -97,14 +97,14 @@ def check_bidegree(n: int, m: int) -> None:
         raise ValueError(f"bidegree must be nonzero and nonnegative: ({n}, {m})")
 
 
-def _brandt_terms(n: int, m: int) -> list[tuple[int, Fraction]]:
+def _brandt_terms(n: int, m: int) -> list[tuple[int, Rational]]:
     """The nonzero terms (d, c) of Brandt's sum at the bidegree (n, m): for
     each d | gcd(n, m), c = (-1)^(m + m/d) mu(d) C((n+m)/d, m/d) / (n+m).
     Each caller places c at its own image of the d-th summand."""
     check_bidegree(n, m)
     total = n + m
     terms = (
-        (d, Fraction((-1) ** (m + m // d) * mobius(d) * binom(total // d, m // d), total))
+        (d, Rational((-1) ** (m + m // d) * mobius(d) * binom(total // d, m // d), total))
         for d in divisors(math.gcd(n, m))
     )
     return [(d, c) for d, c in terms if c]
@@ -168,7 +168,7 @@ def petrogradsky_series(max_n: int, max_m: int) -> dict[tuple[int, int], BiSymFu
         power = truncate(u)
         s = 1
         while d * s <= bound and power:
-            series = series + power.scale(Fraction(mu_d, d * s))
+            series = series + power.scale(Rational(mu_d, d * s))
             power = truncate(multiply(power, u))
             s += 1
 

@@ -2,9 +2,10 @@
 
 Every symmetric function lives in the power sums: every formula this package
 verifies is native to p.  Both containers are :class:`SymTerms`, a term map
-from index keys to exact rational coefficients (``int`` or ``Fraction``): a
-:class:`SymFunc` indexes p_lambda by partitions, a :class:`BiSymFunc` indexes
-p_lambda(x) * p_mu(y) monomials by pairs of partitions.  One set of public
+from index keys to exact rational coefficients (``int`` or
+:class:`~freelie.exactalg.Rational`): a :class:`SymFunc` indexes p_lambda
+by partitions, a :class:`BiSymFunc` indexes p_lambda(x) * p_mu(y)
+monomials by pairs of partitions.  One set of public
 operations serves both: :func:`multiply`, :func:`plethysm_p`,
 :func:`h_pleth`, :func:`e_pleth` and :func:`expand_truncated` take either
 container.  A Schur expansion is a plain dict, {lambda: c} in one alphabet
@@ -39,13 +40,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .exactalg import (
     MultiPoly,
     RatLike,
+    Rational,
     Record,
     ResourceLimitError,
     TermMap,
@@ -350,7 +351,7 @@ def _character_transform(terms: Mapping[tuple[Partition, ...], RatLike]) -> dict
                 k = head + (lam,) + tail
                 merged[k] = merged.get(k, 0) + chi * v
         layer = {key: v for key, v in merged.items() if v}
-    return {key: Fraction(v, den) for key, v in layer.items()}
+    return {key: Rational(v, den) for key, v in layer.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def to_p(expansion: Mapping[Partition, RatLike]) -> SymFunc:
     :func:`schur_expand`: s_lambda = sum over mu of chi^lambda(mu)/z_mu p_mu."""
     return SymFunc()._with(
         collect(
-            (mu, c * Fraction(chi, z_lambda(mu)))
+            (mu, c * Rational(chi, z_lambda(mu)))
             for lam, c in SymFunc(expansion).terms.items()
             for mu in partitions_of(sum(lam))
             if (chi := _column(mu).get(lam))
@@ -407,7 +408,7 @@ def multiply(f: SymTerms, g: SymTerms) -> SymTerms:
 
 def frobenius_characteristic(chi: ClassFunctionSn) -> SymFunc:
     """sum over cycle types mu of chi(mu)/z_mu * p_mu."""
-    return SymFunc({mu: Fraction(v, 1) / z_lambda(mu) for mu, v in chi.values.items()})
+    return SymFunc({mu: v * Rational(1, z_lambda(mu)) for mu, v in chi.values.items()})
 
 
 def plethysm_p(d: int, f: SymTerms) -> SymTerms:
@@ -429,7 +430,7 @@ def _pleth_sum(a: int, f: SymTerms, signed: bool) -> SymTerms:
         for part in mu:
             piece = piece._unite(scaled[part])
         sign = (-1) ** (a - len(mu)) if signed else 1
-        pairs += piece.scale(Fraction(sign, z_lambda(mu))).terms.items()
+        pairs += piece.scale(Rational(sign, z_lambda(mu))).terms.items()
     return f._with(collect(pairs))
 
 

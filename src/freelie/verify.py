@@ -20,10 +20,9 @@ at its value.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import cyclic, specialization, superlie, symfunc, tableau
-from .exactalg import QTPoly, Record, UsageError, first_difference
+from .exactalg import QTPoly, Rational, Record, UsageError, first_difference
 from .partition import format_partition, partitions_of
 
 
@@ -179,9 +178,13 @@ def suite_sps(max_n: int, q_cap: int, qt_hook_max_n: int):
     of the closed hook-product specialization."""
     tableau.admit_sweep(max_n)
     for n in range(1, max_n + 1):
+        majs = tableau.maj_neg_generating_polys(n, max_n)
+        comajs = tableau.comaj_neg_generating_polys(n)
         for lam in partitions_of(n):
             parameters = {"partition": format_partition(lam), "q_cap": q_cap}
-            routes = specialization.s_ps_routes(lam, q_cap, max_n)
+            routes = specialization.s_ps_routes(
+                lam, q_cap, maj_poly=majs[lam], comaj_poly=comajs[lam]
+            )
             yield "schur-principal-specialization", parameters, *routes
     for n in range(1, qt_hook_max_n + 1):
         for lam in partitions_of(n):
@@ -227,7 +230,7 @@ def suite_kw(max_total: int, omega_trials: int, omega_max_r: int):
             )
             coeff = QTPoly(
                 {
-                    (rng.randint(0, 24), rng.randint(0, 4)): Fraction(
+                    (rng.randint(0, 24), rng.randint(0, 4)): Rational(
                         rng.randint(-9, 9), rng.randint(1, 5)
                     )
                     for _ in range(rng.randint(1, 6))

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freelie import cli, cyclic, specialization, superlie, symfunc, tableau, verify
-from freelie.exactalg import MultiPoly, ResourceLimitError
+from freelie.exactalg import MultiPoly, Rational, ResourceLimitError
 from freelie.partition import parse_partition
+from freelie.symfunc import SymFunc
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -776,6 +777,49 @@ def test_golden_output_digests():
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (command, fmt)
 
 
+class _Level(int):
+    """An int that reprs as no number: json.dumps writes it as an int."""
+
+    def __repr__(self):
+        return "level"
+
+
+def _assert_written_as_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, default=str)
+    assert cli._dumps(value, "  ") == json.dumps(value, indent=2, sort_keys=True, default=str)
+
+
+def test_report_writer_matches_json_dumps(monkeypatch):
+    # the CLI writes its reports without the json module, byte for byte as
+    # json.dumps does in the two forms it used: indented for --format json,
+    # on one line for the parameters of the text format
+    parser = cli.build_parser()
+    for command in GOLDEN_DIGESTS:
+        args = parser.parse_args(command.split())
+        _assert_written_as_json_dumps(args.func(args))
+    args = parser.parse_args(["verify", "all", "--profile", "quick"])
+    _assert_written_as_json_dumps(args.func(args))
+    # a failing check's report holds both routes and where they differ
+    real = superlie.super_witt_dim
+    monkeypatch.setattr(superlie, "super_witt_dim", lambda n, m, N: real(n, m, N) + 1)
+    args = parser.parse_args(["verify", "witt-oracle", "--profile", "quick"])
+    report = args.func(args)
+    assert report["status"] == "fail"
+    _assert_written_as_json_dumps(report)
+    crafted = {
+        "text": "caf\u00e9 \u03bb \u20ac \U0001f600 \ud800 \x00\x01\x1f\x7f\x80 \"q\" \\ / \b\f\n\r\t",
+        "caf\u00e9 \"key\"\n": {"": "", "nested": {"empty": {}, "list": []}},
+        "empty": [[], {}, (), ""],
+        "flags": [True, False, None],
+        "tuple": (1, (2, "3"), [4]),
+        "ints": [0, -1, 10**40, -(10**40), _Level(3)],
+        "others": [Rational(1, 2), Rational(3), SymFunc.term((2, 1)), parse_partition("(2,1)")],
+    }
+    _assert_written_as_json_dumps(crafted)
+    for value in crafted.values():
+        _assert_written_as_json_dumps(value)
+
+
 def test_passing_checks_show_no_routes(capsys):
     # routes and the first discrepancy are shown for a failed check only
     code, out, _ = run(capsys, "verify", "all", "--profile", "quick", "--format", "json")
@@ -798,6 +842,16 @@ WORKLOAD_LINES = (
     ["char", "higher", "--matrix", "[[1,1,2],[2,0,1]]", "--format", "json"],
     ["count", "(3,2,1)", "--gf", "--format", "json"],
 )
+
+
+def test_one_shot_queries_load_no_parsing_module():
+    # fractions brings decimal, numbers and re (with enum), json brings re,
+    # and argparse serves only help and usage errors: no workload line loads
+    # any of them, except that char higher parses its --matrix with json
+    parsing = ("re", "enum", "decimal", "numbers", "fractions", "json", "argparse")
+    for argv in WORKLOAD_LINES:
+        loaded = "['enum', 'json', 're']" if argv[:2] == ["char", "higher"] else "[]"
+        assert _modules_loaded(parsing, argv) == f"[0] {loaded}", argv
 
 
 def _argparse_vars(argv):

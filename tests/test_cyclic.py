@@ -177,7 +177,7 @@ def _induce_by_three_tuple_conjugation(chi):
             k = power_of.get(compose(compose(inverse(x), sigma), x))
             if k is not None:
                 acc = acc + chi.at_power(k)
-        values[mu] = acc.rational_value() / r
+        values[mu] = Fraction(acc.rational_value(), r)
     return values
 
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from freelie.exactalg import (
     ExactDivisionError,
     MultiPoly,
     QTPoly,
+    Rational,
     SparseEchelon,
     binom,
     cyclo_reduce,
@@ -466,9 +468,9 @@ def test_float_coefficients_are_refused():
         CycloElem.from_rational(3, 0.1)
     with pytest.raises(TypeError):
         cyclo_reduce([0.1, 1], 3)
-    # every other coefficient still goes through Fraction()
+    # every other coefficient still goes through Fraction(), into a Rational
     assert QTPoly({(0, 0): "1/10"}).coefficient(0, 0) == Fraction(1, 10)
-    assert type(QTPoly({(0, 0): True}).coefficient(0, 0)) is Fraction
+    assert type(QTPoly({(0, 0): True}).coefficient(0, 0)) is Rational
 
 
 def test_non_integer_keys_are_refused():
@@ -514,9 +516,9 @@ def test_integer_products_keep_int_coefficients():
     ]
     for value in values:
         assert all(type(c) is int for c in value.terms.values()), value
-    # a Fraction stays a Fraction
+    # a Fraction becomes a Rational, and a Rational stays one
     half = p * Fraction(1, 2)
-    assert all(type(c) is Fraction for c in (half * p).terms.values())
+    assert all(type(c) is Rational for c in (half * p).terms.values())
 
 
 # -- Kronecker packing
@@ -618,7 +620,74 @@ def test_integer_echelon_matches_fraction_echelon(fraction_rank, rows):
 
 
 def test_sparse_echelon_rejects_non_int_coefficients():
-    for bad in (Fraction(1), Fraction(1, 2), 1.0):
+    for bad in (Fraction(1), Fraction(1, 2), Rational(1), Rational(1, 2), 1.0):
         with pytest.raises(TypeError):
             SparseEchelon().add({0: 1, 1: bad})
+
+
+# -- exact rationals: fractions.Fraction is the reference
+
+
+def _outcome(op, *operands):
+    """op's result, or the type and text of the ZeroDivisionError it raises."""
+    try:
+        return op(*operands)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+def _as_fraction(value):
+    """A result laid out for comparison with a Fraction's: its value, type
+    (a Rational against a Fraction) and texts."""
+    if isinstance(value, tuple):
+        return value
+    kind = Fraction if type(value) is Rational else type(value)
+    return kind, value.numerator, value.denominator, str(value), repr(value), hash(value)
+
+
+BIG = 10**30
+RATIONALS = st.fractions() | st.integers(-BIG, BIG).map(Fraction) | st.fractions(max_denominator=7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(RATIONALS, st.integers(-BIG, BIG) | RATIONALS, st.booleans())
+def test_rational_behaves_as_fraction(x, y, both_rational):
+    # a is the Rational of x; b is y itself (an int or a Fraction) or, when
+    # both_rational, the Rational of a Fraction y
+    a = Rational(x.numerator, x.denominator)
+    b = Rational(y.numerator, y.denominator) if both_rational and type(y) is Fraction else y
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # an int on either side, and a denominator of 1, still give a Rational
+        assert _as_fraction(_outcome(op, a, b)) == _as_fraction(_outcome(op, x, y)), op
+        assert _as_fraction(_outcome(op, b, a)) == _as_fraction(_outcome(op, y, x)), op
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        assert op(a, b) == op(x, y) and op(b, a) == op(y, x), op
+    # equal values hash equal whatever their type, so a set finds either
+    assert (a == x, x == a, a in {x}, x in {a}) == (True,) * 4
+    assert (hash(a) == hash(b)) >= (a == b)
+    assert _as_fraction(-a) == _as_fraction(-x)
+    assert (bool(a), int(a), a.numerator, a.denominator) == (bool(x), int(x), x.numerator, x.denominator)
+    assert _as_fraction(a) == _as_fraction(x)
+
+
+@given(st.integers(-BIG, BIG), st.integers(-50, 50))
+def test_rational_constructor_reduces_as_fraction_does(n, d):
+    # lowest terms, the sign on the numerator, and Fraction's error at d = 0
+    assert _as_fraction(_outcome(Rational, n, d)) == _as_fraction(_outcome(Fraction, n, d))
+
+
+def test_exact_keeps_what_it_accepted():
+    # int and Rational pass as they are; a Fraction, a bool, a string or a
+    # Decimal become the Rational of Fraction(c); a float is refused
+    from decimal import Decimal
+
+    half = Rational(1, 2)
+    assert exactalg.exact(3) == 3 and type(exactalg.exact(3)) is int
+    assert exactalg.exact(half) is half
+    for odd in (Fraction(1, 10), True, "1/10", " -3/6 ", "2.5e-1", Decimal("0.1"), Fraction(4, 2)):
+        value = exactalg.exact(odd)
+        assert type(value) is Rational and _as_fraction(value) == _as_fraction(Fraction(odd))
+    for bad in (0.1, 2.0):
+        with pytest.raises(TypeError):
+            exactalg.exact(bad)
 

@@ -13,7 +13,6 @@ import inspect
 import json
 import math
 import pkgutil
-from fractions import Fraction
 
 import pytest
 
@@ -30,7 +29,7 @@ from freelie import (
     verify,
 )
 from freelie.cyclic import CyclicClassFunction
-from freelie.exactalg import CycloElem, MultiPoly, QTPoly
+from freelie.exactalg import CycloElem, MultiPoly, QTPoly, Rational
 from freelie.specialization import SpecSeries
 from freelie.symfunc import BiSymFunc, SymFunc
 
@@ -74,7 +73,7 @@ def _corrupt(value):
         return {**value, first: _corrupt(value[first])}
     if isinstance(value, SymFunc):
         # negative and fractional, so that its Schur expansion is no character
-        return value + SymFunc.term((1,), Fraction(-1, 2))
+        return value + SymFunc.term((1,), Rational(-1, 2))
     if isinstance(value, BiSymFunc):
         return value + BiSymFunc.term((1,), (1,))
     if isinstance(value, SpecSeries):
@@ -87,7 +86,7 @@ def _corrupt(value):
         return value + CycloElem.from_rational(value.modulus, 1)
     if isinstance(value, CyclicClassFunction):
         return CyclicClassFunction(value.order, _corrupt(value.values))
-    return value - Fraction(1, 2)
+    return value - Rational(1, 2)
 
 
 def value_of(real):
@@ -98,8 +97,8 @@ def value_of(real):
 def second_route(real):
     """The mutant that corrupts the second of the two routes returned."""
 
-    def mutant(*args):
-        lhs, rhs = real(*args)
+    def mutant(*args, **kwargs):
+        lhs, rhs = real(*args, **kwargs)
         return lhs, _corrupt(rhs)
 
     return mutant
@@ -233,7 +232,7 @@ def test_a_typo_in_brandts_sum_fails_checks_beyond_its_restatements(typo, monkey
     def mutant(n, m):
         superlie.check_bidegree(n, m)
         terms = (
-            (d, Fraction(numerator(n, m, d), n + m)) for d in exactalg.divisors(math.gcd(n, m))
+            (d, Rational(numerator(n, m, d), n + m)) for d in exactalg.divisors(math.gcd(n, m))
         )
         return [(d, c) for d, c in terms if c]
 

@@ -279,6 +279,23 @@ def test_s_ps_sweep():
             assert lhs == rhs, lam
 
 
+def test_sps_suite_reads_each_sizes_tables_once(monkeypatch):
+    # one maj and one comaj table of every shape of n per size n, not one
+    # per shape, and every shape's routes still agree
+    from freelie import tableau, verify
+
+    names = ("maj_neg_generating_polys", "comaj_neg_generating_polys")
+    calls = []
+    for name in names:
+        real = getattr(tableau, name)
+        monkeypatch.setattr(
+            tableau, name, lambda n, *rest, real=real, name=name: calls.append((name, n)) or real(n, *rest)
+        )
+    checks = verify.run_suite("sps", "quick", {"max_n": 5})
+    assert sorted(calls) == sorted((name, n) for name in names for n in range(1, 6))
+    assert all(check["status"] == "pass" for check in checks)
+
+
 def test_inv_pochhammer_is_a_product_of_geometric_series():
     for q_cap in range(15):
         for n in range(9):
